@@ -1,47 +1,71 @@
-"""Shared XML plumbing: escaping, gzip detection, small parse helpers.
+"""Shared XML plumbing: escaping and gzip detection.
 
-Output uses UTF-8 and only the five standard character escapes, so that
-serialized bytes are a pure function of the value being written.
+Output uses UTF-8, the five standard character escapes, and character
+references for the whitespace a parser would otherwise normalize (tab,
+newline and carriage return in attributes, carriage return in text), so
+that serialized bytes are a pure function of the value being written and
+read back to that value.  Characters XML 1.0 forbids cannot be written.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import re
 from typing import BinaryIO
+
+from .errors import FormatError
 
 GZIP_MAGIC = b"\x1f\x8b"
 
+# Characters XML 1.0 allows nowhere, not even as character references.
+_FORBIDDEN_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+     "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+)
 
+
+# The writers' hot path: a printable value holds no control character, no
+# forbidden one and no line break, so only markup characters can need work.
+# Values that fail the test (also harmless ones such as a no-break space)
+# take the slow path, which is exact.  In the snapshot writer this costs
+# less than one character-class search per value.
 def escape_text(value: str) -> str:
     """Escape character data."""
-    if "&" in value:
-        value = value.replace("&", "&amp;")
-    if "<" in value:
-        value = value.replace("<", "&lt;")
-    if ">" in value:
-        value = value.replace(">", "&gt;")
-    return value
+    if value.isprintable() and "&" not in value and "<" not in value and ">" not in value:
+        return value
+    return _escape(value, _TEXT_ESCAPES)
 
 
 def escape_attr(value: str) -> str:
     """Escape an attribute value (always double-quoted by our writers)."""
-    value = escape_text(value)
-    if '"' in value:
-        value = value.replace('"', "&quot;")
-    return value
+    if (
+        value.isprintable()
+        and "&" not in value and "<" not in value and ">" not in value and '"' not in value
+    ):
+        return value
+    return _escape(value, _ATTR_ESCAPES)
 
 
-def open_source(source: bytes | str | BinaryIO) -> BinaryIO:
+def _escape(value: str, table: dict[int, str]) -> str:
+    bad = _FORBIDDEN_CHAR.search(value)
+    if bad is not None:
+        raise FormatError(
+            f"cannot write {value!r}: XML 1.0 forbids U+{ord(bad.group()):04X}"
+        )
+    return value.translate(table)
+
+
+def open_source(source: bytes | BinaryIO) -> BinaryIO:
     """Return a binary stream over ``source``, decompressing gzip content.
 
-    Accepts raw bytes, a filesystem path, or an already-open binary stream;
-    compression is detected from the magic bytes, never from the name.
+    Accepts raw bytes or an already-open binary stream; compression is
+    detected from the magic bytes, never from a file name.
     """
     if isinstance(source, bytes):
         stream: BinaryIO = io.BytesIO(source)
-    elif isinstance(source, str):
-        stream = open(source, "rb")
     else:
         stream = source
     head = stream.read(2)

@@ -279,43 +279,61 @@ def _one_side(
     return graph
 
 
-def build_case_graphs(
-    case: CorrectionCase, history: History
+def _case_docs(profiles: dict[str, frozenset[Signature]]) -> set[str]:
+    return {m.document_key for sigs in profiles.values() for m in sigs}
+
+
+def _case_graphs(
+    case: CorrectionCase,
+    before: Snapshot,
+    after: Snapshot,
+    owners_before: dict[str, list[_OwnerEntry]],
+    owners_after: dict[str, list[_OwnerEntry]],
+    resolver: _DocResolver,
 ) -> tuple[CaseGraph, CaseGraph]:
-    """The before- and after-graph of one correction case."""
-    before = history.at(case.t_before)
-    after = history.at(case.t_after)
-    resolver = _DocResolver(history)
-    docs_before = {
-        m.document_key for sigs in case.source_profiles.values() for m in sigs
-    }
-    docs_after = {
-        m.document_key for sigs in case.target_profiles.values() for m in sigs
-    }
-    owners_before = _owners_for_docs(before, docs_before | docs_after)
-    owners_after = _owners_for_docs(after, docs_after)
+    """Both graphs of ``case`` from owner indexes covering at least its
+    documents: ``owners_before`` those of either side, ``owners_after``
+    those of the after side."""
+    docs_before = _case_docs(case.source_profiles)
+    docs_after = _case_docs(case.target_profiles)
+    weights_before = {d: owners_before[d] for d in docs_before}
     g_before = _one_side(
-        case.source_profiles,
-        before,
-        {d: owners_before[d] for d in docs_before},
-        {d: owners_before[d] for d in docs_before},
-        resolver,
+        case.source_profiles, before, weights_before, weights_before, resolver
     )
     g_after = _one_side(
         case.target_profiles,
         after,
-        owners_after,
+        {d: owners_after[d] for d in docs_after},
         {d: owners_before[d] for d in docs_after},
         resolver,
     )
     return g_before, g_after
 
 
+def build_case_graphs(
+    case: CorrectionCase, history: History
+) -> tuple[CaseGraph, CaseGraph]:
+    """The before- and after-graph of one correction case."""
+    before = history.at(case.t_before)
+    after = history.at(case.t_after)
+    docs_after = _case_docs(case.target_profiles)
+    return _case_graphs(
+        case,
+        before,
+        after,
+        _owners_for_docs(before, _case_docs(case.source_profiles) | docs_after),
+        _owners_for_docs(after, docs_after),
+        _DocResolver(history),
+    )
+
+
 def iter_case_graph_xml(graph: CaseGraph) -> Iterator[str]:
+    # Every id recurs in several edges; escape each once.
+    ids = {node.node_id: escape_attr(node.node_id) for node in graph.nodes}
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield "<graph>\n"
     for node in sorted(graph.nodes, key=lambda n: (n.label.value, n.node_id)):
-        opening = f'<node label="{node.label.value}" id="{escape_attr(node.node_id)}"'
+        opening = f'<node label="{node.label.value}" id="{ids[node.node_id]}"'
         if node.node_id in graph.primary_ids:
             opening += ' primary="true"'
         if not node.properties:
@@ -330,8 +348,9 @@ def iter_case_graph_xml(graph: CaseGraph) -> Iterator[str]:
         yield "</node>\n"
     for edge in sorted(graph.edges, key=Edge.sort_key):
         line = (
-            f'<edge type="{edge.edge_type.value}" from="{escape_attr(edge.from_id)}"'
-            f' to="{escape_attr(edge.to_id)}"'
+            f'<edge type="{edge.edge_type.value}"'
+            f' from="{ids.get(edge.from_id) or escape_attr(edge.from_id)}"'
+            f' to="{ids.get(edge.to_id) or escape_attr(edge.to_id)}"'
         )
         if edge.weight is not None:
             line += f' weight="{edge.weight}"'
@@ -433,40 +452,14 @@ def build_case_collection(
         docs_before: set[str] = set()
         docs_after: set[str] = set()
         for i in indexes:
-            case = ordered[i]
-            docs_before.update(
-                m.document_key for sigs in case.source_profiles.values() for m in sigs
-            )
-            docs_after.update(
-                m.document_key for sigs in case.target_profiles.values() for m in sigs
-            )
+            docs_before |= _case_docs(ordered[i].source_profiles)
+            docs_after |= _case_docs(ordered[i].target_profiles)
         owners_before = _owners_for_docs(before, docs_before | docs_after)
         owners_after = _owners_for_docs(after, docs_after)
         for i in indexes:
             case = ordered[i]
-            cb = {
-                m.document_key
-                for sigs in case.source_profiles.values()
-                for m in sigs
-            }
-            ca = {
-                m.document_key
-                for sigs in case.target_profiles.values()
-                for m in sigs
-            }
-            g_before = _one_side(
-                case.source_profiles,
-                before,
-                {d: owners_before[d] for d in cb},
-                {d: owners_before[d] for d in cb},
-                resolver,
-            )
-            g_after = _one_side(
-                case.target_profiles,
-                after,
-                {d: owners_after[d] for d in ca},
-                {d: owners_before[d] for d in ca},
-                resolver,
+            g_before, g_after = _case_graphs(
+                case, before, after, owners_before, owners_after, resolver
             )
             before_name = f"{ids[i]}-before.xml"
             after_name = f"{ids[i]}-after.xml"

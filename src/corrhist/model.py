@@ -64,8 +64,9 @@ class Signature(NamedTuple):
         """The identity triple, without the surface."""
         return (self.document_key, self.position, self.role)
 
-    def sort_key(self) -> tuple[str, int, str]:
-        return (self.document_key, self.position, self.role.value)
+    def sort_key(self) -> tuple[str, int, bool]:
+        # Authors before editors; ``role.value`` would run a Python property.
+        return (self.document_key, self.position, self.role is Role.EDITOR)
 
 
 def mention_keys(mentions: Iterable[Signature]) -> set[tuple[str, int, Role]]:

@@ -1,12 +1,15 @@
 """Reading and writing snapshot files.
 
 A snapshot file is a flat XML document: a ``snapshot`` root carrying the
-observation date, document records, then profile records.  Parsing is
-streaming (expat) so peak memory tracks the size of the model, not of the
-file; writing is deterministic, so the same snapshot value always yields
-byte-identical output.
+observation date, document records, then profile records.  Writing is
+deterministic, so the same snapshot value always yields byte-identical
+output.
 
-Files may be gzip-compressed; compression is detected from magic bytes.
+Each file is read into memory whole and decompressed if it is gzip
+(detected from magic bytes).  Files in the exact form this module writes
+take a line-oriented fast path, everything else goes through expat.  Both
+parsers feed one record builder, which alone enforces integrity, so they
+accept and reject the same records with the same messages.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import gzip
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.parsers import expat
 
 from ._xml import escape_attr, escape_text, open_source
@@ -31,12 +35,17 @@ _FILENAME_RE = re.compile(r"snapshot-(\d{4}-\d{2}-\d{2})\.xml(?:\.gz)?$")
 
 _TEXT_ELEMENTS = frozenset({"title", "venue", "author", "editor"})
 
+# Hot loops test roles by identity, and mention keys hold ``role is _EDITOR``
+# rather than the Role itself, whose hash runs Python code.
+_AUTHOR = Role.AUTHOR
+_EDITOR = Role.EDITOR
+
+# A record line of a canonical file mapped to the record it parsed to.
+_LineMemo = dict[str, "Profile | tuple[DocumentRecord, str | None]"]
+
 
 def parse_snapshot(
-    source: bytes | str | Path | BinaryIO,
-    *,
-    dedup_against: Snapshot | None = None,
-    source_name: str | None = None,
+    source: bytes | str | Path | BinaryIO, *, source_name: str | None = None
 ) -> Snapshot:
     """Parse one snapshot from bytes, a path, or a binary stream.
 
@@ -45,106 +54,218 @@ def parse_snapshot(
     position past the end of the name list) raise IntegrityError naming the
     offending records.  Malformed markup raises FormatError with the byte
     offset into the decompressed stream.
-
-    ``dedup_against`` is a memory optimization for loading file sequences:
-    profiles and documents that are equal to their counterpart in the given
-    snapshot are replaced by that counterpart object, so consecutive
-    snapshots share storage for everything unchanged.
-
-    Files in the exact form this module writes take a line-oriented fast
-    path; everything else (and anything questionable) goes through the
-    general XML parser, which is the authority on errors.
     """
     if isinstance(source, Path):
         source = str(source)
     if source_name is None and isinstance(source, str):
         source_name = source
-    stream = open_source(source)
-    try:
-        data = stream.read()
-    except gzip.BadGzipFile as exc:
-        raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
-    snapshot = _parse_canonical(data, dedup_against)
-    if snapshot is None:
-        snapshot = _parse_expat(data, dedup_against, source_name)
-    _check_references(snapshot.profiles, snapshot.documents, source_name)
-    return snapshot
+    return _Reader().read(source, source_name)
+
+
+class _Reader:
+    """Reads the files of one series, in order, one file at a time.
+
+    It keeps the previous snapshot, whose records are reused for equal
+    records of the next file, and a memo of every canonical record line read
+    so far, whose lines are adopted without parsing when they recur.
+    """
+
+    def __init__(self) -> None:
+        self.prev: Snapshot | None = None
+        self.memo: _LineMemo = {}
+
+    def read(self, source: bytes | str | BinaryIO, source_name: str | None) -> Snapshot:
+        if isinstance(source, str):
+            with open(source, "rb") as f:
+                source = f.read()
+        try:
+            data = open_source(source).read()
+        except gzip.BadGzipFile as exc:
+            raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
+        snapshot = _parse_canonical(data, self.prev, self.memo, source_name)
+        if snapshot is None:
+            snapshot = _parse_expat(data, self.prev, source_name)
+        self.prev = snapshot
+        return snapshot
+
+
+class _Builder:
+    """Collects one snapshot's records; the one place integrity is enforced.
+
+    It rejects a duplicate document key or profile id, an empty profile, a
+    blank surface, a mention claimed twice, a venue key bound to two names,
+    and mentions of unknown documents or positions.  A record equal to the
+    previous snapshot's record under the same key is replaced by that
+    earlier object, so a series shares storage for everything unchanged.
+    ``prev`` must itself have come out of a builder.
+    """
+
+    def __init__(self, date: str, prev: Snapshot | None, source_name: str | None):
+        self.date = date
+        self.source_name = source_name
+        self.prev_profiles = prev.profiles if prev is not None else {}
+        self.prev_documents = prev.documents if prev is not None else {}
+        self.profiles: dict[str, Profile] = {}
+        self.documents: dict[str, DocumentRecord] = {}
+        self.venues: dict[str, str] = {}
+        self.owners: dict[tuple[str, int, bool], str] = {}
+        # Profiles carried over from ``prev`` were checked against its
+        # documents; only the changed ones can have invalidated them.
+        self.fresh: list[Profile] = []
+        self.carried: list[Profile] = []
+
+    def error(self, message: str) -> IntegrityError:
+        return IntegrityError(message + (f" ({self.source_name})" if self.source_name else ""))
+
+    def document(self, record: DocumentRecord, venue_name: str | None) -> DocumentRecord:
+        key = record.document_key
+        if key in self.documents:
+            raise self.error(f"duplicate document key {key!r}")
+        if record.venue_key is not None:
+            known = self.venues.setdefault(record.venue_key, venue_name)  # type: ignore[arg-type]
+            if known != venue_name:
+                raise self.error(
+                    f"venue key {record.venue_key!r} bound to two names: "
+                    f"{known!r} and {venue_name!r}"
+                )
+        old = self.prev_documents.get(key)
+        if old is not None and (old is record or old == record):
+            record = old
+        self.documents[key] = record
+        return record
+
+    def profile(self, record: Profile, sigs: Iterable[Signature]) -> Profile:
+        """Add ``record``; ``sigs`` are its mentions as read, so a mention
+        listed twice is caught even though the set holds it once."""
+        pid = record.profile_id
+        if pid in self.profiles:
+            raise self.error(f"duplicate profile id {pid!r}")
+        if not record.mentions:
+            raise self.error(
+                f"profile {pid} has no signatures; empty profiles are "
+                f"represented by absence"
+            )
+        owners = self.owners
+        for doc, pos, surface, role in sigs:
+            if not surface or surface.isspace():
+                raise self.error(f"profile {pid}: blank surface on {doc} pos {pos}")
+            k = (doc, pos, role is _EDITOR)
+            other = owners.get(k)
+            if other is not None:
+                raise self.error(
+                    f"mention {(doc, pos, role.value)} interpreted by two "
+                    f"profiles: {other} and {pid}"
+                )
+            owners[k] = pid
+        old = self.prev_profiles.get(pid)
+        if old is not None and (old is record or old == record):
+            record = old
+            self.carried.append(record)
+        else:
+            self.fresh.append(record)
+        self.profiles[pid] = record
+        return record
+
+    def _check_references(self, prof: Profile) -> None:
+        documents = self.documents
+        for doc_key, pos, _surface, role in prof.mentions:
+            doc = documents.get(doc_key)
+            if doc is None:
+                raise self.error(
+                    f"profile {prof.profile_id}: mention references unknown "
+                    f"document {doc_key!r}"
+                )
+            names = doc.editors if role is _EDITOR else doc.authors
+            if pos >= len(names):
+                raise self.error(
+                    f"profile {prof.profile_id}: position {pos} out of range for "
+                    f"{role.value} list of {doc_key} (length {len(names)})"
+                )
+
+    def snapshot(self) -> Snapshot:
+        for prof in self.fresh:
+            self._check_references(prof)
+        if self.carried:
+            documents = self.documents
+            changed = {
+                key for key, rec in self.prev_documents.items()
+                if documents.get(key) is not rec
+            }
+            if changed:
+                for prof in self.carried:
+                    if any(m.document_key in changed for m in prof.mentions):
+                        self._check_references(prof)
+        return Snapshot(self.date, self.profiles, self.documents, self.venues)
 
 
 # Canonical output is line-oriented with a closed escape inventory, so a
 # file that matches these byte-for-byte needs no XML machinery.  The value
-# classes exclude "&" entirely: any entity or stray markup falls back.
+# classes exclude "&" entirely, so any entity or stray markup falls back,
+# and every character expat would reject or read differently: the control
+# characters XML forbids, carriage return, and tab inside attribute values
+# (which expat turns into a space).
+_BAD = r"\x00-\x08\x0b-\x1f\ufffe\uffff"
+_ATTR = rf'[^"&<>\t{_BAD}]*'
+_TEXT = rf"[^&<>{_BAD}]*"
 _CANON_HEAD = '<?xml version="1.0" encoding="UTF-8"?>'
 _CANON_ROOT = re.compile(r'<snapshot date="(\d{4}-\d{2}-\d{2})" version="1">')
 _CANON_DOC = re.compile(
-    r'<document pkey="([^"&<>]*)"(?: year="(-?[0-9]+)")?(?: url="([^"&<>]*)")?>'
+    rf'<document pkey="({_ATTR})"(?: year="(-?[0-9]+)")?(?: url="({_ATTR})")?>'
     r"(.*)</document>"
 )
 _CANON_DOC_BODY = re.compile(
-    r"(?:<title>([^&<>]*)</title>)?"
-    r'(?:<venue key="([^"&<>]*)">([^&<>]*)</venue>)?'
-    r"((?:<author>[^&<>]*</author>)*)"
-    r"((?:<editor>[^&<>]*</editor>)*)"
+    rf"(?:<title>({_TEXT})</title>)?"
+    rf'(?:<venue key="({_ATTR})">({_TEXT})</venue>)?'
+    rf"((?:<author>{_TEXT}</author>)*)"
+    rf"((?:<editor>{_TEXT}</editor>)*)"
 )
-_CANON_NAME = re.compile(r"<(?:author|editor)>([^&<>]*)</(?:author|editor)>")
+_CANON_NAME = re.compile(rf"<(?:author|editor)>({_TEXT})</(?:author|editor)>")
 _CANON_PROFILE = re.compile(
-    r'<profile authorid="([^"&<>]*)">((?:<signature [^<>&]*/>)*)</profile>'
+    rf'<profile authorid="({_ATTR})">((?:<signature [^<>&]*/>)*)</profile>'
 )
 _CANON_SIG = re.compile(
-    r'<signature pkey="([^"&<>]*)" pos="([0-9]+)" surface="([^"&<>]*)"'
+    rf'<signature pkey="({_ATTR})" pos="([0-9]+)" surface="({_ATTR})"'
     r'( role="editor")?/>'
 )
 
 
 def _parse_canonical(
     data: bytes,
-    dedup_against: Snapshot | None,
-    *,
-    doc_memo: dict[str, tuple[DocumentRecord, str | None]] | None = None,
-    profile_memo: dict[str, Profile] | None = None,
+    prev: Snapshot | None,
+    memo: _LineMemo | None = None,
     source_name: str | None = None,
 ) -> Snapshot | None:
-    """Parse canonical serializer output; None means "not provably canonical".
+    """Parse canonical serializer output; None means "not in that form".
 
-    Any deviation at all, structural or semantic, returns None so the
-    general parser can produce its usual diagnostics.  A non-None result is
-    therefore exactly what the general parser would have produced.
+    None is returned for markup reasons only.  Records go through the same
+    builder as the general parser's, so a non-None result, or an
+    IntegrityError, is exactly what the general parser would have produced.
 
-    The memos map record lines of earlier files in a sequence to their
-    parsed objects.  The serializer is injective, so an identical line is
-    proof of an identical record, and the object is reused without parsing.
-    With memos on, reference checking happens here (incrementally: reused
-    profiles are rechecked only against documents that changed); without
-    them the caller is responsible.
+    ``memo`` maps record lines of earlier files to their parsed objects.
+    The serializer is injective, so an identical line is proof of an
+    identical record, and the object is reused without parsing.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
     lines = text.split("\n")
-    if len(lines) < 4 or lines[0] != _CANON_HEAD or lines[-2] != "</snapshot>":
-        return None
-    if lines[-1] != "":
+    if len(lines) < 4 or lines[0] != _CANON_HEAD or lines[-2:] != ["</snapshot>", ""]:
         return None
     root = _CANON_ROOT.fullmatch(lines[1])
     if root is None:
         return None
-    date = root.group(1)
     try:
-        validate_date(date)
+        date = validate_date(root.group(1))
     except ValueError:
         return None
 
+    if memo is None:
+        memo = {}
     intern = sys.intern
-    old_profiles = dedup_against.profiles if dedup_against is not None else {}
-    old_documents = dedup_against.documents if dedup_against is not None else {}
-    profiles: dict[str, Profile] = {}
-    documents: dict[str, DocumentRecord] = {}
-    venues: dict[str, str] = {}
-    seen: set[tuple[str, int, bool]] = set()
-    fresh: list[Profile] = []
-    reused: list[Profile] = []
-
+    build = _Builder(date, prev, source_name)
+    add_profile = build.profile
+    add_document = build.document
     doc_match = _CANON_DOC.fullmatch
     body_match = _CANON_DOC_BODY.fullmatch
     prof_match = _CANON_PROFILE.fullmatch
@@ -152,32 +273,17 @@ def _parse_canonical(
     name_list = _CANON_NAME.findall
 
     for line in lines[2:-2]:
+        hit = memo.get(line)
+        if hit is not None:
+            if isinstance(hit, Profile):
+                add_profile(hit, hit.mentions)
+            else:
+                add_document(*hit)
+            continue
         kind = line[1:2]
         if kind == "p":
-            if profile_memo is not None:
-                hit = profile_memo.get(line)
-                if hit is not None:
-                    if hit.profile_id in profiles:
-                        return None
-                    for m in hit.mentions:
-                        k = (m.document_key, m.position, m.role is Role.EDITOR)
-                        if k in seen:
-                            return None
-                        seen.add(k)
-                    profiles[hit.profile_id] = hit
-                    # Only carry the weaker incremental check forward when
-                    # the previous snapshot held this very object; a hit
-                    # from further back may predate document changes.
-                    if old_profiles.get(hit.profile_id) is hit:
-                        reused.append(hit)
-                    else:
-                        fresh.append(hit)
-                    continue
             m = prof_match(line)
             if m is None:
-                return None
-            pid = intern(m.group(1))
-            if pid in profiles:
                 return None
             sigs = []
             body = m.group(2)
@@ -187,117 +293,45 @@ def _parse_canonical(
                     return None
                 pos_in_body = sm.end()
                 pkey, pos_raw, surface, role_raw = sm.group(1, 2, 3, 4)
-                if not surface or surface.isspace():
-                    return None
-                pos = int(pos_raw)
-                k = (pkey, pos, role_raw is not None)
-                if k in seen:
-                    return None
-                seen.add(k)
                 sigs.append(
                     Signature(
                         intern(pkey),
-                        pos,
+                        int(pos_raw),
                         intern(surface),
-                        Role.EDITOR if role_raw else Role.AUTHOR,
+                        _EDITOR if role_raw else _AUTHOR,
                     )
                 )
-            if pos_in_body != len(body) or not sigs:
+            if pos_in_body != len(body):
                 return None
-            mentions = frozenset(sigs)
-            old = old_profiles.get(pid)
-            prof = old if old is not None and old.mentions == mentions else Profile(pid, mentions)
-            profiles[pid] = prof
-            fresh.append(prof)
-            if profile_memo is not None:
-                profile_memo[line] = prof
+            memo[line] = add_profile(Profile(intern(m.group(1)), frozenset(sigs)), sigs)
         elif kind == "d":
-            if doc_memo is not None:
-                dhit = doc_memo.get(line)
-                if dhit is not None:
-                    record, venue_name = dhit
-                    if record.document_key in documents:
-                        return None
-                    if record.venue_key is not None:
-                        known = venues.get(record.venue_key)
-                        if known is not None and known != venue_name:
-                            return None
-                        venues[record.venue_key] = venue_name
-                    documents[record.document_key] = record
-                    continue
             m = doc_match(line)
             if m is None:
                 return None
             pkey, year_raw, url, doc_body = m.group(1, 2, 3, 4)
-            pkey = intern(pkey)
-            if pkey in documents:
-                return None
             b = body_match(doc_body)
             if b is None:
                 return None
-            venue_key = None
-            venue_name = None
-            if b.group(2) is not None:
-                venue_key = intern(b.group(2))
-                venue_name = b.group(3)
-                known = venues.get(venue_key)
-                if known is not None and known != venue_name:
-                    return None
-                venues[venue_key] = venue_name
+            venue_key = b.group(2)
             record = DocumentRecord(
-                document_key=pkey,
+                document_key=intern(pkey),
                 title=b.group(1) or "",
                 year=int(year_raw) if year_raw is not None else 0,
-                venue_key=venue_key,
+                venue_key=intern(venue_key) if venue_key is not None else None,
                 authors=tuple(map(intern, name_list(b.group(4)))),
                 editors=tuple(map(intern, name_list(b.group(5)))),
                 external_link=url,
             )
-            old = old_documents.get(pkey)
-            if old is not None and old == record:
-                record = old
-            documents[pkey] = record
-            if doc_memo is not None:
-                doc_memo[line] = (record, venue_name)
+            venue_name = b.group(3)
+            memo[line] = (add_document(record, venue_name), venue_name)
         else:
             return None
-
-    if profile_memo is not None:
-        # Reference checks are owed here.  Fresh profiles get the full
-        # check; profiles carried over by line identity were checked when
-        # first parsed and can only have been invalidated by a document
-        # that changed or disappeared since the previous snapshot.
-        for prof in fresh:
-            _check_profile_refs(prof.profile_id, prof.mentions, documents, source_name)
-        if reused:
-            suspect = set()
-            for key, rec in old_documents.items():
-                if documents.get(key) is not rec:
-                    suspect.add(key)
-            if suspect:
-                for prof in reused:
-                    if any(m.document_key in suspect for m in prof.mentions):
-                        _check_profile_refs(
-                            prof.profile_id, prof.mentions, documents, source_name
-                        )
-    return Snapshot(date, profiles, documents, venues)
+    return build.snapshot()
 
 
-def _parse_expat(
-    data: bytes,
-    dedup_against: Snapshot | None,
-    source_name: str | None,
-) -> Snapshot:
+def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) -> Snapshot:
     intern = sys.intern
-    profiles: dict[str, Profile] = {}
-    documents: dict[str, DocumentRecord] = {}
-    venues: dict[str, str] = {}
-    owners: dict[tuple[str, int, Role], str] = {}
-
-    old_profiles = dedup_against.profiles if dedup_against is not None else {}
-    old_documents = dedup_against.documents if dedup_against is not None else {}
-
-    header: dict[str, str] = {}
+    build: _Builder | None = None
     # document under construction
     doc_attrs: dict[str, str] = {}
     doc_title: list[str] = []
@@ -325,7 +359,7 @@ def _parse_expat(
         return value
 
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal doc_attrs, doc_venue, prof_id, capturing
+        nonlocal build, doc_attrs, doc_venue, prof_id, capturing
         depth = len(stack)
         if depth == 0:
             if name != "snapshot":
@@ -338,7 +372,7 @@ def _parse_expat(
                 validate_date(date)
             except ValueError as exc:
                 raise fail(str(exc)) from None
-            header["date"] = date
+            build = _Builder(date, prev, source_name)
         elif depth == 1:
             if name == "document":
                 doc_attrs = attrs
@@ -370,55 +404,35 @@ def _parse_expat(
             if pos < 0:
                 raise fail(f"negative signature position {pos}")
             surface = intern(require(attrs, "surface", name))
-            if not surface.strip():
-                raise IntegrityError(
-                    f"profile {prof_id}: blank surface on {pkey} pos {pos}"
-                )
             role_raw = attrs.get("role", "author")
             if role_raw == "author":
-                role = Role.AUTHOR
+                role = _AUTHOR
             elif role_raw == "editor":
-                role = Role.EDITOR
+                role = _EDITOR
             else:
                 raise fail(f"unknown signature role {role_raw!r}")
-            sig = Signature(pkey, pos, surface, role)
-            k = sig.key
-            other = owners.get(k)
-            if other is not None:
-                raise IntegrityError(
-                    f"mention {k[:2] + (role.value,)} interpreted by two "
-                    f"profiles: {other} and {prof_id}"
-                )
-            owners[k] = prof_id  # type: ignore[assignment]
-            prof_sigs.append(sig)
+            prof_sigs.append(Signature(pkey, pos, surface, role))
         else:
             raise fail(f"unexpected element <{name}> inside <{stack[-1]}>")
         stack.append(name)
 
     def end(name: str) -> None:
-        nonlocal doc_venue, prof_id, capturing
+        nonlocal prof_id, capturing
         stack.pop()
+        assert build is not None
         if name == "document":
             pkey = intern(require(doc_attrs, "pkey", name))
-            if pkey in documents:
-                raise IntegrityError(f"duplicate document key {pkey!r}")
             year_raw = doc_attrs.get("year", "0")
             try:
                 year = int(year_raw)
             except ValueError:
                 raise fail(f"non-integer year {year_raw!r} on document {pkey}") from None
             venue_key: str | None = None
+            venue_name: str | None = None
             if doc_venue is not None:
                 raw_key, name_parts = doc_venue
                 venue_name = "".join(name_parts)
                 venue_key = intern(raw_key if raw_key is not None else venue_name)
-                known = venues.get(venue_key)
-                if known is not None and known != venue_name:
-                    raise IntegrityError(
-                        f"venue key {venue_key!r} bound to two names: "
-                        f"{known!r} and {venue_name!r}"
-                    )
-                venues[venue_key] = venue_name
             record = DocumentRecord(
                 document_key=pkey,
                 title="".join(doc_title),
@@ -428,24 +442,10 @@ def _parse_expat(
                 editors=tuple(intern(e) for e in doc_editors),
                 external_link=doc_attrs.get("url"),
             )
-            old = old_documents.get(pkey)
-            documents[pkey] = old if old == record else record
+            build.document(record, venue_name)
         elif name == "profile":
             assert prof_id is not None
-            pid = intern(prof_id)
-            if pid in profiles:
-                raise IntegrityError(f"duplicate profile id {pid!r}")
-            if not prof_sigs:
-                raise IntegrityError(
-                    f"profile {pid} has no signatures; empty profiles are "
-                    f"represented by absence"
-                )
-            mentions = frozenset(prof_sigs)
-            old = old_profiles.get(pid)
-            if old is not None and old.mentions == mentions:
-                profiles[pid] = old
-            else:
-                profiles[pid] = Profile(pid, mentions)
+            build.profile(Profile(intern(prof_id), frozenset(prof_sigs)), prof_sigs)
             prof_id = None
         elif name in _TEXT_ELEMENTS and stack and stack[-1] == "document":
             content = "".join(text)
@@ -480,43 +480,9 @@ def _parse_expat(
             f"malformed snapshot XML: {exc}", parser.ErrorByteIndex, source_name
         ) from None
 
-    if "date" not in header:
+    if build is None:
         raise FormatError("no <snapshot> element found", -1, source_name)
-
-    return Snapshot(header["date"], profiles, documents, venues)
-
-
-def _check_references(
-    profiles: dict[str, Profile],
-    documents: dict[str, DocumentRecord],
-    source_name: str | None,
-) -> None:
-    """Mentions must point into an existing document's name list."""
-    for pid, prof in profiles.items():
-        _check_profile_refs(pid, prof.mentions, documents, source_name)
-
-
-def _check_profile_refs(
-    pid: str,
-    mentions: frozenset[Signature],
-    documents: dict[str, DocumentRecord],
-    source_name: str | None,
-) -> None:
-    for m in mentions:
-        doc = documents.get(m.document_key)
-        if doc is None:
-            raise IntegrityError(
-                f"profile {pid}: mention references unknown document "
-                f"{m.document_key!r}"
-                + (f" ({source_name})" if source_name else "")
-            )
-        names = doc.names(m.role)
-        if m.position >= len(names):
-            raise IntegrityError(
-                f"profile {pid}: position {m.position} out of range for "
-                f"{m.role.value} list of {m.document_key} (length {len(names)})"
-                + (f" ({source_name})" if source_name else "")
-            )
+    return build.snapshot()
 
 
 def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
@@ -578,26 +544,26 @@ def write_snapshot_to(
     """Write a snapshot file; gzip when ``compress`` (default: .gz suffix).
 
     Gzip output pins mtime so identical snapshots give identical files.
+    A value the format cannot carry raises FormatError and leaves no file.
     """
     path = Path(path)
     if compress is None:
         compress = path.suffix == ".gz"
-    with open(path, "wb") as raw:
-        sink: BinaryIO
-        if compress:
-            sink = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0)  # type: ignore[assignment]
-        else:
-            sink = raw
-        buffer: list[str] = []
-        for fragment in iter_snapshot_xml(snapshot):
-            buffer.append(fragment)
-            if len(buffer) >= 4096:
+    try:
+        with open(path, "wb") as raw, (
+            gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) if compress else nullcontext(raw)
+        ) as sink:
+            buffer: list[str] = []
+            for fragment in iter_snapshot_xml(snapshot):
+                buffer.append(fragment)
+                if len(buffer) >= 4096:
+                    sink.write("".join(buffer).encode("utf-8"))
+                    buffer.clear()
+            if buffer:
                 sink.write("".join(buffer).encode("utf-8"))
-                buffer.clear()
-        if buffer:
-            sink.write("".join(buffer).encode("utf-8"))
-        if compress:
-            sink.close()
+    except FormatError:
+        path.unlink()
+        raise
     return path
 
 
@@ -635,18 +601,15 @@ def discover_snapshot_files(directory: str | Path) -> list[SnapshotFile]:
     return sorted(found, key=lambda f: f.date)
 
 
-def load_history(
-    source: str | Path | Sequence[SnapshotFile],
-    *,
-    reader: Callable[[Path, Snapshot | None], Snapshot] | None = None,
-) -> History:
+def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     """Load an ordered snapshot sequence into a History.
 
     ``source`` is a directory (scanned for canonically named files) or an
     explicit SnapshotFile sequence.  Declared dates must strictly increase,
-    and each file's header date must match its declared date.  ``reader``
-    swaps in a parser for other record formats; the default reads the
-    canonical format with cross-file storage sharing.
+    and each file's header date must match its declared date.  The files
+    are read in order by one reader, so each snapshot shares every record
+    equal to the previous snapshot's, and a canonical record line seen in
+    any earlier file is adopted without reparsing.
     """
     if isinstance(source, (str, Path)):
         files: Sequence[SnapshotFile] = discover_snapshot_files(source)
@@ -662,41 +625,15 @@ def load_history(
                 f"snapshot dates must strictly increase: {before.path.name} "
                 f"then {after.path.name}"
             )
-    if reader is None:
-        # Line memos persist across the whole sequence, so a record line
-        # seen in any earlier file is adopted without reparsing.
-        doc_memo: dict[str, tuple[DocumentRecord, str | None]] = {}
-        profile_memo: dict[str, Profile] = {}
-
-        def reader(path: Path, prev: Snapshot | None) -> Snapshot:
-            name = str(path)
-            stream = open_source(name)
-            try:
-                data = stream.read()
-            except gzip.BadGzipFile as exc:
-                raise FormatError(
-                    f"corrupt gzip stream: {exc}", -1, name
-                ) from None
-            snap = _parse_canonical(
-                data,
-                prev,
-                doc_memo=doc_memo,
-                profile_memo=profile_memo,
-                source_name=name,
-            )
-            if snap is not None:
-                return snap
-            return parse_snapshot(data, dedup_against=prev, source_name=name)
-
+    reader = _Reader()
     snapshots: list[Snapshot] = []
-    prev: Snapshot | None = None
     for file in files:
-        snap = reader(file.path, prev)
+        name = str(file.path)
+        snap = reader.read(name, name)
         if snap.time != file.date:
             raise FormatError(
                 f"{file.path.name} declares date {file.date} but its header "
                 f"says {snap.time}"
             )
         snapshots.append(snap)
-        prev = snap
     return History(tuple(snapshots))

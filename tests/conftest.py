@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from corrhist.model import (
@@ -15,6 +17,12 @@ from corrhist.model import (
 )
 
 MentionSpec = tuple  # (doc, pos, surface) or (doc, pos, surface, role)
+
+# pytest finds the package through ``pythonpath`` in pyproject.toml; the
+# tests that run ``python -m corrhist.cli`` in a subprocess need it as well.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def sig(doc: str, pos: int, surface: str, role: Role = Role.AUTHOR) -> Signature:
