@@ -77,9 +77,6 @@ class CaseGraph:
     edges: frozenset[Edge]
     primary_ids: frozenset[str]
 
-    def node_index(self) -> dict[str, Node]:
-        return {n.node_id: n for n in self.nodes}
-
     def validate(self) -> None:
         index: dict[str, Node] = {}
         for node in self.nodes:

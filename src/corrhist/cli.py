@@ -13,9 +13,7 @@ Data goes to files or stdout; diagnostics go to stderr.  Exit status is
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from typing import Callable, Sequence, TextIO
 
 from . import __version__
@@ -85,7 +83,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     history = _load(args)
-    cases = extract_corrections(history, max_workers=args.parallel)
+    cases = extract_corrections(history)
     by_kind = {kind.value: 0 for kind in CorrectionKind}
     for case in cases:
         by_kind[case.kind.value] += 1
@@ -97,7 +95,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_case_collection(args: argparse.Namespace) -> int:
     history = _load(args)
-    cases = extract_corrections(history, max_workers=args.parallel)
+    cases = extract_corrections(history)
     manifest = build_case_collection(cases, history, args.out)
     _say(args, f"{len(cases)} cases, manifest at {manifest}")
     return 0
@@ -110,7 +108,6 @@ def _cmd_embedded(args: argparse.Namespace) -> int:
         args.t1,
         args.t2,
         args.out,
-        max_workers=args.parallel,
         compress=args.compress,
     )
     summary = ", ".join(f"{k}={counts[k]}" for k in ("merge", "split", "distribute", "all"))
@@ -120,7 +117,7 @@ def _cmd_embedded(args: argparse.Namespace) -> int:
 
 def _cmd_blocking(args: argparse.Namespace) -> int:
     history = _load(args)
-    cases = extract_corrections(history, max_workers=args.parallel)
+    cases = extract_corrections(history)
     merge_cases = [c for c in cases if c.kind is CorrectionKind.MERGE]
     distribute_cases = [c for c in cases if c.kind is CorrectionKind.DISTRIBUTE]
     rows = [
@@ -162,7 +159,7 @@ def _add_parallel_arg(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker threads for per-interval detection (default 1)",
+        help="accepted for compatibility; has no effect (detection runs serially)",
     )
 
 
@@ -275,9 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    tmpdir = os.environ.get("CORRHIST_TMPDIR")
-    if tmpdir:
-        tempfile.tempdir = tmpdir
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -240,37 +240,21 @@ def validate_annotations(
 ) -> list[str]:
     """Check annotations against the exported snapshot they embed into.
 
-    Raises IntegrityError when a source profile or mention does not resolve
-    against the snapshot; returns human-readable warnings for degenerate
-    but well-formed annotations (identical single-profile source/target).
+    Raises IntegrityError when the snapshot itself is invalid or a source
+    profile's mentions differ from its state in the snapshot; returns
+    human-readable warnings for degenerate but well-formed annotations
+    (identical single-profile source/target).
     """
+    snapshot.validate()
     warnings: list[str] = []
     for a in annotations:
         a.check()
         for pid, sigs in a.source.items():
-            state = snapshot.mentions_of(pid)
-            if not state:
-                raise IntegrityError(
-                    f"annotation {a.annotation_id}: source profile {pid} is "
-                    f"not in the exported snapshot"
-                )
-            if state != frozenset(sigs):
+            if snapshot.mentions_of(pid) != frozenset(sigs):
                 raise IntegrityError(
                     f"annotation {a.annotation_id}: source profile {pid} does "
                     f"not match its state in the exported snapshot"
                 )
-            for sig in sigs:
-                doc = snapshot.documents.get(sig.document_key)
-                if doc is None:
-                    raise IntegrityError(
-                        f"annotation {a.annotation_id}: unknown document "
-                        f"{sig.document_key!r}"
-                    )
-                if sig.position >= len(doc.names(sig.role)):
-                    raise IntegrityError(
-                        f"annotation {a.annotation_id}: position "
-                        f"{sig.position} out of range on {sig.document_key}"
-                    )
         if (
             len(a.source) == 1
             and a.source.keys() == a.target.keys()
@@ -289,7 +273,6 @@ def build_embedded_collection(
     t2: str,
     out_dir: str | Path,
     *,
-    max_workers: int = 1,
     compress: bool = False,
 ) -> dict[str, int]:
     """Write the embedded collection for the observation pair (t1, t2).
@@ -307,7 +290,7 @@ def build_embedded_collection(
     out.mkdir(parents=True, exist_ok=True)
 
     pair_history = History((s1, s2))
-    cases = extract_corrections(pair_history, max_workers=max_workers)
+    cases = extract_corrections(pair_history)
     ids = assign_case_ids(cases)
     annotations = [
         annotation_from_case(case, case_id) for case, case_id in zip(cases, ids)

@@ -12,7 +12,6 @@ single real-world correction may straddle an observation boundary.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -446,20 +445,15 @@ def _materialize(
 def extract_corrections(history: History, *, max_workers: int = 1) -> list[CorrectionCase]:
     """Detect all corrections in a history and chain them into cases.
 
-    Runs the detectors over every consecutive observation pair (in parallel
-    when ``max_workers`` > 1; output is independent of the schedule), then
-    chains.  A history with fewer than two observations has no intervals to
-    compare, which is an error rather than an empty answer.
+    Runs the detectors over every consecutive observation pair in order,
+    then chains.  A history with fewer than two observations has no
+    intervals to compare, which is an error rather than an empty answer.
+    ``max_workers`` is accepted for compatibility and has no effect.
     """
     if len(history.snapshots) < 2:
         raise ValueError("correction extraction needs at least two observations")
-    pairs = list(zip(history.snapshots, history.snapshots[1:]))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_pair = list(pool.map(lambda p: raw_groups_between(*p), pairs))
-    else:
-        per_pair = [raw_groups_between(s1, s2) for s1, s2 in pairs]
-    groups: list[RawGroup] = [g for batch in per_pair for g in batch]
+    snaps = history.snapshots
+    groups = [g for s1, s2 in zip(snaps, snaps[1:]) for g in raw_groups_between(s1, s2)]
     return chain_corrections(history, groups)
 
 

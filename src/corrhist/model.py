@@ -17,8 +17,9 @@ import datetime
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
+from ._xml import unwritable
 from .errors import IntegrityError, UnknownTimeError
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -67,11 +68,6 @@ class Signature(NamedTuple):
     def sort_key(self) -> tuple[str, int, bool]:
         # Authors before editors; ``role.value`` would run a Python property.
         return (self.document_key, self.position, self.role is Role.EDITOR)
-
-
-def mention_keys(mentions: Iterable[Signature]) -> set[tuple[str, int, Role]]:
-    """Identity triples of a mention set."""
-    return {m.key for m in mentions}
 
 
 @dataclass(frozen=True)
@@ -152,9 +148,11 @@ class Snapshot:
 
         Checks: per-profile and cross-profile mention uniqueness, document
         key resolution, position bounds against the document's name list for
-        the matching role, and venue key resolution.
+        the matching role, venue key resolution, and that no string value
+        holds a character XML 1.0 forbids (no writer could write it).
         """
         validate_date(self.time)
+        _check_writable(*self.venues, *self.venues.values())
         owners: dict[tuple[str, int, Role], str] = {}
         for pid, prof in self.profiles.items():
             if pid != prof.profile_id:
@@ -162,7 +160,9 @@ class Snapshot:
                     f"profile map key {pid!r} != profile id {prof.profile_id!r}"
                 )
             prof.check()
+            _check_writable(pid)
             for m in prof.mentions:
+                _check_writable(m.document_key, m.surface)
                 other = owners.get(m.key)
                 if other is not None:
                     raise IntegrityError(
@@ -192,6 +192,14 @@ class Snapshot:
                 raise IntegrityError(
                     f"document {key}: unresolved venue key {doc.venue_key!r}"
                 )
+            _check_writable(key, doc.title, *doc.authors, *doc.editors, doc.external_link or "")
+
+
+def _check_writable(*values: str) -> None:
+    for value in values:
+        problem = unwritable(value)
+        if problem is not None:
+            raise IntegrityError(problem)
 
 
 @dataclass(frozen=True)

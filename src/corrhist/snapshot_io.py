@@ -5,8 +5,8 @@ observation date, document records, then profile records.  Writing is
 deterministic, so the same snapshot value always yields byte-identical
 output.
 
-Each file is read into memory whole and decompressed if it is gzip
-(detected from magic bytes).  Files in the exact form this module writes
+Each file is read into memory whole and decompressed in one call if it
+starts with the gzip magic bytes.  Files in the exact form this module writes
 take a line-oriented fast path, everything else goes through expat.  Both
 parsers feed one record builder, which alone enforces integrity, so they
 accept and reject the same records with the same messages.
@@ -17,19 +17,20 @@ from __future__ import annotations
 import gzip
 import re
 import sys
+import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.parsers import expat
 
-from ._xml import escape_attr, escape_text, open_source
+from ._xml import escape_attr, escape_text
 from .errors import FormatError, IntegrityError
 from .model import DocumentRecord, Profile, Role, Signature, Snapshot, History, validate_date
 
 FORMAT_VERSION = "1"
 
-_CHUNK = 1 << 20
+GZIP_MAGIC = b"\x1f\x8b"
 
 _FILENAME_RE = re.compile(r"snapshot-(\d{4}-\d{2}-\d{2})\.xml(?:\.gz)?$")
 
@@ -55,10 +56,8 @@ def parse_snapshot(
     offending records.  Malformed markup raises FormatError with the byte
     offset into the decompressed stream.
     """
-    if isinstance(source, Path):
-        source = str(source)
-    if source_name is None and isinstance(source, str):
-        source_name = source
+    if source_name is None and isinstance(source, (str, Path)):
+        source_name = str(source)
     return _Reader().read(source, source_name)
 
 
@@ -74,14 +73,17 @@ class _Reader:
         self.prev: Snapshot | None = None
         self.memo: _LineMemo = {}
 
-    def read(self, source: bytes | str | BinaryIO, source_name: str | None) -> Snapshot:
-        if isinstance(source, str):
+    def read(self, source: bytes | str | Path | BinaryIO, source_name: str | None) -> Snapshot:
+        if isinstance(source, (str, Path)):
             with open(source, "rb") as f:
-                source = f.read()
-        try:
-            data = open_source(source).read()
-        except gzip.BadGzipFile as exc:
-            raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
+                data = f.read()
+        else:
+            data = source if isinstance(source, bytes) else source.read()
+        if data[:2] == GZIP_MAGIC:
+            try:
+                data = gzip.decompress(data)
+            except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+                raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
         snapshot = _parse_canonical(data, self.prev, self.memo, source_name)
         if snapshot is None:
             snapshot = _parse_expat(data, self.prev, source_name)
@@ -472,9 +474,7 @@ def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) ->
     parser.CharacterDataHandler = chars
 
     try:
-        for offset in range(0, len(data), _CHUNK):
-            parser.Parse(data[offset : offset + _CHUNK], False)
-        parser.Parse(b"", True)
+        parser.Parse(data, True)
     except expat.ExpatError as exc:
         raise FormatError(
             f"malformed snapshot XML: {exc}", parser.ErrorByteIndex, source_name
@@ -543,7 +543,8 @@ def write_snapshot_to(
 ) -> Path:
     """Write a snapshot file; gzip when ``compress`` (default: .gz suffix).
 
-    Gzip output pins mtime so identical snapshots give identical files.
+    Gzip output pins mtime and leaves the name field empty, so identical
+    snapshots give identical files whatever they are called.
     A value the format cannot carry raises FormatError and leaves no file.
     """
     path = Path(path)
@@ -551,7 +552,8 @@ def write_snapshot_to(
         compress = path.suffix == ".gz"
     try:
         with open(path, "wb") as raw, (
-            gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) if compress else nullcontext(raw)
+            gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
+            if compress else nullcontext(raw)
         ) as sink:
             buffer: list[str] = []
             for fragment in iter_snapshot_xml(snapshot):
@@ -628,8 +630,7 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     reader = _Reader()
     snapshots: list[Snapshot] = []
     for file in files:
-        name = str(file.path)
-        snap = reader.read(name, name)
+        snap = reader.read(file.path, str(file.path))
         if snap.time != file.date:
             raise FormatError(
                 f"{file.path.name} declares date {file.date} but its header "

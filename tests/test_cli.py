@@ -1,9 +1,10 @@
-import tempfile
+import gzip
 
 import pytest
 
 from corrhist.casegraph import parse_case_graph
 from corrhist.cli import main
+from corrhist.errors import FormatError
 from corrhist.snapshot_io import load_history
 
 
@@ -179,11 +180,19 @@ class TestCollections:
         assert "embedded collection" in capsys.readouterr().err
 
 
-def test_tmpdir_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CORRHIST_TMPDIR", str(tmp_path))
-    old = tempfile.tempdir
-    try:
-        assert main(["--version"]) == 0
-        assert tempfile.tempdir == str(tmp_path)
-    finally:
-        tempfile.tempdir = old
+@pytest.mark.parametrize("damage", ["truncated", "corrupt-deflate"])
+def test_bad_gzip_is_a_format_error(tmp_path, capsys, damage):
+    data = gzip.compress(b'<snapshot date="2017-01-01" version="1"/>', mtime=0)
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    else:
+        # A reserved block type in the first deflate header byte.
+        data = data[:10] + bytes([data[10] | 0b110]) + data[11:]
+    path = tmp_path / "snapshot-2017-01-01.xml.gz"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="snapshot-2017-01-01.xml.gz"):
+        load_history(tmp_path)
+    assert main(["stats", "--snapshots", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrhist: error: corrupt gzip stream")
+    assert "snapshot-2017-01-01.xml.gz" in err

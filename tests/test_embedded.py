@@ -12,7 +12,7 @@ from corrhist.embedded import (
 )
 from corrhist.errors import IntegrityError
 from corrhist.extract import CorrectionKind, extract_corrections
-from corrhist.model import History, Role, Signature
+from corrhist.model import History, Profile, Role, Signature, Snapshot
 from corrhist.snapshot_io import parse_snapshot, snapshot_filename, write_snapshot
 from corrhist.synth import GeneratorConfig, generate
 
@@ -137,6 +137,14 @@ class TestValidation:
         )
         with pytest.raises(IntegrityError):
             validate_annotations(h.snapshots[0], [bad])
+
+    def test_dangling_reference_elsewhere_in_snapshot_rejected(self):
+        # The annotation itself matches the snapshot; another profile does not.
+        s0 = split_history().snapshots[0]
+        ghost = Profile("p9", frozenset({Signature("ghost", 0, "X. Ghost")}))
+        broken = Snapshot(s0.time, {**s0.profiles, "p9": ghost}, s0.documents, s0.venues)
+        with pytest.raises(IntegrityError, match="ghost"):
+            validate_annotations(broken, [split_annotation()])
 
     def test_degenerate_annotation_warns(self):
         h = hist(

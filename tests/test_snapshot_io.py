@@ -76,12 +76,12 @@ def test_gzip_round_trip_and_byte_stability(tmp_path):
     s = rich_snapshot()
     p1 = tmp_path / "a" / snapshot_filename(s.time, compress=True)
     p2 = tmp_path / "b" / snapshot_filename(s.time, compress=True)
-    p1.parent.mkdir()
-    p2.parent.mkdir()
-    write_snapshot_to(s, p1)
-    write_snapshot_to(s, p2)
+    p3 = tmp_path / "c" / "renamed.xml.gz"
+    for p in (p1, p2, p3):
+        p.parent.mkdir()
+        write_snapshot_to(s, p)
     assert p1.name.endswith(".xml.gz")
-    assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
     assert_snapshots_equal(s, parse_snapshot(p1.read_bytes()))
 
 

@@ -102,11 +102,13 @@ def test_snapshot_round_trip(key, title, venue_key, venue_name, surface, pid, ur
                              authors=(surface,), external_link=url)},
         {venue_key: venue_name},
     )
-    s.validate()
     if not writable(key, title, venue_key, venue_name, surface, pid, url):
+        with pytest.raises(IntegrityError):
+            s.validate()
         with pytest.raises(FormatError):
             write_snapshot(s)
         return
+    s.validate()
     data = write_snapshot(s)
     assert contents(parse_snapshot(data)) == contents(s)
     fast = _parse_canonical(data, None)
@@ -169,6 +171,8 @@ def test_writer_refusal_names_the_value(tmp_path):
         {"d": DocumentRecord("d", title="bell\x07", authors=("A",))},
         {},
     )
+    with pytest.raises(IntegrityError, match=r"'bell\\x07'.*U\+0007"):
+        s.validate()
     with pytest.raises(FormatError, match=r"'bell\\x07'.*U\+0007"):
         write_snapshot(s)
     for name in ("s.xml", "s.xml.gz"):
