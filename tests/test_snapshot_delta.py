@@ -1,0 +1,313 @@
+"""Loading a series reads each later canonical file as a line delta.
+
+Whatever path a file takes, ``load_history`` must give exactly what
+``parse_snapshot`` gives on that file alone: the same snapshot, or the same
+IntegrityError message naming the file.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrhist import snapshot_io
+from corrhist.errors import IntegrityError
+from corrhist.model import DocumentRecord, Profile
+from corrhist.snapshot_io import load_history, parse_snapshot, snapshot_filename
+
+DATES = ("2017-01-01", "2017-02-01", "2017-03-01", "2017-04-01", "2017-05-01")
+
+
+def doc_line(key, authors=(), editors=(), venue=None):
+    venue_xml = f'<venue key="{venue[0]}">{venue[1]}</venue>' if venue else ""
+    return (
+        f'<document pkey="{key}">{venue_xml}'
+        + "".join(f"<author>{a}</author>" for a in authors)
+        + "".join(f"<editor>{e}</editor>" for e in editors)
+        + "</document>"
+    )
+
+
+def profile_line(pid, *mentions):
+    """``mentions`` are (document, position, surface[, "editor"])."""
+    sigs = "".join(
+        f'<signature pkey="{m[0]}" pos="{m[1]}" surface="{m[2]}"'
+        + (' role="editor"' if m[3:] else "")
+        + "/>"
+        for m in mentions
+    )
+    return f'<profile authorid="{pid}">{sigs}</profile>'
+
+
+def canonical_file(date, lines):
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<snapshot date="{date}" version="1">',
+        *lines,
+        "</snapshot>",
+        "",
+    ]).encode()
+
+
+def write_series(directory, files):
+    paths = []
+    for date, lines in zip(DATES, files):
+        path = Path(directory) / snapshot_filename(date)
+        path.write_bytes(canonical_file(date, lines))
+        paths.append(path)
+    return paths
+
+
+def contents(s):
+    return (s.time, s.profiles, s.documents, s.venues)
+
+
+def assert_delta_error_as_single_parse(tmp_path, first, second, message):
+    _, path = write_series(tmp_path, [first, second])
+    parse_snapshot(tmp_path / snapshot_filename(DATES[0]))
+    with pytest.raises(IntegrityError, match=message) as single:
+        parse_snapshot(path)
+    with pytest.raises(IntegrityError) as loaded:
+        load_history(tmp_path)
+    assert str(loaded.value) == str(single.value)
+    assert path.name in str(loaded.value)
+
+
+def test_changed_profile_claims_a_mention_an_unchanged_profile_holds(tmp_path):
+    d1 = doc_line("d1", ["A", "B"])
+    p1 = profile_line("p1", ("d1", 0, "A"))
+    assert_delta_error_as_single_parse(
+        tmp_path,
+        [d1, p1, profile_line("p2", ("d1", 1, "B"))],
+        [d1, p1, profile_line("p2", ("d1", 0, "A"), ("d1", 1, "B"))],
+        "interpreted by two profiles: p1 and p2",
+    )
+
+
+def test_author_list_shrinks_under_an_unchanged_profile(tmp_path):
+    profiles = [profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d1", 1, "B"))]
+    assert_delta_error_as_single_parse(
+        tmp_path,
+        [doc_line("d1", ["A", "B"]), *profiles],
+        [doc_line("d1", ["A"]), *profiles],
+        "p2: position 1 out of range",
+    )
+
+
+def test_document_vanishes_under_an_unchanged_profile(tmp_path):
+    d1 = doc_line("d1", ["A"])
+    profiles = [profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d2", 0, "B"))]
+    assert_delta_error_as_single_parse(
+        tmp_path,
+        [d1, doc_line("d2", ["B"]), *profiles],
+        [d1, *profiles],
+        "p2: mention references unknown document 'd2'",
+    )
+
+
+def test_changed_document_rebinds_a_venue_an_unchanged_one_keeps(tmp_path):
+    d2 = doc_line("d2", ["B"], venue=("v", "Old Name"))
+    profiles = [profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d2", 0, "B"))]
+    assert_delta_error_as_single_parse(
+        tmp_path,
+        [doc_line("d1", ["A"], venue=("v", "Old Name")), d2, *profiles],
+        [doc_line("d1", ["A"], venue=("v", "New Name")), d2, *profiles],
+        "venue key 'v' bound to two names",
+    )
+
+
+def test_renaming_every_document_of_a_venue_is_accepted(tmp_path):
+    profiles = [profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d2", 0, "B"))]
+    paths = write_series(tmp_path, [
+        [doc_line("d1", ["A"], venue=("v", "Old")), doc_line("d2", ["B"], venue=("v", "Old")),
+         *profiles],
+        [doc_line("d1", ["A"], venue=("v", "New")), doc_line("d2", ["B"], venue=("v", "New")),
+         *profiles],
+    ])
+    first, second = load_history(tmp_path).snapshots
+    assert second.venues == {"v": "New"}
+    assert contents(second) == contents(parse_snapshot(paths[1]))
+    assert second.profiles["p1"] is first.profiles["p1"]
+
+
+def test_venue_of_a_vanished_last_document_drops_out(tmp_path):
+    d1 = doc_line("d1", ["A"], venue=("v", "Kept"))
+    p1 = profile_line("p1", ("d1", 0, "A"))
+    write_series(tmp_path, [
+        [d1, doc_line("d2", ["B"], venue=("u", "Gone")), p1, profile_line("p2", ("d2", 0, "B"))],
+        [d1, p1],
+        [d1, doc_line("d3", ["C"], venue=("u", "Back")), p1, profile_line("p3", ("d3", 0, "C"))],
+    ])
+    first, second, third = load_history(tmp_path).snapshots
+    assert first.venues == {"v": "Kept", "u": "Gone"}
+    assert second.venues == {"v": "Kept"}
+    assert third.venues == {"v": "Kept", "u": "Back"}
+
+
+def test_one_changed_profile_constructs_only_its_record(tmp_path, monkeypatch):
+    docs = [doc_line(f"d{i}", [f"N{i}"], venue=("v", "V")) for i in range(5)]
+
+    def profiles(surface):
+        return [profile_line(f"p{i}", (f"d{i}", 0, surface if i == 2 else f"N{i}"))
+                for i in range(5)]
+
+    write_series(tmp_path, [docs + profiles("N2"), docs + profiles("N. 2"),
+                            docs + profiles("Nn 2")])
+    made = []
+
+    def counting(cls):
+        def make(*args, **kwargs):
+            made.append(cls(*args, **kwargs))
+            return made[-1]
+        return make
+
+    monkeypatch.setattr(snapshot_io, "Profile", counting(Profile))
+    monkeypatch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord))
+    history = load_history(tmp_path)
+    # The ten records of the first file, then p2 once per later file.
+    assert len(made) == 12
+    assert [(type(r), r.profile_id) for r in made[10:]] == [(Profile, "p2")] * 2
+    first, second, third = history.snapshots
+    assert third.profiles["p1"] is second.profiles["p1"] is first.profiles["p1"]
+    assert third.documents["d2"] is first.documents["d2"]
+
+
+# ---------------------------------------------------------------------------
+# Differential test over random series with random, partly invalid, edits
+
+
+class Series:
+    """A small bibliography edited step by step, rendered as canonical lines
+    without any check, so the edits can break every integrity rule."""
+
+    def __init__(self):
+        self.docs = {
+            f"d{i}": [("v0", "V0") if i % 2 else None, [f"A{i}", f"B{i}"][: 1 + i % 2],
+                      [f"E{i}"] if i == 3 else []]
+            for i in range(4)
+        }
+        self.profiles = {
+            "p0": {("d0", 0, "A0", False), ("d1", 0, "A1", False)},
+            "p1": {("d1", 1, "B1", False)},
+            "p2": {("d2", 0, "A2", False), ("d3", 0, "E3", True)},
+            "p3": {("d3", 0, "A3", False)},
+        }
+        # A line repeated, or a comment that sends the file to expat, in
+        # this file only.
+        self.repeat: int | None = None
+        self.comment: int | None = None
+
+    def copy(self):
+        other = Series()
+        other.docs = {k: [v[0], list(v[1]), list(v[2])] for k, v in self.docs.items()}
+        other.profiles = {k: set(v) for k, v in self.profiles.items()}
+        return other
+
+    def lines(self):
+        out = [doc_line(k, v[1], v[2], v[0]) for k, v in sorted(self.docs.items())]
+        for pid, mentions in sorted(self.profiles.items()):
+            out.append(profile_line(pid, *[
+                (d, p, s, "editor") if e else (d, p, s)
+                for d, p, s, e in sorted(mentions, key=lambda m: (m[0], m[1], m[3]))
+            ]))
+        if self.repeat is not None:
+            out.insert(self.repeat % (len(out) + 1), out[self.repeat % len(out)])
+        if self.comment is not None:
+            out.insert(self.comment % (len(out) + 1), "<!-- edited -->")
+        return out
+
+    def edit(self, op, a, b, c, history):
+        pids = sorted(self.profiles)
+        keys = sorted(self.docs)
+        if op == "move" and pids:
+            source = self.profiles[pids[a % len(pids)]]
+            if source:
+                mention = sorted(source)[b % len(source)]
+                source.discard(mention)
+                self.profiles.setdefault(f"p{c % 6}", set()).add(mention)
+                if not source and c % 3:
+                    del self.profiles[pids[a % len(pids)]]
+        elif op == "double" and pids:
+            source = self.profiles[pids[a % len(pids)]]
+            if source:
+                self.profiles.setdefault(f"p{c % 6}", set()).add(sorted(source)[b % len(source)])
+        elif op == "surface" and pids:
+            source = self.profiles[pids[a % len(pids)]]
+            if source:
+                d, p, _s, e = mention = sorted(source)[b % len(source)]
+                source.discard(mention)
+                source.add((d, p, ["S", "T u", " "][c % 3], e))
+        elif op == "shrink" and keys:
+            names = self.docs[keys[a % len(keys)]][1 + b % 2]
+            if names:
+                names.pop()
+        elif op == "grow" and keys:
+            self.docs[keys[a % len(keys)]][1 + b % 2].append(f"G{c}")
+        elif op == "drop_doc" and keys:
+            key = keys[a % len(keys)]
+            del self.docs[key]
+            if b % 3:
+                for pid in pids:
+                    self.profiles[pid] = {m for m in self.profiles[pid] if m[0] != key}
+                    if not self.profiles[pid]:
+                        del self.profiles[pid]
+        elif op == "new_doc":
+            key = f"d{4 + c % 4}"
+            self.docs[key] = [("v1", "V1") if b % 2 else None, [f"N{c}"], []]
+            self.profiles.setdefault(f"p{a % 6}", set()).add((key, 0, f"N{c}", False))
+        elif op == "venue_one" and keys:
+            self.docs[keys[a % len(keys)]][0] = (f"v{b % 2}", f"V{b % 2}{'x' * (c % 2)}")
+        elif op == "venue_all":
+            for doc in self.docs.values():
+                if doc[0] is not None and doc[0][0] == f"v{b % 2}":
+                    doc[0] = (doc[0][0], f"R{c % 3}")
+        elif op == "revert":
+            earlier = history[a % len(history)].copy()
+            self.docs, self.profiles = earlier.docs, earlier.profiles
+        elif op == "repeat":
+            self.repeat = a
+        elif op == "comment":
+            self.comment = a
+
+
+_edit = st.tuples(
+    st.sampled_from([
+        "move", "move", "move", "double", "surface", "surface", "shrink", "grow",
+        "drop_doc", "new_doc", "new_doc", "venue_one", "venue_all", "revert",
+        "revert", "repeat", "comment",
+    ]),
+    st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
+)
+
+
+@given(steps=st.lists(st.lists(_edit, min_size=1, max_size=3), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_load_history_matches_parsing_each_file_alone(steps):
+    history = [Series()]
+    for edits in steps:
+        state = history[-1].copy()
+        for op, a, b, c in edits:
+            state.edit(op, a, b, c, history)
+        history.append(state)
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_series(directory, [s.lines() for s in history])
+        expected = []
+        for path in paths:
+            try:
+                expected.append(contents(parse_snapshot(path)))
+            except IntegrityError as exc:
+                expected.append(("IntegrityError", str(exc)))
+                break
+        try:
+            loaded = load_history(directory).snapshots
+        except IntegrityError as exc:
+            assert expected[-1] == ("IntegrityError", str(exc))
+            return
+    assert [contents(s) for s in loaded] == expected
+    for before, after in zip(loaded, loaded[1:]):
+        for old, new in ((before.profiles, after.profiles), (before.documents, after.documents)):
+            for key, record in new.items():
+                if old.get(key) == record:
+                    assert old[key] is record

@@ -6,6 +6,7 @@ import pytest
 from corrhist.errors import FormatError, IntegrityError
 from corrhist.model import DocumentRecord, Profile, Role, Signature, Snapshot
 from corrhist.snapshot_io import (
+    SnapshotFile,
     _parse_canonical,
     _parse_expat,
     discover_snapshot_files,
@@ -195,8 +196,8 @@ def test_duplicate_profile_id_rejected():
 
 
 def test_dedup_reuses_unchanged_objects(tmp_path):
-    # The escapes in rich_snapshot force the general parser, which has no
-    # line memo: the sharing comes from the previous snapshot alone.
+    # The escapes in rich_snapshot force the general parser, which reads no
+    # line delta: the sharing comes from the builder's previous snapshot.
     for time in ("2017-08-01", "2017-09-01"):
         write_snapshot_to(rich_snapshot(time), tmp_path / snapshot_filename(time))
     first, second = load_history(tmp_path).snapshots
@@ -216,6 +217,21 @@ def test_load_history_discovers_and_orders(tmp_path):
     assert [f.date for f in files] == ["2017-01-01", "2017-06-01"]
     h = load_history(tmp_path)
     assert h.times() == ("2017-01-01", "2017-06-01")
+
+
+def test_names_that_only_end_in_a_snapshot_name_are_not_snapshots(tmp_path):
+    s = snap("2015-01-01", {"p1": [("d1", 0, "A")]})
+    write_snapshot_to(s, tmp_path / snapshot_filename(s.time))
+    strays = ["old-snapshot-2015-01-01.xml", "backup-snapshot-2014-06-01.xml.gz"]
+    for name in strays:
+        write_snapshot_to(s, tmp_path / name)
+    assert [f.path.name for f in discover_snapshot_files(tmp_path)] == [
+        "snapshot-2015-01-01.xml"
+    ]
+    assert load_history(tmp_path).times() == ("2015-01-01",)
+    for name in strays + ["snapshot-2015-01-01.xml\n"]:
+        with pytest.raises(FormatError, match="snapshot-YYYY-MM-DD"):
+            SnapshotFile.from_path(tmp_path / name)
 
 
 def test_load_history_empty_directory(tmp_path):
@@ -365,8 +381,8 @@ def test_load_history_shares_across_nonadjacent_files(tmp_path):
         write_snapshot_to(snap(time, assign), tmp_path / snapshot_filename(time))
     s1, s2, s3 = load_history(tmp_path).snapshots
     assert "p2" not in s2.profiles
-    # The middle file has no p2, so pairwise dedup cannot carry these over;
-    # only the line memo can.
+    # The middle file has no p2 and another p1, so pairwise dedup cannot
+    # carry these over; only the records the middle file's delta retired can.
     assert s3.profiles["p2"] is s1.profiles["p2"]
     assert s3.profiles["p1"] is s1.profiles["p1"]
     assert s3.documents["d1"] is s1.documents["d1"]
@@ -374,7 +390,8 @@ def test_load_history_shares_across_nonadjacent_files(tmp_path):
 
 def test_memoized_reuse_is_rechecked_against_changed_documents(tmp_path):
     # p2's record line reverts to its first-file bytes while d1 has shrunk
-    # underneath it, so blind memo reuse would admit a dangling position.
+    # underneath it, so blindly reusing the retired record would admit a
+    # dangling position.
     p1 = Profile("p1", frozenset({sig("d1", 0, "A")}))
     p2 = Profile("p2", frozenset({sig("d1", 1, "B")}))
     wide = {"d1": DocumentRecord("d1", authors=("A", "B"))}
