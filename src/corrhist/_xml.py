@@ -58,3 +58,17 @@ def _escape(value: str, table: dict[int, str]) -> str:
         raise FormatError(problem)
     return value.translate(table)
 
+
+def parse_int(value: str) -> int:
+    """An integer attribute value: ASCII ``-?[0-9]+`` only.
+
+    Bare ``int()`` also takes surrounding spaces, ``_`` separators and
+    non-ASCII digits, none of which the writers produce or the canonical
+    fast path accepts.  Raises ValueError, like ``int()``.
+    """
+    # The only ASCII characters ``isdigit`` accepts are 0-9.
+    if value.isascii() and (
+        value.isdigit() or value[:1] == "-" and value[1:].isdigit()
+    ):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")

@@ -15,29 +15,36 @@ Relation weights always reflect the last observation before the correction,
 for both graphs; the after-graph differs in mention assignment only.
 Document metadata (title, year, link) is taken from the newest observation
 that still contains the document, so cases carry current data.
+
+Nodes and edges are named tuples (``Node``, ``Edge``) and the labels and
+edge types are enums hashed by identity, so building, checking and writing
+a graph hashes and compares in C.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 from xml.etree import ElementTree as ET
 
-from ._xml import escape_attr
+from ._xml import escape_attr, parse_int
 from .blocking import representative_surface
 from .errors import FormatError, IntegrityError
 from .extract import CorrectionCase, assign_case_ids
-from .model import DocumentRecord, History, Role, Signature, Snapshot
+from .model import History, Role, Signature, Snapshot
 
 
 class NodeLabel(enum.Enum):
     DOCUMENT = "DOCUMENT"
     PERSON = "PERSON"
     VENUE = "VENUE"
+
+    # Members are singletons that compare by identity; ``Enum.__hash__``
+    # would hash the name in Python code on every set or dict operation.
+    __hash__ = object.__hash__
 
 
 class EdgeType(enum.Enum):
@@ -48,27 +55,45 @@ class EdgeType(enum.Enum):
     CREATED_AT = "CreatedAt"
     CONTRIBUTED_AT = "ContributedAt"
 
-
-_UNWEIGHTED = {EdgeType.CREATED, EdgeType.CONTRIBUTED}
-_PERSON_PAIR = {EdgeType.CO_CREATED, EdgeType.CO_CONTRIBUTED}
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class Node:
+_DOCUMENT, _PERSON, _VENUE = NodeLabel.DOCUMENT, NodeLabel.PERSON, NodeLabel.VENUE
+_CREATED, _CONTRIBUTED = EdgeType.CREATED, EdgeType.CONTRIBUTED
+_AUTHOR = Role.AUTHOR
+
+# What each edge type connects: (weighted, target label, endpoints ordered).
+# Every edge runs from a person.
+_EDGE_RULES = {
+    EdgeType.CREATED: (False, _DOCUMENT, False),
+    EdgeType.CONTRIBUTED: (False, _DOCUMENT, False),
+    EdgeType.CO_CREATED: (True, _PERSON, True),
+    EdgeType.CO_CONTRIBUTED: (True, _PERSON, True),
+    EdgeType.CREATED_AT: (True, _VENUE, False),
+    EdgeType.CONTRIBUTED_AT: (True, _VENUE, False),
+}
+
+
+class Node(NamedTuple):
+    """A graph node, as a named tuple: hashed and compared in C."""
+
     label: NodeLabel
     node_id: str
     properties: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A typed relation, as a named tuple; ``weight`` is None on Created and
+    Contributed edges."""
+
     edge_type: EdgeType
     from_id: str
     to_id: str
     weight: int | None = None
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (self.edge_type.value, self.from_id, self.to_id)
+        # ``_value_`` skips the Python-level ``value`` property.
+        return (self.edge_type._value_, self.from_id, self.to_id)
 
 
 @dataclass(frozen=True)
@@ -78,100 +103,85 @@ class CaseGraph:
     primary_ids: frozenset[str]
 
     def validate(self) -> None:
-        index: dict[str, Node] = {}
-        for node in self.nodes:
-            if not node.node_id:
+        labels: dict[str, NodeLabel] = {}
+        for label, node_id, properties in self.nodes:
+            if not node_id:
                 raise IntegrityError("node with empty id")
-            if node.node_id in index:
-                raise IntegrityError(f"duplicate node id {node.node_id!r}")
-            keys = [k for k, _ in node.properties]
-            if len(keys) != len(set(keys)):
-                raise IntegrityError(
-                    f"node {node.node_id}: duplicate property keys"
-                )
-            index[node.node_id] = node
+            if node_id in labels:
+                raise IntegrityError(f"duplicate node id {node_id!r}")
+            if len(properties) > 1 and len({k for k, _ in properties}) != len(properties):
+                raise IntegrityError(f"node {node_id}: duplicate property keys")
+            labels[node_id] = label
         for pid in self.primary_ids:
-            node = index.get(pid)
-            if node is None:
+            label = labels.get(pid)
+            if label is None:
                 raise IntegrityError(f"primary id {pid!r} has no node")
-            if node.label is not NodeLabel.PERSON:
+            if label is not _PERSON:
                 raise IntegrityError(f"primary node {pid!r} is not a person")
         seen: set[tuple[EdgeType, str, str]] = set()
-        for edge in self.edges:
-            a = index.get(edge.from_id)
-            b = index.get(edge.to_id)
+        for edge_type, from_id, to_id, weight in self.edges:
+            name = edge_type._value_
+            a = labels.get(from_id)
+            b = labels.get(to_id)
             if a is None or b is None:
                 raise IntegrityError(
-                    f"edge {edge.edge_type.value} {edge.from_id}->{edge.to_id} "
-                    f"has a dangling endpoint"
+                    f"edge {name} {from_id}->{to_id} has a dangling endpoint"
                 )
-            if edge.from_id == edge.to_id:
-                raise IntegrityError(f"self-loop on {edge.from_id}")
-            key = (edge.edge_type, edge.from_id, edge.to_id)
+            if from_id == to_id:
+                raise IntegrityError(f"self-loop on {from_id}")
+            key = (edge_type, from_id, to_id)
             if key in seen:
-                raise IntegrityError(
-                    f"duplicate edge {edge.edge_type.value} "
-                    f"{edge.from_id}->{edge.to_id}"
-                )
+                raise IntegrityError(f"duplicate edge {name} {from_id}->{to_id}")
             seen.add(key)
-            if edge.edge_type in _UNWEIGHTED:
-                if edge.weight is not None:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} edges carry no weight"
-                    )
-                if a.label is not NodeLabel.PERSON or b.label is not NodeLabel.DOCUMENT:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} must run person -> document"
-                    )
-            elif edge.edge_type in _PERSON_PAIR:
-                if edge.weight is None or edge.weight < 1:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} needs a positive weight"
-                    )
-                if a.label is not NodeLabel.PERSON or b.label is not NodeLabel.PERSON:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} must run person -> person"
-                    )
-                if not edge.from_id < edge.to_id:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} endpoints must be ordered: "
-                        f"{edge.from_id} !< {edge.to_id}"
-                    )
-            else:
-                if edge.weight is None or edge.weight < 1:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} needs a positive weight"
-                    )
-                if a.label is not NodeLabel.PERSON or b.label is not NodeLabel.VENUE:
-                    raise IntegrityError(
-                        f"{edge.edge_type.value} must run person -> venue"
-                    )
+            weighted, target, ordered = _EDGE_RULES[edge_type]
+            if not weighted:
+                if weight is not None:
+                    raise IntegrityError(f"{name} edges carry no weight")
+            elif weight is None or weight < 1:
+                raise IntegrityError(f"{name} needs a positive weight")
+            if a is not _PERSON or b is not target:
+                raise IntegrityError(
+                    f"{name} must run person -> {target._value_.lower()}"
+                )
+            if ordered and not from_id < to_id:
+                raise IntegrityError(
+                    f"{name} endpoints must be ordered: {from_id} !< {to_id}"
+                )
 
 
 class _DocResolver:
-    """Latest-observation document metadata, resolved once per key."""
+    """Each document's node and venue from its latest observation, built
+    once per key and shared by every graph that includes the document."""
 
     def __init__(self, history: History):
         self._snapshots = history.snapshots
-        self._cache: dict[str, tuple[DocumentRecord, str | None]] = {}
+        self._cache: dict[str, tuple[Node, str | None, str | None]] = {}
 
-    def resolve(self, document_key: str) -> tuple[DocumentRecord, str | None]:
+    def resolve(self, document_key: str) -> tuple[Node, str | None, str | None]:
+        """The document's node, venue key and venue name."""
         hit = self._cache.get(document_key)
         if hit is None:
             for snap in reversed(self._snapshots):
                 record = snap.documents.get(document_key)
                 if record is not None:
-                    venue_name = (
-                        snap.venues.get(record.venue_key)
-                        if record.venue_key is not None
-                        else None
-                    )
-                    hit = (record, venue_name)
                     break
             else:
                 raise IntegrityError(
                     f"document {document_key!r} appears in no observation"
                 )
+            props: list[tuple[str, str]] = []
+            if record.year:
+                props.append(("year", str(record.year)))
+            if record.title:
+                props.append(("title", record.title))
+            if record.external_link is not None:
+                props.append(("url", record.external_link))
+            venue_key = record.venue_key
+            hit = (
+                Node(_DOCUMENT, document_key, tuple(props)),
+                venue_key,
+                snap.venues.get(venue_key) if venue_key is not None else None,
+            )
             self._cache[document_key] = hit
         return hit
 
@@ -199,7 +209,6 @@ def _one_side(
     weight_owners: dict[str, list[_OwnerEntry]],
     resolver: _DocResolver,
 ) -> CaseGraph:
-    docs = set(side_owners)
     for pid, sigs in primary_mentions.items():
         if side_snapshot.mentions_of(pid) != sigs:
             raise IntegrityError(
@@ -207,65 +216,60 @@ def _one_side(
                 f"the observation at {side_snapshot.time}"
             )
 
-    nodes: list[Node] = []
     edges: set[Edge] = set()
-
     person_surfaces: dict[str, list[str]] = {}
-    for doc in docs:
-        for _pos, role, pid, surface in side_owners[doc]:
+    for doc, owners in side_owners.items():
+        for _pos, role, pid, surface in owners:
             person_surfaces.setdefault(pid, []).append(surface)
-            edge_type = (
-                EdgeType.CREATED if role is Role.AUTHOR else EdgeType.CONTRIBUTED
-            )
-            edges.add(Edge(edge_type, pid, doc))
-    persons = set(person_surfaces)
+            edges.add(Edge(_CREATED if role is _AUTHOR else _CONTRIBUTED, pid, doc))
 
+    # Sorted: where two documents name one venue differently (they were last
+    # seen in different observations), the greater document key decides.
+    nodes: list[Node] = []
     venues: dict[str, str | None] = {}
-    for doc in sorted(docs):
-        record, venue_name = resolver.resolve(doc)
-        props: list[tuple[str, str]] = []
-        if record.year:
-            props.append(("year", str(record.year)))
-        if record.title:
-            props.append(("title", record.title))
-        if record.external_link is not None:
-            props.append(("url", record.external_link))
-        nodes.append(Node(NodeLabel.DOCUMENT, doc, tuple(props)))
-        if record.venue_key is not None:
-            venues[record.venue_key] = venue_name
-
-    for pid in sorted(persons):
-        name = representative_surface(person_surfaces[pid])
-        nodes.append(Node(NodeLabel.PERSON, pid, (("name", name),)))
-    for vkey in sorted(venues):
-        vname = venues[vkey]
-        props = (("name", vname),) if vname else ()
-        nodes.append(Node(NodeLabel.VENUE, vkey, tuple(props)))
+    for doc in sorted(side_owners):
+        node, venue_key, venue_name = resolver.resolve(doc)
+        nodes.append(node)
+        if venue_key is not None:
+            venues[venue_key] = venue_name
+    for pid, surfaces in person_surfaces.items():
+        name = surfaces[0] if len(surfaces) == 1 else representative_surface(surfaces)
+        nodes.append(Node(_PERSON, pid, (("name", name),)))
+    for vkey, vname in venues.items():
+        nodes.append(Node(_VENUE, vkey, (("name", vname),) if vname else ()))
 
     # Relation strengths from the pre-correction assignment, restricted to
-    # persons and documents present in this graph.
-    pair_counts: Counter[tuple[EdgeType, str, str]] = Counter()
-    venue_counts: Counter[tuple[EdgeType, str, str]] = Counter()
-    for doc in docs:
-        record, _ = resolver.resolve(doc)
-        by_role: dict[Role, set[str]] = {Role.AUTHOR: set(), Role.EDITOR: set()}
+    # persons and documents present in this graph.  Pairs are keyed by the
+    # tuples ``combinations`` yields.
+    co_created: dict[tuple[str, str], int] = {}
+    co_contributed: dict[tuple[str, str], int] = {}
+    created_at: dict[tuple[str, str], int] = {}
+    contributed_at: dict[tuple[str, str], int] = {}
+    for doc in side_owners:
+        authors: set[str] = set()
+        editors: set[str] = set()
         for _pos, role, pid, _surface in weight_owners[doc]:
-            if pid in persons:
-                by_role[role].add(pid)
-        for role, edge_type, at_type in (
-            (Role.AUTHOR, EdgeType.CO_CREATED, EdgeType.CREATED_AT),
-            (Role.EDITOR, EdgeType.CO_CONTRIBUTED, EdgeType.CONTRIBUTED_AT),
+            if pid in person_surfaces:
+                (authors if role is _AUTHOR else editors).add(pid)
+        venue_key = resolver.resolve(doc)[1]
+        for members, co, at in (
+            (authors, co_created, created_at),
+            (editors, co_contributed, contributed_at),
         ):
-            members = sorted(by_role[role])
-            for x, y in combinations(members, 2):
-                pair_counts[(edge_type, x, y)] += 1
-            if record.venue_key is not None and record.venue_key in venues:
+            for pair in combinations(sorted(members), 2):
+                co[pair] = co.get(pair, 0) + 1
+            if venue_key is not None:
                 for x in members:
-                    venue_counts[(at_type, x, record.venue_key)] += 1
-    for (edge_type, x, y), weight in pair_counts.items():
-        edges.add(Edge(edge_type, x, y, weight))
-    for (edge_type, x, v), weight in venue_counts.items():
-        edges.add(Edge(edge_type, x, v, weight))
+                    key = (x, venue_key)
+                    at[key] = at.get(key, 0) + 1
+    for edge_type, counts in (
+        (EdgeType.CO_CREATED, co_created),
+        (EdgeType.CO_CONTRIBUTED, co_contributed),
+        (EdgeType.CREATED_AT, created_at),
+        (EdgeType.CONTRIBUTED_AT, contributed_at),
+    ):
+        for (x, y), weight in counts.items():
+            edges.add(Edge(edge_type, x, y, weight))
 
     graph = CaseGraph(
         nodes=frozenset(nodes),
@@ -324,40 +328,45 @@ def build_case_graphs(
     )
 
 
-def iter_case_graph_xml(graph: CaseGraph) -> Iterator[str]:
+def serialize_case_graph(graph: CaseGraph) -> bytes:
+    """Deterministic XML bytes: nodes by (label, id), edges by (type, from, to)."""
     # Every id recurs in several edges; escape each once.
-    ids = {node.node_id: escape_attr(node.node_id) for node in graph.nodes}
-    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
-    yield "<graph>\n"
-    for node in sorted(graph.nodes, key=lambda n: (n.label.value, n.node_id)):
-        opening = f'<node label="{node.label.value}" id="{ids[node.node_id]}"'
-        if node.node_id in graph.primary_ids:
+    ids = {node_id: escape_attr(node_id) for _, node_id, _ in graph.nodes}
+    primary_ids = graph.primary_ids
+    out = ['<?xml version="1.0" encoding="UTF-8"?>\n<graph>\n']
+    append = out.append
+    for label, node_id, properties in sorted(
+        [(label._value_, node_id, properties) for label, node_id, properties in graph.nodes]
+    ):
+        opening = f'<node label="{label}" id="{ids[node_id]}"'
+        if node_id in primary_ids:
             opening += ' primary="true"'
-        if not node.properties:
-            yield opening + "/>\n"
+        if not properties:
+            append(opening + "/>\n")
             continue
-        yield opening + ">\n"
-        for key, value in node.properties:
-            yield (
+        append(opening + ">\n")
+        for key, value in properties:
+            append(
                 f'     <property key="{escape_attr(key)}"'
                 f' value="{escape_attr(value)}"/>\n'
             )
-        yield "</node>\n"
-    for edge in sorted(graph.edges, key=Edge.sort_key):
-        line = (
-            f'<edge type="{edge.edge_type.value}"'
-            f' from="{ids.get(edge.from_id) or escape_attr(edge.from_id)}"'
-            f' to="{ids.get(edge.to_id) or escape_attr(edge.to_id)}"'
+        append("</node>\n")
+    # The weight goes in as its attribute text, so that rows sort as plain
+    # tuples even where an unchecked graph repeats (type, from, to).
+    for type_name, from_id, to_id, weight_attr in sorted(
+        [
+            (edge_type._value_, from_id, to_id,
+             "" if weight is None else f' weight="{weight}"')
+            for edge_type, from_id, to_id, weight in graph.edges
+        ]
+    ):
+        append(
+            f'<edge type="{type_name}"'
+            f' from="{ids.get(from_id) or escape_attr(from_id)}"'
+            f' to="{ids.get(to_id) or escape_attr(to_id)}"{weight_attr}/>\n'
         )
-        if edge.weight is not None:
-            line += f' weight="{edge.weight}"'
-        yield line + "/>\n"
-    yield "</graph>\n"
-
-
-def serialize_case_graph(graph: CaseGraph) -> bytes:
-    """Deterministic XML bytes: nodes by (label, id), edges by (type, from, to)."""
-    return "".join(iter_case_graph_xml(graph)).encode("utf-8")
+    append("</graph>\n")
+    return "".join(out).encode("utf-8")
 
 
 def parse_case_graph(data: bytes) -> CaseGraph:
@@ -407,7 +416,7 @@ def parse_case_graph(data: bytes) -> CaseGraph:
             weight: int | None = None
             if weight_raw is not None:
                 try:
-                    weight = int(weight_raw)
+                    weight = parse_int(weight_raw)
                 except ValueError:
                     raise FormatError(f"non-integer weight {weight_raw!r}") from None
             edges.append(Edge(edge_type, from_id, to_id, weight))

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 from xml.etree import ElementTree as ET
 
-from ._xml import escape_attr
+from ._xml import escape_attr, parse_int
 from .errors import FormatError, IntegrityError
 from .extract import (
     CorrectionCase,
@@ -141,7 +141,7 @@ def _parse_side(element: ET.Element) -> tuple[dict[str, tuple[Signature, ...]], 
                     f"profile {pid}: signature needs pkey, pos, and surface"
                 )
             try:
-                pos = int(pos_raw)
+                pos = parse_int(pos_raw)
             except ValueError:
                 raise FormatError(f"non-integer signature position {pos_raw!r}") from None
             role_raw = sub.get("role", "author")

@@ -22,7 +22,9 @@ from typing import NamedTuple
 from ._xml import unwritable
 from .errors import IntegrityError, UnknownTimeError
 
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# ASCII digits only (``\d`` takes any Unicode digit), matched whole (``$``
+# also matches before a trailing newline).
+_DATE_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def validate_date(value: str) -> str:
@@ -31,7 +33,7 @@ def validate_date(value: str) -> str:
     Dates are kept as strings throughout; ISO encoding makes lexicographic
     order equal to chronological order.
     """
-    if not _DATE_RE.match(value):
+    if _DATE_RE.fullmatch(value) is None:
         raise ValueError(f"not an ISO date (YYYY-MM-DD): {value!r}")
     try:
         datetime.date(int(value[:4]), int(value[5:7]), int(value[8:10]))

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.parsers import expat
 
-from ._xml import escape_attr, escape_text
+from ._xml import escape_attr, escape_text, parse_int
 from .errors import FormatError, IntegrityError
 from .model import DocumentRecord, Profile, Role, Signature, Snapshot, History, validate_date
 
@@ -34,7 +34,7 @@ FORMAT_VERSION = "1"
 
 GZIP_MAGIC = b"\x1f\x8b"
 
-_FILENAME_RE = re.compile(r"snapshot-(\d{4}-\d{2}-\d{2})\.xml(?:\.gz)?")
+_FILENAME_RE = re.compile(r"snapshot-([0-9]{4}-[0-9]{2}-[0-9]{2})\.xml(?:\.gz)?")
 
 _TEXT_ELEMENTS = frozenset({"title", "venue", "author", "editor"})
 
@@ -546,7 +546,7 @@ def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) ->
             pkey = intern(require(attrs, "pkey", name))
             pos_raw = require(attrs, "pos", name)
             try:
-                pos = int(pos_raw)
+                pos = parse_int(pos_raw)
             except ValueError:
                 raise fail(f"non-integer signature position {pos_raw!r}") from None
             if pos < 0:
@@ -572,7 +572,7 @@ def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) ->
             pkey = intern(require(doc_attrs, "pkey", name))
             year_raw = doc_attrs.get("year", "0")
             try:
-                year = int(year_raw)
+                year = parse_int(year_raw)
             except ValueError:
                 raise fail(f"non-integer year {year_raw!r} on document {pkey}") from None
             venue_key: str | None = None

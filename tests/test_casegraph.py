@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from corrhist.casegraph import (
     parse_case_graph,
     serialize_case_graph,
 )
-from corrhist.errors import IntegrityError
+from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import extract_corrections
 from corrhist.model import DocumentRecord, Role
 from corrhist.synth import GeneratorConfig, generate
@@ -189,6 +190,29 @@ class TestBuild:
         (doc_node,) = [n for n in before.nodes if n.label is NodeLabel.DOCUMENT]
         assert ("title", "Fixed title") in doc_node.properties
 
+    @pytest.mark.parametrize("kept, dropped", [("d1", "d2"), ("d2", "d1")])
+    def test_venue_name_comes_from_the_greatest_document_key(self, kept, dropped):
+        # ``dropped`` leaves the collection before the venue is renamed, so
+        # the two documents resolve the venue's name in different
+        # observations.  The document that sorts last decides.
+        docs = {
+            d: DocumentRecord(d, year=2001, venue_key="V", authors=(name,))
+            for d, name in (("d1", "A"), ("d2", "B"))
+        }
+        first = hist(
+            snap(T0, {"A": [("d1", 0, "A")], "B": [("d2", 0, "B")]}, docs=docs, venues={"V": "Old"}),
+            snap(T1, {"A": [("d1", 0, "A"), ("d2", 0, "B")]}, docs=docs, venues={"V": "Old"}),
+        )
+        (case,) = extract_corrections(first)
+        holder = {"d1": "A", "d2": "B"}[kept]
+        h = hist(
+            *first.snapshots,
+            snap(T2, {"A": [(kept, 0, holder)]}, docs={kept: docs[kept]}, venues={"V": "New"}),
+        )
+        for graph in build_case_graphs(case, h):
+            (venue,) = [n for n in graph.nodes if n.label is NodeLabel.VENUE]
+            assert venue.properties == (("name", "New" if kept == "d2" else "Old"),)
+
     def test_merge_into_fresh_profile_has_no_weights_for_it(self):
         h = hist(
             snap(T0, {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y")]}),
@@ -275,6 +299,16 @@ class TestSerialization:
                 assert parsed.primary_ids == graph.primary_ids
 
 
+    @pytest.mark.parametrize("weight", ["1_0", "\u0661", " 1", "+1", "1.0"])
+    def test_weight_must_be_ascii_digits(self, weight):
+        h = merge_with_coauthor_history()
+        (case,) = extract_corrections(h)
+        before, _ = build_case_graphs(case, h)
+        data = serialize_case_graph(before)
+        assert b' weight="1"/>' in data
+        with pytest.raises(FormatError, match="non-integer weight"):
+            parse_case_graph(data.replace(b' weight="1"/>', f' weight="{weight}"/>'.encode(), 1))
+
 class TestValidate:
     def person(self, pid, primary=False):
         return Node(NodeLabel.PERSON, pid, (("name", pid),))
@@ -285,7 +319,7 @@ class TestValidate:
             edges=frozenset({Edge(EdgeType.CREATED, "a", "ghost")}),
             primary_ids=frozenset({"a"}),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="^edge Created a->ghost has a dangling endpoint$"):
             g.validate()
 
     def test_self_loop(self):
@@ -294,7 +328,7 @@ class TestValidate:
             edges=frozenset({Edge(EdgeType.CO_CREATED, "a", "a", 1)}),
             primary_ids=frozenset(),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="^self-loop on a$"):
             g.validate()
 
     def test_duplicate_node_id(self):
@@ -305,7 +339,7 @@ class TestValidate:
             edges=frozenset(),
             primary_ids=frozenset(),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="^duplicate node id 'a'$"):
             g.validate()
 
     def test_primary_must_be_person(self):
@@ -314,7 +348,7 @@ class TestValidate:
             edges=frozenset(),
             primary_ids=frozenset({"d"}),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="^primary node 'd' is not a person$"):
             g.validate()
 
     def test_person_pair_ordering_enforced(self):
@@ -323,7 +357,7 @@ class TestValidate:
             edges=frozenset({Edge(EdgeType.CO_CREATED, "b", "a", 1)}),
             primary_ids=frozenset(),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="^CoCreated endpoints must be ordered: b !< a$"):
             g.validate()
 
     def test_unweighted_edge_with_weight(self):
@@ -334,7 +368,84 @@ class TestValidate:
             edges=frozenset({Edge(EdgeType.CREATED, "a", "d", 2)}),
             primary_ids=frozenset(),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="^Created edges carry no weight$"):
+            g.validate()
+
+    def test_empty_node_id(self):
+        g = CaseGraph(frozenset({self.person("")}), frozenset(), frozenset())
+        with pytest.raises(IntegrityError, match="^node with empty id$"):
+            g.validate()
+
+    def test_duplicate_property_keys(self):
+        node = Node(NodeLabel.DOCUMENT, "d", (("year", "2001"), ("title", "T"), ("year", "2002")))
+        g = CaseGraph(frozenset({node}), frozenset(), frozenset())
+        with pytest.raises(IntegrityError, match="^node d: duplicate property keys$"):
+            g.validate()
+
+    def test_primary_id_without_node(self):
+        g = CaseGraph(frozenset({self.person("a")}), frozenset(), frozenset({"a", "ghost"}))
+        with pytest.raises(IntegrityError, match="^primary id 'ghost' has no node$"):
+            g.validate()
+
+    def test_duplicate_edge(self):
+        g = CaseGraph(
+            nodes=frozenset({self.person("a"), self.person("b")}),
+            edges=frozenset(
+                {Edge(EdgeType.CO_CREATED, "a", "b", 1), Edge(EdgeType.CO_CREATED, "a", "b", 2)}
+            ),
+            primary_ids=frozenset(),
+        )
+        with pytest.raises(IntegrityError, match="^duplicate edge CoCreated a->b$"):
+            g.validate()
+
+    @pytest.mark.parametrize("weight", [None, 0, -1])
+    @pytest.mark.parametrize(
+        "edge_type, target",
+        [
+            (EdgeType.CO_CREATED, NodeLabel.PERSON),
+            (EdgeType.CO_CONTRIBUTED, NodeLabel.PERSON),
+            (EdgeType.CREATED_AT, NodeLabel.VENUE),
+            (EdgeType.CONTRIBUTED_AT, NodeLabel.VENUE),
+        ],
+    )
+    def test_weighted_edge_needs_a_positive_weight(self, edge_type, target, weight):
+        g = CaseGraph(
+            nodes=frozenset({self.person("a"), Node(target, "b", ())}),
+            edges=frozenset({Edge(edge_type, "a", "b", weight)}),
+            primary_ids=frozenset(),
+        )
+        with pytest.raises(IntegrityError, match=f"^{edge_type.value} needs a positive weight$"):
+            g.validate()
+
+    @pytest.mark.parametrize(
+        "edge_type, weight, source, target, message",
+        [
+            (EdgeType.CREATED, None, NodeLabel.VENUE, NodeLabel.DOCUMENT, "Created must run person -> document"),
+            (EdgeType.CONTRIBUTED, None, NodeLabel.PERSON, NodeLabel.VENUE, "Contributed must run person -> document"),
+            (EdgeType.CO_CREATED, 1, NodeLabel.DOCUMENT, NodeLabel.PERSON, "CoCreated must run person -> person"),
+            (EdgeType.CO_CONTRIBUTED, 1, NodeLabel.PERSON, NodeLabel.VENUE, "CoContributed must run person -> person"),
+            (EdgeType.CREATED_AT, 1, NodeLabel.PERSON, NodeLabel.DOCUMENT, "CreatedAt must run person -> venue"),
+            (EdgeType.CONTRIBUTED_AT, 1, NodeLabel.VENUE, NodeLabel.VENUE, "ContributedAt must run person -> venue"),
+        ],
+    )
+    def test_edge_endpoint_labels(self, edge_type, weight, source, target, message):
+        g = CaseGraph(
+            nodes=frozenset({Node(source, "a", ()), Node(target, "b", ())}),
+            edges=frozenset({Edge(edge_type, "a", "b", weight)}),
+            primary_ids=frozenset(),
+        )
+        with pytest.raises(IntegrityError, match=f"^{message}$"):
+            g.validate()
+
+    def test_rules_apply_in_order(self):
+        # A weighted Created edge between two documents breaks two rules;
+        # the weight rule is checked first, as it always was.
+        g = CaseGraph(
+            nodes=frozenset({Node(NodeLabel.DOCUMENT, "a", ()), Node(NodeLabel.DOCUMENT, "b", ())}),
+            edges=frozenset({Edge(EdgeType.CREATED, "a", "b", 3)}),
+            primary_ids=frozenset(),
+        )
+        with pytest.raises(IntegrityError, match="^Created edges carry no weight$"):
             g.validate()
 
 
@@ -355,17 +466,60 @@ class TestCollection:
                 graph = parse_case_graph((tmp_path / name).read_bytes())
                 graph.validate()
 
+    def test_collection_bytes_are_pinned(self, tmp_path):
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        build_case_collection(extract_corrections(history), history, tmp_path)
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())
+        }
+        assert got == PINNED_COLLECTION_SHA256
+
     def test_brute_force_weight_recount(self):
         history, _log = generate(GeneratorConfig(seed=13, n_persons=150, n_documents=700))
         cases = extract_corrections(history)
-        for case in cases[:10]:
+        assert cases
+        for case in cases:
             before, after = build_case_graphs(case, history)
             for graph, primaries in ((before, case.source_profiles), (after, case.target_profiles)):
                 recount_side(graph, case, history, primaries)
 
 
+# SHA-256 of every file of the case collection of the seed-21 corpus above
+# (60 persons, 300 documents), as written before nodes and edges became
+# named tuples.  Any change to the collection bytes shows here.
+PINNED_COLLECTION_SHA256 = {
+    "cases.tsv": "23ded8f88fb0ec417ca6033903160cbaf5590fcf346c696af4a881f777bc8ba7",
+    "distribute-2015-01-01-1-after.xml": "a3292959004a66db2f6df0edb5cd5a80a394d5171f56e5d8252c331cf3af1fe3",
+    "distribute-2015-01-01-1-before.xml": "2682e8a7f6ddfd6d34628a6b2549484e8f51784d2ce3d7be32f0ea0cc0c1c6a6",
+    "distribute-2015-02-01-1-after.xml": "d7c0a94b37fe4b452d2bb6e40441250a812f8fe388ab350b89dcbd0e153aea92",
+    "distribute-2015-02-01-1-before.xml": "fa791b0b82af8f87758acd20b6e838831b3ebb1ff8572bddb8c133b28658d3ba",
+    "distribute-2015-03-01-1-after.xml": "40d81b670519645d99b87be35e4416d49b1e18792c2cf136a22da72cffb254c1",
+    "distribute-2015-03-01-1-before.xml": "0f47da32da5de9795c4f84bd635eb884a3583d1a22b54eea4187e184271b70e9",
+    "merge-2015-01-01-1-after.xml": "9c090649ff77835075162497aeb295d218a89c18a19986bbd10566c0435e031e",
+    "merge-2015-01-01-1-before.xml": "7c02ba9ab9d15ffc5d9b2bbf24e9288bf7e9550936efd1cfd481e1135c95b4a0",
+    "merge-2015-01-01-2-after.xml": "78073eadb7049daaa46dac75e2217d76052f41fc720e7949e8611fb154408c45",
+    "merge-2015-01-01-2-before.xml": "fa3e1ebf82c6a8cfa408eb6751c8d5cb9bc96ef7883006fd53c7696c5ed3c72d",
+    "merge-2015-02-01-1-after.xml": "843a0e08a9c141e49b622d41d36c7f5e74a7213e772ecf5b2f06a4603cdb4740",
+    "merge-2015-02-01-1-before.xml": "712811570104f8269abcf076e89b2f2985f35630c575d5723a9b99dae0e72308",
+    "merge-2015-02-01-2-after.xml": "d9c7c7529736b6ae431169e81dec33894b93da5989f99aa366139eb8b3b9f12c",
+    "merge-2015-02-01-2-before.xml": "41ad09f88201648b85a5e7904aa28d1a6422d99b1d80aae8df2048d2f27466bf",
+    "merge-2015-03-01-1-after.xml": "9c1eef3b1bfd0a0f2576fc60a33254641891c0f4928a03b3e968f0e02745fa9c",
+    "merge-2015-03-01-1-before.xml": "8776b1ec07db606748f40a5dbaa0c299eb5f8bff8ac918003bebd763a34cfb53",
+    "merge-2015-03-01-2-after.xml": "bb338e6a1403bac44ff7aae105517ac7182053af32e321068c8f63a80ab3441d",
+    "merge-2015-03-01-2-before.xml": "0dbdb5e96cbeb9951327c1d27870d32870d4f49b4cba12197ababfe6620e0fce",
+    "split-2015-01-01-1-after.xml": "bd411fa03a2f154427c5b31eb1f446ddf5c96ef350e2eb4a64b8cfc224babf79",
+    "split-2015-01-01-1-before.xml": "48f31afd45411ad7636657178779d66f2701c31caa22dda6fef0725f975357bc",
+    "split-2015-02-01-1-after.xml": "83be6243b45cef7e4408b3220a55abb8a55c0dd333d016bdca2a5f40b2a5493e",
+    "split-2015-02-01-1-before.xml": "e25c1c4f90d4c95be7f0b4c24c3ff55c09d96c9f7edbfdaa194a1aeb32ec6d79",
+    "split-2015-03-01-1-after.xml": "2a1031e76d003d8365dc71bf7181f38874d43c4bdb23910665f397e42cee0b4d",
+    "split-2015-03-01-1-before.xml": "f4b804cea49d423d5360e2e0c4ebf0f5d99a2b1b0460c61abcd58e331ab138fb",
+}
+
+
 def recount_side(graph, case, history, primary_mentions):
-    """Recompute co-creation weights straight from the snapshots."""
+    """Recompute the graph's persons, documents and every edge straight
+    from the snapshots, one document at a time."""
     side_time = case.t_before if primary_mentions is case.source_profiles else case.t_after
     side = history.at(side_time)
     before = history.at(case.t_before)
@@ -384,20 +538,32 @@ def recount_side(graph, case, history, primary_mentions):
             expected_persons.add(pid)
     assert persons == expected_persons
 
+    expected = set()
+    for pid, prof in side.profiles.items():
+        for m in prof.mentions:
+            if m.document_key in included_docs:
+                edge_type = EdgeType.CREATED if m.role is Role.AUTHOR else EdgeType.CONTRIBUTED
+                expected.add((edge_type, pid, m.document_key, None))
+
     weights = {}
     for doc in included_docs:
-        authors = set()
-        for pid, prof in before.profiles.items():
-            if pid not in persons:
-                continue
-            for m in prof.mentions:
-                if m.document_key == doc and m.role is Role.AUTHOR:
-                    authors.add(pid)
-        for x, y in combinations(sorted(authors), 2):
-            weights[(x, y)] = weights.get((x, y), 0) + 1
-    graph_weights = {
-        (e.from_id, e.to_id): e.weight
-        for e in graph.edges
-        if e.edge_type is EdgeType.CO_CREATED
-    }
-    assert graph_weights == weights
+        latest = next(s for s in reversed(history.snapshots) if doc in s.documents)
+        venue = latest.documents[doc].venue_key
+        for role, co_type, at_type in (
+            (Role.AUTHOR, EdgeType.CO_CREATED, EdgeType.CREATED_AT),
+            (Role.EDITOR, EdgeType.CO_CONTRIBUTED, EdgeType.CONTRIBUTED_AT),
+        ):
+            members = set()
+            for pid, prof in before.profiles.items():
+                if pid not in persons:
+                    continue
+                for m in prof.mentions:
+                    if m.document_key == doc and m.role is role:
+                        members.add(pid)
+            keys = [(co_type, x, y) for x, y in combinations(sorted(members), 2)]
+            if venue is not None:
+                keys += [(at_type, x, venue) for x in members]
+            for key in keys:
+                weights[key] = weights.get(key, 0) + 1
+    expected |= {(t, x, y, w) for (t, x, y), w in weights.items()}
+    assert edge_set(graph) == expected

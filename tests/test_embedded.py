@@ -10,7 +10,7 @@ from corrhist.embedded import (
     validate_annotations,
     write_annotations_file,
 )
-from corrhist.errors import IntegrityError
+from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import CorrectionKind, extract_corrections
 from corrhist.model import History, Profile, Role, Signature, Snapshot
 from corrhist.snapshot_io import parse_snapshot, snapshot_filename, write_snapshot
@@ -88,6 +88,13 @@ class TestAnnotation:
         assert any(
             s.role is Role.EDITOR for s in parsed.source["p1"]
         )
+
+    @pytest.mark.parametrize("pos", ["0_1", "\u0661", " 1", "+1", "1.0"])
+    def test_signature_position_must_be_ascii_digits(self, pos):
+        data = serialize_annotation(split_annotation())
+        assert b' pos="1" ' in data
+        with pytest.raises(FormatError, match="non-integer signature position"):
+            parse_annotation(data.replace(b' pos="1" ', f' pos="{pos}" '.encode(), 1))
 
     def test_annotations_file_round_trip(self, tmp_path):
         a = split_annotation()

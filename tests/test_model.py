@@ -28,6 +28,20 @@ def test_validate_date_rejects_malformed(bad):
         validate_date(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "2015-01-01\n",
+        "\u0662\u0660\u0661\u0665-\u0660\u0661-\u0660\u0661",  # Arabic-Indic digits
+        "2015-01-\uff10\uff11",  # fullwidth digits
+        " 2015-01-01",
+    ],
+)
+def test_validate_date_takes_whole_ascii_dates_only(bad):
+    with pytest.raises(ValueError, match="not an ISO date"):
+        validate_date(bad)
+
+
 def test_signature_key_ignores_surface():
     a = Signature("d1", 0, "J. Doe")
     b = Signature("d1", 0, "John Doe")

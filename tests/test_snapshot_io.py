@@ -124,6 +124,13 @@ def test_missing_or_bad_date():
         parse_snapshot(b"<snapshot date='01.01.2017' version='1'/>")
 
 
+def test_date_with_a_newline_reference_is_rejected():
+    # Accepted, it was written back with a raw newline in the attribute,
+    # which reads as a space.
+    with pytest.raises(FormatError, match="not an ISO date"):
+        parse_snapshot(b"<snapshot date='2015-01-01&#10;' version='1'/>")
+
+
 def test_unsupported_version():
     with pytest.raises(FormatError):
         parse_snapshot(b"<snapshot date='2017-01-01' version='99'/>")
@@ -138,6 +145,41 @@ def make_xml(profile_block, docs_block=None):
         "<snapshot date='2017-01-01' version='1'>"
         f"{docs}{profile_block}</snapshot>"
     ).encode()
+
+
+# ``int()`` also takes these; the canonical grammar takes none of them.
+LOOSE_INTEGERS = ["0_1", "\u0661", " 1", "1 ", "+1", "1.0", ""]
+
+
+@pytest.mark.parametrize("pos", LOOSE_INTEGERS)
+def test_signature_position_must_be_ascii_digits(pos):
+    xml = make_xml(
+        f'<profile authorid="p1"><signature pkey="d1" pos="{pos}" surface="A"/></profile>'
+    )
+    with pytest.raises(FormatError, match="non-integer signature position"):
+        parse_snapshot(xml)
+
+
+def test_negative_signature_position_keeps_its_message():
+    xml = make_xml(
+        '<profile authorid="p1"><signature pkey="d1" pos="-1" surface="A"/></profile>'
+    )
+    with pytest.raises(FormatError, match="negative signature position -1"):
+        parse_snapshot(xml)
+
+
+@pytest.mark.parametrize("year", LOOSE_INTEGERS)
+def test_document_year_must_be_ascii_digits(year):
+    xml = make_xml("", f'<document pkey="d1" year="{year}"><title>T</title></document>')
+    with pytest.raises(FormatError, match="non-integer year"):
+        parse_snapshot(xml)
+
+
+def test_negative_year_reads_on_both_paths():
+    s = Snapshot("2017-01-01", {}, {"d1": DocumentRecord("d1", year=-5)}, {})
+    data = write_snapshot(s)
+    assert parse_snapshot(data).documents["d1"].year == -5
+    assert parse_snapshot(data.replace(b"<document", b" <document")).documents["d1"].year == -5
 
 
 def test_duplicate_mention_names_both_profiles():
@@ -232,6 +274,18 @@ def test_names_that_only_end_in_a_snapshot_name_are_not_snapshots(tmp_path):
     for name in strays + ["snapshot-2015-01-01.xml\n"]:
         with pytest.raises(FormatError, match="snapshot-YYYY-MM-DD"):
             SnapshotFile.from_path(tmp_path / name)
+
+
+def test_names_with_non_ascii_digits_are_not_snapshots(tmp_path):
+    s = snap("2015-01-01", {"p1": [("d1", 0, "A")]})
+    write_snapshot_to(s, tmp_path / snapshot_filename(s.time))
+    stray = "snapshot-\u0662\u0660\u0661\u0665-01-01.xml"
+    write_snapshot_to(s, tmp_path / stray)
+    assert [f.path.name for f in discover_snapshot_files(tmp_path)] == [
+        "snapshot-2015-01-01.xml"
+    ]
+    with pytest.raises(FormatError, match="snapshot-YYYY-MM-DD"):
+        SnapshotFile.from_path(tmp_path / stray)
 
 
 def test_load_history_empty_directory(tmp_path):

@@ -5,6 +5,8 @@ that it reads back unchanged, and the canonical fast path must either
 decline a file or produce exactly what expat produces from it.
 """
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from corrhist.casegraph import (
     serialize_case_graph,
 )
 from corrhist.embedded import EmbeddedAnnotation, parse_annotation, serialize_annotation
+from corrhist._xml import parse_int
 from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import CorrectionKind
 from corrhist.model import DocumentRecord, Profile, Signature, Snapshot
@@ -179,3 +182,17 @@ def test_writer_refusal_names_the_value(tmp_path):
         with pytest.raises(FormatError):
             write_snapshot_to(s, tmp_path / name)
         assert not (tmp_path / name).exists()
+
+
+def test_parse_int_takes_exactly_ascii_integers():
+    # Every ASCII character and every character ``isdigit`` accepts, alone
+    # and next to a digit or a minus sign, against the grammar itself.
+    grammar = re.compile("-?[0-9]+")
+    chars = [c for c in map(chr, range(0x110000)) if c.isdigit() or c.isascii()]
+    for c in chars:
+        for value in (c, "1" + c, c + "1", "-" + c, c + "-1"):
+            if grammar.fullmatch(value):
+                assert parse_int(value) == int(value)
+            else:
+                with pytest.raises(ValueError):
+                    parse_int(value)
