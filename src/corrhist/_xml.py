@@ -72,3 +72,15 @@ def parse_int(value: str) -> int:
     ):
         return int(value)
     raise ValueError(f"not an integer: {value!r}")
+
+
+def parse_position(value: str) -> int:
+    """A signature's ``pos`` attribute: ``parse_int`` and not negative.
+    Raises ValueError with the message both readers report."""
+    try:
+        pos = parse_int(value)
+    except ValueError:
+        raise ValueError(f"non-integer signature position {value!r}") from None
+    if pos < 0:
+        raise ValueError(f"negative signature position {pos}")
+    return pos

@@ -60,7 +60,7 @@ class EdgeType(enum.Enum):
 
 _DOCUMENT, _PERSON, _VENUE = NodeLabel.DOCUMENT, NodeLabel.PERSON, NodeLabel.VENUE
 _CREATED, _CONTRIBUTED = EdgeType.CREATED, EdgeType.CONTRIBUTED
-_AUTHOR = Role.AUTHOR
+_AUTHOR, _EDITOR = Role.AUTHOR, Role.EDITOR
 
 # What each edge type connects: (weighted, target label, endpoints ordered).
 # Every edge runs from a person.
@@ -189,17 +189,69 @@ class _DocResolver:
 _OwnerEntry = tuple[int, Role, str, str]  # position, role, profile, surface
 
 
-def _owners_for_docs(
-    snapshot: Snapshot, docs: set[str]
-) -> dict[str, list[_OwnerEntry]]:
-    """Who holds which mention slot of the given documents, per ``snapshot``."""
-    out: dict[str, list[_OwnerEntry]] = {key: [] for key in docs}
-    for pid, prof in snapshot.profiles.items():
-        for m in prof.mentions:
-            bucket = out.get(m.document_key)
+def _owners_at(
+    history: History, wanted: dict[str, set[str]]
+) -> dict[str, dict[str, list[_OwnerEntry]]]:
+    """Who holds which mention slot of the ``wanted[time]`` documents, at
+    each wanted time.
+
+    One scan of the first wanted observation seeds an index over every
+    wanted document.  Each later interval then moves only the slots of the
+    profiles it changed (``History.changed_profiles``), all removals before
+    any addition, since a mention can pass between two changed profiles.
+    So the cost is one snapshot plus the changes, however many intervals
+    and cases there are.
+    """
+    if not wanted:
+        return {}
+    snapshots = history.snapshots
+    index_of = {snap.time: i for i, snap in enumerate(snapshots)}
+    for time in wanted:
+        if time not in index_of:
+            history.at(time)  # raises UnknownTimeError naming the observed dates
+    wanted_at = sorted(index_of[time] for time in wanted)
+    slots: dict[str, dict[tuple[int, bool], _OwnerEntry]] = {
+        doc: {} for docs in wanted.values() for doc in docs
+    }
+
+    def place(pid: str, mentions: frozenset[Signature]) -> None:
+        for doc, pos, surface, role in mentions:
+            bucket = slots.get(doc)
             if bucket is not None:
-                bucket.append((m.position, m.role, pid, m.surface))
+                bucket[pos, role is _EDITOR] = (pos, role, pid, surface)
+
+    for pid, prof in snapshots[wanted_at[0]].profiles.items():
+        place(pid, prof.mentions)
+    out: dict[str, dict[str, list[_OwnerEntry]]] = {}
+    for i in range(wanted_at[0], wanted_at[-1] + 1):
+        if i > wanted_at[0]:
+            changed = history.changed_profiles(i - 1)
+            before, after = snapshots[i - 1], snapshots[i]
+            for pid in changed:
+                for doc, pos, _surface, role in before.mentions_of(pid):
+                    bucket = slots.get(doc)
+                    if bucket is not None:
+                        del bucket[pos, role is _EDITOR]
+            for pid in changed:
+                place(pid, after.mentions_of(pid))
+        time = snapshots[i].time
+        if time in wanted:
+            out[time] = {doc: list(slots[doc].values()) for doc in wanted[time]}
     return out
+
+
+def _wanted(cases: Sequence[CorrectionCase]) -> dict[str, set[str]]:
+    """The documents whose owners the graphs of ``cases`` read, by time:
+    at ``t_before`` those of either side, at ``t_after`` those of the after
+    side."""
+    wanted: dict[str, set[str]] = {}
+    for case in cases:
+        docs_after = _case_docs(case.target_profiles)
+        wanted.setdefault(case.t_before, set()).update(
+            _case_docs(case.source_profiles), docs_after
+        )
+        wanted.setdefault(case.t_after, set()).update(docs_after)
+    return wanted
 
 
 def _one_side(
@@ -317,13 +369,13 @@ def build_case_graphs(
     """The before- and after-graph of one correction case."""
     before = history.at(case.t_before)
     after = history.at(case.t_after)
-    docs_after = _case_docs(case.target_profiles)
+    owners = _owners_at(history, _wanted([case]))
     return _case_graphs(
         case,
         before,
         after,
-        _owners_for_docs(before, _case_docs(case.source_profiles) | docs_after),
-        _owners_for_docs(after, docs_after),
+        owners[case.t_before],
+        owners[case.t_after],
         _DocResolver(history),
     )
 
@@ -435,9 +487,10 @@ def build_case_collection(
     """Write before/after graph files for every case plus a manifest.
 
     Cases are numbered deterministically within each (kind, start date)
-    group, in the extractor's case order.  Ownership indexes are built once
-    per observation pair and shared by all cases of that pair, so the cost
-    scales with the number of distinct intervals, not the number of cases.
+    group, in the extractor's case order.  One owner index follows the
+    history's per-interval profile changes and is read at every case's
+    bounding observations, so the cost scales with the profiles of one
+    observation plus the changes, not with intervals times profiles.
 
     Returns the manifest path.
     """
@@ -446,44 +499,29 @@ def build_case_collection(
     resolver = _DocResolver(history)
     ordered = sorted(cases, key=CorrectionCase.sort_key)
     ids = assign_case_ids(ordered)
+    owners = _owners_at(history, _wanted(ordered))
 
-    by_pair: dict[tuple[str, str], list[int]] = {}
-    for i, case in enumerate(ordered):
-        by_pair.setdefault((case.t_before, case.t_after), []).append(i)
-
-    manifest_rows: list[tuple[str, ...] | None] = [None] * len(ordered)
-    for (t_before, t_after), indexes in sorted(by_pair.items()):
-        before = history.at(t_before)
-        after = history.at(t_after)
-        docs_before: set[str] = set()
-        docs_after: set[str] = set()
-        for i in indexes:
-            docs_before |= _case_docs(ordered[i].source_profiles)
-            docs_after |= _case_docs(ordered[i].target_profiles)
-        owners_before = _owners_for_docs(before, docs_before | docs_after)
-        owners_after = _owners_for_docs(after, docs_after)
-        for i in indexes:
-            case = ordered[i]
-            g_before, g_after = _case_graphs(
-                case, before, after, owners_before, owners_after, resolver
-            )
-            before_name = f"{ids[i]}-before.xml"
-            after_name = f"{ids[i]}-after.xml"
-            (out / before_name).write_bytes(serialize_case_graph(g_before))
-            (out / after_name).write_bytes(serialize_case_graph(g_after))
-            manifest_rows[i] = (
-                ids[i],
-                case.kind.value,
-                t_before,
-                t_after,
-                before_name,
-                after_name,
-            )
+    manifest_rows: list[tuple[str, ...]] = []
+    for case_id, case in zip(ids, ordered):
+        g_before, g_after = _case_graphs(
+            case,
+            history.at(case.t_before),
+            history.at(case.t_after),
+            owners[case.t_before],
+            owners[case.t_after],
+            resolver,
+        )
+        before_name = f"{case_id}-before.xml"
+        after_name = f"{case_id}-after.xml"
+        (out / before_name).write_bytes(serialize_case_graph(g_before))
+        (out / after_name).write_bytes(serialize_case_graph(g_after))
+        manifest_rows.append(
+            (case_id, case.kind.value, case.t_before, case.t_after, before_name, after_name)
+        )
 
     manifest = out / "cases.tsv"
     with open(manifest, "w", encoding="utf-8") as f:
         f.write("case_id\tkind\tt_before\tt_after\tbefore_file\tafter_file\n")
         for row in manifest_rows:
-            assert row is not None
             f.write("\t".join(row) + "\n")
     return manifest

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 from xml.etree import ElementTree as ET
 
-from ._xml import escape_attr, parse_int
+from ._xml import escape_attr, parse_position
 from .errors import FormatError, IntegrityError
 from .extract import (
     CorrectionCase,
@@ -49,6 +49,7 @@ class EmbeddedAnnotation:
                 f"be nonempty"
             )
         for side_name, side in (("source", self.source), ("target", self.target)):
+            seen: set[MentionKey] = set()
             for pid, sigs in side.items():
                 if not sigs:
                     raise IntegrityError(
@@ -60,6 +61,19 @@ class EmbeddedAnnotation:
                         f"annotation {self.annotation_id}: {side_name} profile "
                         f"{pid} signatures not sorted"
                     )
+                for sig in sigs:
+                    if sig.position < 0:
+                        raise IntegrityError(
+                            f"annotation {self.annotation_id}: {side_name} profile "
+                            f"{pid}: negative signature position {sig.position}"
+                        )
+                    if sig.key in seen:
+                        raise IntegrityError(
+                            f"annotation {self.annotation_id}: mention "
+                            f"{(sig.document_key, sig.position, sig.role.value)} "
+                            f"listed twice in {side_name}"
+                        )
+                    seen.add(sig.key)
 
 
 def annotation_from_case(case: CorrectionCase, annotation_id: str) -> EmbeddedAnnotation:
@@ -141,9 +155,9 @@ def _parse_side(element: ET.Element) -> tuple[dict[str, tuple[Signature, ...]], 
                     f"profile {pid}: signature needs pkey, pos, and surface"
                 )
             try:
-                pos = parse_int(pos_raw)
-            except ValueError:
-                raise FormatError(f"non-integer signature position {pos_raw!r}") from None
+                pos = parse_position(pos_raw)
+            except ValueError as exc:
+                raise FormatError(str(exc)) from None
             role_raw = sub.get("role", "author")
             try:
                 role = Role(role_raw)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import IntegrityError
 from .model import History, Role, Signature, Snapshot
@@ -176,36 +176,21 @@ def is_consistent_predecessor(
     return _keys(s1, p1) <= _keys(s2, p2)
 
 
-def _changed_profiles(s1: Snapshot, s2: Snapshot) -> list[str]:
-    """Profiles whose mention identity set differs between the snapshots.
-
-    Object-identical profiles (shared storage from the loader or from edit
-    application) are skipped without comparison.  Surface-only rewrites keep
-    the identity set equal and are not changes here.
-    """
-    changed = []
-    for pid in set(s1.profiles) | set(s2.profiles):
-        a = s1.profiles.get(pid)
-        b = s2.profiles.get(pid)
-        if a is b:
-            continue
-        am = a.mentions if a is not None else frozenset()
-        bm = b.mentions if b is not None else frozenset()
-        if am == bm:
-            continue
-        if {m.key for m in am} != {m.key for m in bm}:
-            changed.append(pid)
-    return changed
-
-
-def raw_groups_between(s1: Snapshot, s2: Snapshot) -> list[RawGroup]:
+def raw_groups_between(
+    s1: Snapshot, s2: Snapshot, changed: Collection[str] | None = None
+) -> list[RawGroup]:
     """All merge, split, and distribute groups between two observations.
 
-    Work is proportional to the mentions of changed profiles: a profile
-    whose mention set is unchanged can neither gain a second reference
-    predecessor nor lose a mention to another profile.
+    ``changed`` holds at least the ids of the profiles whose record differs
+    between them, as ``History.changed_profiles`` gives them; without it
+    they are found by comparison, which needs ``s1`` before ``s2``.  Work is
+    proportional to the mentions of those profiles: a profile whose mention
+    set is unchanged can neither gain a second reference predecessor nor
+    lose a mention to another profile, and one whose surfaces alone changed
+    keeps its own mentions, so it adds no group.
     """
-    changed = _changed_profiles(s1, s2)
+    if changed is None:
+        changed = History((s1, s2)).changed_profiles(0)
     owner1: dict[MentionKey, str] = {}
     owner2: dict[MentionKey, str] = {}
     for pid in changed:
@@ -446,14 +431,19 @@ def extract_corrections(history: History, *, max_workers: int = 1) -> list[Corre
     """Detect all corrections in a history and chain them into cases.
 
     Runs the detectors over every consecutive observation pair in order,
-    then chains.  A history with fewer than two observations has no
-    intervals to compare, which is an error rather than an empty answer.
+    on the profiles the history records as changed there, then chains.  A
+    history with fewer than two observations has no intervals to compare,
+    which is an error rather than an empty answer.
     ``max_workers`` is accepted for compatibility and has no effect.
     """
     if len(history.snapshots) < 2:
         raise ValueError("correction extraction needs at least two observations")
     snaps = history.snapshots
-    groups = [g for s1, s2 in zip(snaps, snaps[1:]) for g in raw_groups_between(s1, s2)]
+    groups = [
+        g
+        for i in range(len(snaps) - 1)
+        for g in raw_groups_between(snaps[i], snaps[i + 1], history.changed_profiles(i))
+    ]
     return chain_corrections(history, groups)
 
 

@@ -206,9 +206,19 @@ def _check_writable(*values: str) -> None:
 
 @dataclass(frozen=True)
 class History:
-    """An ordered sequence of snapshots with strictly increasing dates."""
+    """An ordered sequence of snapshots with strictly increasing dates.
+
+    ``profile_changes`` holds, for each interval between adjacent
+    snapshots, the ids of the profiles whose record differs, as the loader
+    found them while reading the files.  A history built in memory leaves
+    it None, and ``changed_profiles`` computes each set by comparison.  It
+    takes no part in equality: it follows from the snapshots.
+    """
 
     snapshots: tuple[Snapshot, ...]
+    profile_changes: tuple[frozenset[str], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.snapshots:
@@ -219,6 +229,28 @@ class History:
                 raise ValueError(
                     f"snapshot dates must strictly increase: {prev} then {cur}"
                 )
+        changes = self.profile_changes
+        if changes is not None and len(changes) != len(times) - 1:
+            raise ValueError(
+                f"{len(changes)} change sets for {len(times) - 1} intervals"
+            )
+
+    def changed_profiles(self, interval: int) -> frozenset[str]:
+        """Ids of the profiles whose record differs between snapshot
+        ``interval`` and the next one: added, removed, or holding other
+        mentions, surface-only rewrites included.
+
+        Profiles that are the same object in both snapshots (storage the
+        loader or edit application shared) are skipped without comparison.
+        """
+        if self.profile_changes is not None:
+            return self.profile_changes[interval]
+        a = self.snapshots[interval].profiles
+        b = self.snapshots[interval + 1].profiles
+        return frozenset(
+            pid for pid in a.keys() | b.keys()
+            if (old := a.get(pid)) is not (new := b.get(pid)) and old != new
+        )
 
     def times(self) -> tuple[str, ...]:
         return tuple(s.time for s in self.snapshots)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 from xml.parsers import expat
 
-from ._xml import escape_attr, escape_text, parse_int
+from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
 from .model import DocumentRecord, Profile, Role, Signature, Snapshot, History, validate_date
 
@@ -78,6 +78,8 @@ class _Reader:
         # next delta starts from.
         self.build: _Builder | None = None
         self.retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] = {}
+        # Ids of the profiles the last file read changed against ``prev``.
+        self.changed: frozenset[str] = frozenset()
 
     def read(self, source: bytes | str | Path | BinaryIO, source_name: str | None) -> Snapshot:
         if isinstance(source, (str, Path)):
@@ -92,7 +94,9 @@ class _Reader:
                 raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
         snapshot = self.canonical(data, source_name)
         if snapshot is None:
-            snapshot = _parse_expat(data, self.prev, source_name)
+            build = _expat_builder(data, self.prev, source_name)
+            snapshot = build.snapshot()
+            self.changed = build.changed
         self.prev = snapshot
         return snapshot
 
@@ -117,12 +121,15 @@ class _Reader:
             else:
                 if snapshot is not None:
                     self.build = build
+                    self.changed = build.changed
                 return snapshot
         build = _Builder(date, self.prev, source_name, self.retired)
         if not build.add(_parse_lines(lines)):
             return None
+        snapshot = build.snapshot()
         self.build = build
-        return build.snapshot()
+        self.changed = build.changed
+        return snapshot
 
 
 def _parse_canonical(
@@ -141,9 +148,10 @@ class _Builder:
     previous snapshot's record under the same key, or to a record in
     ``retired``, is replaced by that earlier object, so a series shares
     storage for everything unchanged.  ``prev`` must itself have come out of
-    a builder.  The builder of a canonical file keeps its record lines, the
-    owner index and the venue counts, from which ``advance`` reads the next
-    canonical file as a line delta.
+    a builder.  ``snapshot`` records in ``changed`` the ids of the profiles
+    whose record differs from ``prev``'s.  The builder of a canonical file
+    keeps its record lines, the owner index and the venue counts, from which
+    ``advance`` reads the next canonical file as a line delta.
     """
 
     def __init__(
@@ -166,6 +174,7 @@ class _Builder:
         # Profiles carried over from ``prev`` were checked against its
         # documents; the others still need their references checked.
         self.fresh: list[Profile] = []
+        self.changed: frozenset[str] = frozenset()
         # A canonical file's record lines, each mapped to its key and record.
         self.doc_lines: dict[bytes, tuple[str, DocumentRecord]] = {}
         self.prof_lines: dict[bytes, tuple[str, Profile]] = {}
@@ -248,14 +257,16 @@ class _Builder:
         """Turn this builder of a canonical file into the builder of the
         next canonical file, whose record lines are ``lines``.
 
-        Only lines the previous file lacks are parsed, and only their
-        records are checked, after the records of the lines that went away
-        have left the owner index and the venue counts and gone into
-        ``retired``.  A carried profile is rechecked only if a document
+        The new record maps start as copies of the previous ones.  The
+        records of the lines that went away leave them, the owner index and
+        the venue counts, and go into ``retired``; then only the lines the
+        previous file lacks are parsed, checked and added.  The maps are not
+        in file order: writers sort, and nothing reads a snapshot's records
+        in order.  A carried profile is rechecked only if a document
         vanished or lost names under it.  Returns None, with nothing
         changed, if an added line is not in canonical form.  An
         IntegrityError leaves the builder unusable; a full pass over the
-        file then reports the error as a fresh parse would.
+        file then reports the error, in file order, as a fresh parse would.
         """
         doc_lines = self.doc_lines
         prof_lines = self.prof_lines
@@ -267,8 +278,8 @@ class _Builder:
         self.source_name = source_name
         self.prev_profiles = self.profiles
         self.prev_documents = self.documents
-        self.profiles = {}
-        self.documents = {}
+        self.profiles = profiles = dict(self.profiles)
+        self.documents = documents = dict(self.documents)
         self.venues = venues = dict(self.venues)
         self.fresh = []
         retired = self.retired
@@ -278,23 +289,24 @@ class _Builder:
         dropped = [doc_lines.pop(line)[1] for line in gone]
         for doc in dropped:
             retired[doc] = doc
+            del documents[doc.document_key]
             if doc.venue_key is not None:
                 venue_docs[doc.venue_key] -= 1
                 if not venue_docs[doc.venue_key]:
                     del venue_docs[doc.venue_key], venues[doc.venue_key]
+        dropped_ids = []
         for line in [line for line in prof_lines if line not in current]:
-            prof = prof_lines.pop(line)[1]
+            pid, prof = prof_lines.pop(line)
+            dropped_ids.append(pid)
             retired[prof] = prof
+            del profiles[pid]
             for doc_key, pos, _surface, role in prof.mentions:
                 del owners[doc_key, pos, role is _EDITOR]
         self.add(records)
-        # File order, as a full pass gives it; a repeated line or key leaves
-        # fewer records than lines.
-        self.documents = dict(filter(None, map(doc_lines.get, lines)))
-        self.profiles = dict(filter(None, map(prof_lines.get, lines)))
-        if len(self.documents) + len(self.profiles) != len(lines):
+        # A repeated line or key leaves fewer records than lines.
+        if len(documents) + len(profiles) != len(lines):
             raise self.error("repeated record line or key")
-        return self.snapshot(dropped)
+        return self.snapshot(dropped, [pid for pid in dropped_ids if pid not in profiles])
 
     def _check_references(self, prof: Profile) -> None:
         documents = self.documents
@@ -312,25 +324,35 @@ class _Builder:
                     f"{role.value} list of {doc_key} (length {len(names)})"
                 )
 
-    def snapshot(self, changed: Iterable[DocumentRecord] | None = None) -> Snapshot:
-        """Check the fresh profiles' references and return the snapshot.
+    def snapshot(
+        self,
+        replaced: Iterable[DocumentRecord] | None = None,
+        removed: Iterable[str] | None = None,
+    ) -> Snapshot:
+        """Note the changed profiles, check the fresh profiles' references
+        and return the snapshot.
 
-        ``changed`` are the previous snapshot's documents that this one
-        dropped or replaced, found by comparison if not given.  If one of
-        them took away a position that a profile claims, every profile is
-        checked, in file order, so the error is the one a fresh parse
-        reports.
+        ``replaced`` are the previous snapshot's documents that this one
+        dropped or replaced, and ``removed`` the previous snapshot's profile
+        ids that this one lacks; each is found by comparison if not given.
+        The changed profiles are the fresh ones and the removed ones.  If a
+        replaced document took away a position that a profile claims, every
+        profile is checked, in the order of the profile map, which is file
+        order after a full pass.
         """
         documents = self.documents
-        if changed is None:
-            changed = [
+        if removed is None:
+            removed = self.prev_profiles.keys() - self.profiles.keys()
+        self.changed = frozenset([p.profile_id for p in self.fresh]).union(removed)
+        if replaced is None:
+            replaced = [
                 rec for key, rec in self.prev_documents.items()
                 if documents.get(key) is not rec
             ]
         owners = self.owners
         if any(
             k in owners
-            for old in changed
+            for old in replaced
             for k in _lost_mentions(old, documents.get(old.document_key))
         ):
             self.fresh = list(self.profiles.values())
@@ -478,6 +500,12 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
 
 
 def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) -> Snapshot:
+    """The general parser on one file read after ``prev``."""
+    return _expat_builder(data, prev, source_name).snapshot()
+
+
+def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) -> _Builder:
+    """A builder holding every record of ``data``, read by expat."""
     intern = sys.intern
     build: _Builder | None = None
     # document under construction
@@ -544,13 +572,10 @@ def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) ->
             if name != "signature":
                 raise fail(f"unexpected element <{name}> under <profile>")
             pkey = intern(require(attrs, "pkey", name))
-            pos_raw = require(attrs, "pos", name)
             try:
-                pos = parse_int(pos_raw)
-            except ValueError:
-                raise fail(f"non-integer signature position {pos_raw!r}") from None
-            if pos < 0:
-                raise fail(f"negative signature position {pos}")
+                pos = parse_position(require(attrs, "pos", name))
+            except ValueError as exc:
+                raise fail(str(exc)) from None
             surface = intern(require(attrs, "surface", name))
             role_raw = attrs.get("role", "author")
             if role_raw == "author":
@@ -628,7 +653,7 @@ def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) ->
 
     if build is None:
         raise FormatError("no <snapshot> element found", -1, source_name)
-    return build.snapshot()
+    return build
 
 
 def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
@@ -758,7 +783,9 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     are read in order by one reader, so each snapshot shares every record
     equal to the previous snapshot's.  A canonical file after a canonical
     file is read as a line delta: only the lines that changed are parsed
-    and checked.
+    and checked.  The ids of the profiles each file changed against the
+    one before, which the reader knows from that work, go into the
+    history's ``profile_changes``.
     """
     if isinstance(source, (str, Path)):
         files: Sequence[SnapshotFile] = discover_snapshot_files(source)
@@ -776,6 +803,7 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
             )
     reader = _Reader()
     snapshots: list[Snapshot] = []
+    changes: list[frozenset[str]] = []
     for file in files:
         snap = reader.read(file.path, str(file.path))
         if snap.time != file.date:
@@ -783,5 +811,7 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
                 f"{file.path.name} declares date {file.date} but its header "
                 f"says {snap.time}"
             )
+        if snapshots:
+            changes.append(reader.changed)
         snapshots.append(snap)
-    return History(tuple(snapshots))
+    return History(tuple(snapshots), tuple(changes))

@@ -9,15 +9,18 @@ from corrhist.casegraph import (
     EdgeType,
     Node,
     NodeLabel,
+    _owners_at,
+    _wanted,
     build_case_collection,
     build_case_graphs,
     parse_case_graph,
     serialize_case_graph,
 )
-from corrhist.errors import FormatError, IntegrityError
+from corrhist.errors import FormatError, IntegrityError, UnknownTimeError
 from corrhist.extract import extract_corrections
 from corrhist.model import DocumentRecord, Role
-from corrhist.synth import GeneratorConfig, generate
+from corrhist.snapshot_io import load_history
+from corrhist.synth import GeneratorConfig, generate, write_generated
 
 from conftest import hist, snap
 
@@ -483,6 +486,105 @@ class TestCollection:
             before, after = build_case_graphs(case, history)
             for graph, primaries in ((before, case.source_profiles), (after, case.target_profiles)):
                 recount_side(graph, case, history, primaries)
+
+
+# ---------------------------------------------------------------------------
+# The owner index against the full scans it replaced
+
+
+def owners_for_docs(snapshot, docs):
+    """Who holds which mention slot of ``docs`` in ``snapshot``, by one
+    scan of every profile: what case collection did once per observation
+    before it kept one index across the history."""
+    out = {key: [] for key in docs}
+    for pid, prof in snapshot.profiles.items():
+        for m in prof.mentions:
+            bucket = out.get(m.document_key)
+            if bucket is not None:
+                bucket.append((m.position, m.role, pid, m.surface))
+    return out
+
+
+def assert_index_matches_full_scans(history, wanted):
+    index = _owners_at(history, wanted)
+    assert set(index) == set(wanted)
+    for time, docs in wanted.items():
+        full = owners_for_docs(history.at(time), docs)
+        # Each slot has one owner, so sets lose nothing; the order of the
+        # entries is not part of the answer.
+        assert {d: set(e) for d, e in index[time].items()} == {
+            d: set(e) for d, e in full.items()
+        }, time
+        assert all(len(set(e)) == len(e) for e in index[time].values())
+
+
+def chained_merge_history():
+    """B merges into A in one interval and C in the next: one case spans
+    both, and each interval moves a mention between two changed profiles."""
+    return hist(
+        snap(T0, {"A": [("d1", 0, "Ann")], "B": [("d2", 0, "A. Lee")],
+                  "C": [("d3", 0, "Ann Lee")], "D": [("d1", 1, "Dan")]}),
+        snap(T1, {"A": [("d1", 0, "Ann"), ("d2", 0, "A. Lee")],
+                  "C": [("d3", 0, "Ann Lee")], "D": [("d1", 1, "Dan")]}),
+        snap(T2, {"A": [("d1", 0, "Ann"), ("d2", 0, "A. Lee"), ("d3", 0, "Ann Lee")],
+                  "D": [("d1", 1, "D. Ray")]}),
+    )
+
+
+class TestOwnerIndex:
+    def test_chained_case_reads_the_index_across_two_intervals(self):
+        history = chained_merge_history()
+        (case,) = extract_corrections(history)
+        assert (case.t_before, case.t_after) == (T0, T2)
+        assert len(case.chained_from) == 2
+        wanted = _wanted([case])
+        assert wanted == {T0: {"d1", "d2", "d3"}, T2: {"d1", "d2", "d3"}}
+        assert_index_matches_full_scans(history, wanted)
+        # D's surface-only rewrite reaches the after side's owner entry.
+        assert (1, Role.AUTHOR, "D", "D. Ray") in _owners_at(history, wanted)[T2]["d1"]
+
+    def test_mention_moving_between_two_changed_profiles(self):
+        # p1 hands d1[0] to p2 while both profiles stay and both change:
+        # applying p2's additions before p1's removals would drop the slot.
+        history = hist(
+            snap(T0, {"p1": [("d1", 0, "A"), ("d2", 0, "A")], "p2": [("d3", 0, "B")]}),
+            snap(T1, {"p1": [("d2", 0, "A")], "p2": [("d1", 0, "A."), ("d3", 0, "B")]}),
+        )
+        assert history.changed_profiles(0) == {"p1", "p2"}
+        wanted = {T0: {"d1", "d2", "d3"}, T1: {"d1", "d2", "d3"}}
+        assert_index_matches_full_scans(history, wanted)
+        assert _owners_at(history, wanted)[T1]["d1"] == [(0, Role.AUTHOR, "p2", "A.")]
+
+    def test_document_without_owners_and_an_unwanted_first_time(self):
+        history = chained_merge_history()
+        wanted = {T1: {"d2", "nowhere"}, T2: {"d3"}}
+        assert_index_matches_full_scans(history, wanted)
+        assert _owners_at(history, wanted)[T1]["nowhere"] == []
+        assert _owners_at(history, {}) == {}
+
+    def test_unknown_time_is_an_error(self):
+        with pytest.raises(UnknownTimeError, match="no observation at 1999-01-01"):
+            _owners_at(chained_merge_history(), {"1999-01-01": {"d1"}})
+
+    @pytest.mark.parametrize("seed", [5, 13, 21])
+    def test_generated_cases_in_memory_and_loaded(self, seed, tmp_path):
+        history, log = generate(GeneratorConfig(
+            seed=seed, n_persons=150, n_documents=700,
+            observation_dates=("2015-01-01", "2015-02-01", "2015-03-01", "2015-04-01",
+                               "2015-05-01"),
+        ))
+        cases = extract_corrections(history)
+        assert cases
+        write_generated(history, log, tmp_path)
+        loaded = load_history(tmp_path)
+        assert loaded.profile_changes is not None
+        assert extract_corrections(loaded) == cases
+        for h in (history, loaded):
+            assert_index_matches_full_scans(h, _wanted(cases))
+            # Every observation after the first, not only the cases' times.
+            times = h.times()
+            docs = set().union(*_wanted(cases).values())
+            assert_index_matches_full_scans(h, {t: docs for t in times[1:]})
 
 
 # SHA-256 of every file of the case collection of the seed-21 corpus above

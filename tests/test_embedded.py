@@ -96,6 +96,34 @@ class TestAnnotation:
         with pytest.raises(FormatError, match="non-integer signature position"):
             parse_annotation(data.replace(b' pos="1" ', f' pos="{pos}" '.encode(), 1))
 
+    def test_negative_position_is_refused_as_in_snapshots(self):
+        data = serialize_annotation(split_annotation())
+        with pytest.raises(FormatError, match="negative signature position -1"):
+            parse_annotation(data.replace(b' pos="1" ', b' pos="-1" ', 1))
+
+    def test_check_refuses_a_negative_position(self):
+        a = EmbeddedAnnotation(
+            "a1", CorrectionKind.SPLIT, T0, T1,
+            source={"p1": (Signature("doc1", -1, "B. Doe"), Signature("doc2", 0, "B. Doe"))},
+            target={"p1": (Signature("doc1", -1, "B. Doe"),),
+                    "p2": (Signature("doc2", 0, "B. Doe"),)},
+        )
+        with pytest.raises(IntegrityError, match="negative signature position -1"):
+            a.check()
+
+    @pytest.mark.parametrize("after", [
+        b'      <signature pkey="doc2" pos="0" surface="Bob B. Doe"/>\n',
+        b'      <signature pkey="doc1" pos="1" surface="Bob A. Doe"/>\n',
+    ], ids=["same-profile", "other-profile"])
+    def test_a_mention_listed_twice_in_one_side_is_refused(self, after):
+        data = serialize_annotation(split_annotation())
+        assert data.count(after) == 1
+        again = b'      <signature pkey="doc2" pos="0" surface="Bob Doe"/>\n'
+        with pytest.raises(
+            IntegrityError, match=r"mention \('doc2', 0, 'author'\) listed twice in target"
+        ):
+            parse_annotation(data.replace(after, after + again))
+
     def test_annotations_file_round_trip(self, tmp_path):
         a = split_annotation()
         path = write_annotations_file([a], T0, T1, tmp_path / "annotations.xml")

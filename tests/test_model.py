@@ -141,6 +141,33 @@ def test_history_requires_increasing_times():
         History((s1, s1))
 
 
+def test_changed_profiles_by_comparison():
+    s1 = snap("2020-01-01", {
+        "same": [("d1", 0, "A")], "moved": [("d2", 0, "B")],
+        "renamed": [("d3", 0, "C")], "gone": [("d4", 0, "D")],
+    })
+    s2 = snap("2020-02-01", {
+        "same": [("d1", 0, "A")], "moved": [("d2", 0, "B"), ("d4", 0, "D")],
+        "renamed": [("d3", 0, "C. Doe")], "new": [("d5", 0, "E")],
+    }, docs=s1.documents)
+    # Equal records held as different objects are not changes; a surface
+    # rewrite is.
+    assert s1.profiles["same"] is not s2.profiles["same"]
+    h = hist(s1, s2)
+    assert h.changed_profiles(0) == {"moved", "renamed", "gone", "new"}
+    assert hist(s1, Snapshot("2020-02-01", s1.profiles)).changed_profiles(0) == set()
+
+
+def test_loaded_profile_changes_take_no_part_in_equality():
+    s1 = snap("2020-01-01", {"p1": [("d1", 0, "A")]})
+    s2 = snap("2020-02-01", {"p1": [("d1", 0, "A")]})
+    given = History((s1, s2), (frozenset({"p9"}),))
+    assert given.changed_profiles(0) == {"p9"}
+    assert given == hist(s1, s2)
+    with pytest.raises(ValueError, match="2 change sets for 1 intervals"):
+        History((s1, s2), (frozenset(), frozenset()))
+
+
 def test_history_at_unknown_time():
     h = hist(snap("2020-01-01", {"p1": [("d1", 0, "A")]}))
     assert h.at("2020-01-01").time == "2020-01-01"

@@ -2,7 +2,8 @@
 
 Whatever path a file takes, ``load_history`` must give exactly what
 ``parse_snapshot`` gives on that file alone: the same snapshot, or the same
-IntegrityError message naming the file.
+IntegrityError message naming the file.  The profiles the loader reports
+as changed in each interval must be the ones a comparison finds.
 """
 
 import tempfile
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from corrhist import snapshot_io
 from corrhist.errors import IntegrityError
-from corrhist.model import DocumentRecord, Profile
+from corrhist.extract import raw_groups_between
+from corrhist.model import DocumentRecord, History, Profile
 from corrhist.snapshot_io import load_history, parse_snapshot, snapshot_filename
 
 DATES = ("2017-01-01", "2017-02-01", "2017-03-01", "2017-04-01", "2017-05-01")
@@ -172,6 +174,41 @@ def test_one_changed_profile_constructs_only_its_record(tmp_path, monkeypatch):
     first, second, third = history.snapshots
     assert third.profiles["p1"] is second.profiles["p1"] is first.profiles["p1"]
     assert third.documents["d2"] is first.documents["d2"]
+    assert history.profile_changes == (frozenset({"p2"}), frozenset({"p2"}))
+
+
+def test_change_sets_on_every_read_path(tmp_path):
+    d1, d2 = doc_line("d1", ["A", "B"]), doc_line("d2", ["C"])
+    files = [
+        [d1, d2, profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d1", 1, "B")),
+         profile_line("p3", ("d2", 0, "C"))],
+        # Delta: p2 takes p1's mention, p3 only changes a surface.
+        [d1, d2, profile_line("p2", ("d1", 0, "A"), ("d1", 1, "B")),
+         profile_line("p3", ("d2", 0, "C."))],
+        # Expat: p4 takes over p3's mention.
+        [d1, d2, "<!-- edited -->", profile_line("p2", ("d1", 0, "A"), ("d1", 1, "B")),
+         profile_line("p4", ("d2", 0, "C."))],
+        # Full canonical pass after an expat file: p2 splits back.
+        [d1, d2, profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d1", 1, "B")),
+         profile_line("p4", ("d2", 0, "C."))],
+    ]
+    write_series(tmp_path, files)
+    history = load_history(tmp_path)
+    assert history.profile_changes == (
+        frozenset({"p1", "p2", "p3"}), frozenset({"p3", "p4"}), frozenset({"p1", "p2"})
+    )
+
+
+def test_a_rewritten_line_with_an_equal_record_is_no_change(tmp_path):
+    d1 = doc_line("d1", ["A", "B"])
+    write_series(tmp_path, [
+        [d1, profile_line("p1", ("d1", 0, "A"), ("d1", 1, "B"))],
+        [d1, profile_line("p1", ("d1", 1, "B"), ("d1", 0, "A"))],
+    ])
+    history = load_history(tmp_path)
+    assert history.profile_changes == (frozenset(),)
+    first, second = history.snapshots
+    assert second.profiles["p1"] is first.profiles["p1"]
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +338,26 @@ def test_load_history_matches_parsing_each_file_alone(steps):
                 expected.append(("IntegrityError", str(exc)))
                 break
         try:
-            loaded = load_history(directory).snapshots
+            history = load_history(directory)
         except IntegrityError as exc:
             assert expected[-1] == ("IntegrityError", str(exc))
             return
+    loaded = history.snapshots
     assert [contents(s) for s in loaded] == expected
     for before, after in zip(loaded, loaded[1:]):
         for old, new in ((before.profiles, after.profiles), (before.documents, after.documents)):
             for key, record in new.items():
                 if old.get(key) == record:
                     assert old[key] is record
+    compared = History(loaded)
+    for i, (before, after) in enumerate(zip(loaded, loaded[1:])):
+        changed = history.changed_profiles(i)
+        assert changed == compared.changed_profiles(i)
+        # The profiles whose mention identities changed: the narrower set
+        # detection needs.  Surface-only rewrites must add no group.
+        moved = {
+            pid for pid in before.profiles.keys() | after.profiles.keys()
+            if {m.key for m in before.mentions_of(pid)} != {m.key for m in after.mentions_of(pid)}
+        }
+        assert moved <= changed
+        assert raw_groups_between(before, after, changed) == raw_groups_between(before, after, moved)
