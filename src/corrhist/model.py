@@ -52,6 +52,11 @@ class Role(enum.Enum):
     AUTHOR = "author"
     EDITOR = "editor"
 
+    # Members are singletons that compare by identity; ``Enum.__hash__``
+    # would hash the name in Python code on every set or dict operation on
+    # a mention key.
+    __hash__ = object.__hash__
+
 
 class Signature(NamedTuple):
     """One author/editor mention. Identity is (document_key, position, role);

@@ -11,7 +11,11 @@ take a line-oriented fast path, everything else goes through expat.  Both
 parsers feed one record builder, which alone enforces integrity, so they
 accept and reject the same records with the same messages.  In a series, a
 file in that form after another one is read as a line delta: only the lines
-that changed are parsed, and only their records are checked.
+that changed are parsed, and only their records are checked.  A file expat
+reads after a file expat read, with the same prolog, is a record delta:
+expat reads every byte, but a top-level record whose bytes equal the
+previous file's record under the same key is not rebuilt.  The builder
+still checks it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 from xml.parsers import expat
 
 from ._xml import escape_attr, escape_text, parse_int, parse_position
@@ -38,8 +42,7 @@ _FILENAME_RE = re.compile(r"snapshot-([0-9]{4}-[0-9]{2}-[0-9]{2})\.xml(?:\.gz)?"
 
 _TEXT_ELEMENTS = frozenset({"title", "venue", "author", "editor"})
 
-# Hot loops test roles by identity, and mention keys hold ``role is _EDITOR``
-# rather than the Role itself, whose hash runs Python code.
+# Hot loops test roles by identity; owner-index keys hold ``role is _EDITOR``.
 _AUTHOR = Role.AUTHOR
 _EDITOR = Role.EDITOR
 
@@ -66,10 +69,14 @@ class _Reader:
     A canonical file that follows a canonical file is read as a line delta
     against it (``_Builder.advance``): only the record lines it adds are
     parsed and checked, and every other record is the previous snapshot's
-    object.  Any other file takes a full builder pass, which shares every
-    record equal to the previous snapshot's.  ``retired`` holds the records
-    that deltas dropped, so a record that comes back in a later file is
-    shared again.
+    object.  Any other file is read by expat.  When expat read the previous
+    file too, and both files have the same prolog, a top-level record whose
+    bytes equal the previous file's record under the same key is not
+    rebuilt: expat still reads it, but its callbacks are off and the
+    builder gets the previous snapshot's record (``_expat_builder``).
+    Every full builder pass shares every record equal to the previous
+    snapshot's.  ``retired`` holds the records that deltas dropped, so a
+    record that comes back in a later file is shared again.
     """
 
     def __init__(self, prev: Snapshot | None = None) -> None:
@@ -77,6 +84,8 @@ class _Reader:
         # The builder of ``prev`` when its file was canonical: the state the
         # next delta starts from.
         self.build: _Builder | None = None
+        # Where the records of ``prev`` lie in its file when expat read it.
+        self.spans: _Spans | None = None
         self.retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] = {}
         # Ids of the profiles the last file read changed against ``prev``.
         self.changed: frozenset[str] = frozenset()
@@ -87,6 +96,7 @@ class _Reader:
                 data = f.read()
         else:
             data = source if isinstance(source, bytes) else source.read()
+        last, self.spans = self.spans, None
         if data[:2] == GZIP_MAGIC:
             try:
                 data = gzip.decompress(data)
@@ -94,9 +104,19 @@ class _Reader:
                 raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
         snapshot = self.canonical(data, source_name)
         if snapshot is None:
-            build = _expat_builder(data, self.prev, source_name)
-            snapshot = build.snapshot()
+            try:
+                build, spans = _expat_builder(data, self.prev, source_name, last)
+                snapshot = build.snapshot()
+            except IntegrityError:
+                if last is None:
+                    raise
+                # A reused profile's mentions are checked in set order, not
+                # in the order the file lists them; a pass without reuse
+                # names the same conflict a single parse would.
+                build, spans = _expat_builder(data, self.prev, source_name)
+                snapshot = build.snapshot()
             self.changed = build.changed
+            self.spans = spans
         self.prev = snapshot
         return snapshot
 
@@ -221,6 +241,8 @@ class _Builder:
             k = (doc, pos, role is _EDITOR)
             other = owners.get(k)
             if other is not None:
+                if other == pid:
+                    raise self.error(f"profile {pid} lists mention {(doc, pos, role.value)} twice")
                 raise self.error(
                     f"mention {(doc, pos, role.value)} interpreted by two "
                     f"profiles: {other} and {pid}"
@@ -501,13 +523,61 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
 
 def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) -> Snapshot:
     """The general parser on one file read after ``prev``."""
-    return _expat_builder(data, prev, source_name).snapshot()
+    return _expat_builder(data, prev, source_name)[0].snapshot()
 
 
-def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) -> _Builder:
-    """A builder holding every record of ``data``, read by expat."""
+class _Spans(NamedTuple):
+    """An expat-read file and where each top-level record lies in it.
+
+    A record's span runs from its start tag through its end tag.  It is kept
+    by key as one int, ``start * (len(data) + 1) + end``, which takes a
+    third of the memory of a tuple of two.
+    """
+
+    data: bytes
+    root: int  # offset of the root start tag; the bytes before it are the prolog
+    documents: dict[str, int]
+    profiles: dict[str, int]
+
+    def record(self, span: int) -> bytes:
+        start, end = divmod(span, len(self.data) + 1)
+        return self.data[start:end]
+
+
+_START_TAGS = {"document": b"<document", "profile": b"<profile"}
+_END_TAGS = {"document": b"</document", "profile": b"</profile"}
+
+
+def _expat_builder(
+    data: bytes, prev: Snapshot | None, source_name: str | None, last: _Spans | None = None
+) -> tuple[_Builder, _Spans]:
+    """A builder holding every record of ``data``, read by expat, and the
+    spans of its records.
+
+    ``last`` are the spans of the file ``prev`` was read from.  If that file
+    has the same prolog (declaration, encoding, DOCTYPE: everything that
+    changes what the same bytes mean), a top-level record whose bytes equal
+    ``last``'s record under the same key is not rebuilt.  Its start and
+    character callbacks are switched off until its own end tag, where the
+    builder gets ``prev``'s record, in file order, and runs every check on
+    it.  Expat still reads every byte, so markup errors and their offsets
+    are unchanged.
+
+    The handlers never refer to one another except ``end`` to those it puts
+    back, and the parser drops them when the parse ends, so no reference
+    cycle keeps ``data`` alive.
+    """
     intern = sys.intern
     build: _Builder | None = None
+    root = -1
+    doc_spans: dict[str, int] = {}
+    prof_spans: dict[str, int] = {}
+    stride = len(data) + 1
+    reuse: _Spans | None = None
+    # Start offset of the top-level record being read.
+    record_start = -1
+    # The reused record being skipped: its element name, key and span.
+    skipping: tuple[str, str, int] | None = None
     # document under construction
     doc_attrs: dict[str, str] = {}
     doc_title: list[str] = []
@@ -534,8 +604,24 @@ def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) 
             raise fail(f"<{element}> lacks required attribute {name!r}")
         return value
 
+    def reused(name: str, last_spans: dict[str, int], key: str | None) -> bool:
+        """Whether the record starting here has the bytes of ``last``'s
+        record under ``key``; if so, switch off its callbacks."""
+        nonlocal skipping
+        assert reuse is not None
+        span = last_spans.get(key)  # type: ignore[arg-type]
+        if span is None:
+            return False
+        record = reuse.record(span)
+        if not data.startswith(record, record_start):
+            return False
+        assert key is not None
+        skipping = (name, key, record_start * stride + record_start + len(record))
+        parser.StartElementHandler = parser.CharacterDataHandler = None
+        return True
+
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal build, doc_attrs, doc_venue, prof_id, capturing
+        nonlocal build, root, reuse, record_start, doc_attrs, doc_venue, prof_id, capturing
         depth = len(stack)
         if depth == 0:
             if name != "snapshot":
@@ -549,14 +635,22 @@ def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) 
             except ValueError as exc:
                 raise fail(str(exc)) from None
             build = _Builder(date, prev, source_name)
+            root = parser.CurrentByteIndex
+            if last is not None and data[:root] == last.data[:last.root]:
+                reuse = last
         elif depth == 1:
+            record_start = parser.CurrentByteIndex
             if name == "document":
+                if reuse is not None and reused(name, reuse.documents, attrs.get("pkey")):
+                    return
                 doc_attrs = attrs
                 doc_title.clear()
                 doc_venue = None
                 doc_authors.clear()
                 doc_editors.clear()
             elif name == "profile":
+                if reuse is not None and reused(name, reuse.profiles, attrs.get("authorid")):
+                    return
                 prof_id = require(attrs, "authorid", name)
                 prof_sigs.clear()
             else:
@@ -589,10 +683,41 @@ def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) 
             raise fail(f"unexpected element <{name}> inside <{stack[-1]}>")
         stack.append(name)
 
+    def note_span(name: str, spans: dict[str, int], key: str) -> None:
+        """Note the span of the top-level record whose end event this is,
+        unless its start tag is not literally in ``data`` (an entity's
+        replacement text, or an encoding that is not ASCII-compatible)."""
+        if not data.startswith(_START_TAGS[name], record_start):
+            return
+        end = parser.CurrentByteIndex
+        # The end event of ``<x>...</x>`` sits at ``</x``, that of ``<x/>``
+        # just after ``/>``.  ``>`` may occur inside attribute values, so the
+        # end is found from here, not by a search from the start tag.
+        if data.startswith(_END_TAGS[name], end):
+            end = data.index(b">", end) + 1
+        spans[key] = record_start * stride + end
+
     def end(name: str) -> None:
-        nonlocal prof_id, capturing
-        stack.pop()
+        nonlocal prof_id, capturing, skipping
         assert build is not None
+        if skipping is not None:
+            if name != skipping[0]:
+                return  # an element inside the reused record
+            _, key, span = skipping
+            skipping = None
+            parser.StartElementHandler = start
+            parser.CharacterDataHandler = chars
+            assert prev is not None
+            if name == "document":
+                doc = prev.documents[key]
+                build.document(doc, None if doc.venue_key is None else prev.venues[doc.venue_key])
+                doc_spans[key] = span
+            else:
+                prof = prev.profiles[key]
+                build.profile(prof, prof.mentions)
+                prof_spans[key] = span
+            return
+        stack.pop()
         if name == "document":
             pkey = intern(require(doc_attrs, "pkey", name))
             year_raw = doc_attrs.get("year", "0")
@@ -616,9 +741,12 @@ def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) 
                 external_link=doc_attrs.get("url"),
             )
             build.document(record, venue_name)
+            note_span(name, doc_spans, pkey)
         elif name == "profile":
             assert prof_id is not None
-            build.profile(Profile(intern(prof_id), frozenset(prof_sigs)), prof_sigs)
+            pid = intern(prof_id)
+            build.profile(Profile(pid, frozenset(prof_sigs)), prof_sigs)
+            note_span(name, prof_spans, pid)
             prof_id = None
         elif name in _TEXT_ELEMENTS and stack and stack[-1] == "document":
             content = "".join(text)
@@ -634,11 +762,11 @@ def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) 
             text.clear()
             capturing = False
 
-    def chars(data: str) -> None:
+    def chars(chunk: str) -> None:
         if capturing:
-            text.append(data)
-        elif not data.isspace():
-            raise fail(f"stray text {data.strip()[:40]!r}")
+            text.append(chunk)
+        elif not chunk.isspace():
+            raise fail(f"stray text {chunk.strip()[:40]!r}")
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -650,10 +778,12 @@ def _expat_builder(data: bytes, prev: Snapshot | None, source_name: str | None) 
         raise FormatError(
             f"malformed snapshot XML: {exc}", parser.ErrorByteIndex, source_name
         ) from None
+    finally:
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
     if build is None:
         raise FormatError("no <snapshot> element found", -1, source_name)
-    return build
+    return build, _Spans(data, root, doc_spans, prof_spans)
 
 
 def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
@@ -783,9 +913,11 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     are read in order by one reader, so each snapshot shares every record
     equal to the previous snapshot's.  A canonical file after a canonical
     file is read as a line delta: only the lines that changed are parsed
-    and checked.  The ids of the profiles each file changed against the
-    one before, which the reader knows from that work, go into the
-    history's ``profile_changes``.
+    and checked.  A file expat reads after a file expat read, with the same
+    prolog, skips the callbacks of each record whose bytes equal the
+    previous file's record under the same key, and takes that record.  The
+    ids of the profiles each file changed against the one before, which the
+    reader knows from that work, go into the history's ``profile_changes``.
     """
     if isinstance(source, (str, Path)):
         files: Sequence[SnapshotFile] = discover_snapshot_files(source)

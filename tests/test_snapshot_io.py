@@ -1,5 +1,6 @@
 import gzip
 import io
+import re
 
 import pytest
 
@@ -418,10 +419,19 @@ def test_canonical_looking_but_invalid_input_still_diagnosed():
             '</profile>',
             "two profiles",
         ),
+        (
+            '<profile authorid="p1"><signature pkey="d1" pos="0" surface="A"/>'
+            '<signature pkey="d1" pos="0" surface="A."/></profile>',
+            re.escape("profile p1 lists mention ('d1', 0, 'author') twice"),
+        ),
     ]
     for profile_block, message in cases:
-        with pytest.raises(IntegrityError, match=message):
+        with pytest.raises(IntegrityError, match=message) as canonical:
             parse_snapshot(canonical_lines(doc, profile_block))
+        # Indented record lines miss the canonical form and go to expat.
+        with pytest.raises(IntegrityError) as general:
+            parse_snapshot(canonical_lines("  " + doc, "  " + profile_block))
+        assert str(general.value) == str(canonical.value)
 
 
 def test_load_history_shares_across_nonadjacent_files(tmp_path):
