@@ -81,35 +81,12 @@ class Signature(NamedTuple):
 class Profile:
     """A profile and the mentions assigned to it at one observation.
 
-    May be empty: empty profiles occur transiently around corrections.
+    May be empty: empty profiles occur transiently around corrections, but
+    a valid snapshot holds none.
     """
 
     profile_id: str
     mentions: frozenset[Signature] = frozenset()
-
-    def check(self) -> None:
-        if not self.profile_id:
-            raise IntegrityError("profile id must be non-empty")
-        if not self.mentions:
-            raise IntegrityError(
-                f"profile {self.profile_id} has no mentions; empty profiles "
-                f"are represented by absence"
-            )
-        seen: set[tuple[str, int, Role]] = set()
-        for m in self.mentions:
-            if m.position < 0:
-                raise IntegrityError(
-                    f"profile {self.profile_id}: negative position in {m}"
-                )
-            if not m.surface.strip():
-                raise IntegrityError(
-                    f"profile {self.profile_id}: blank surface in {m}"
-                )
-            if m.key in seen:
-                raise IntegrityError(
-                    f"profile {self.profile_id}: duplicate mention {m.key}"
-                )
-            seen.add(m.key)
 
 
 @dataclass(frozen=True)
@@ -136,8 +113,9 @@ class Snapshot:
     """The collection's state at one observation date.
 
     Maps are treated as immutable after construction.  ``validate`` checks
-    the model invariants; it is not run automatically because snapshot
-    construction sits in hot loops (parsing, synthetic edit application).
+    the model invariants with the rules the snapshot reader applies to a
+    file; it is not run automatically because snapshot construction sits
+    in hot loops (parsing, synthetic edit application).
     """
 
     time: str
@@ -153,44 +131,22 @@ class Snapshot:
     def validate(self) -> None:
         """Raise IntegrityError on any invariant violation.
 
-        Checks: per-profile and cross-profile mention uniqueness, document
-        key resolution, position bounds against the document's name list for
-        the matching role, venue key resolution, and that no string value
-        holds a character XML 1.0 forbids (no writer could write it).
+        Checks here only what a value can break and a file cannot: the date,
+        each map key against its record's id, venue key resolution, negative
+        positions, and characters XML 1.0 forbids (no writer could write
+        them).  The records go through the reader's record builder in the
+        order the writer puts them in a file, so every other rule is checked
+        by the same code, with the same message, as when the written file is
+        read back.
         """
+        # ``snapshot_io`` imports this module, so the builder is imported here.
+        from .snapshot_io import _Builder
+
         validate_date(self.time)
         _check_writable(*self.venues, *self.venues.values())
-        owners: dict[tuple[str, int, Role], str] = {}
-        for pid, prof in self.profiles.items():
-            if pid != prof.profile_id:
-                raise IntegrityError(
-                    f"profile map key {pid!r} != profile id {prof.profile_id!r}"
-                )
-            prof.check()
-            _check_writable(pid)
-            for m in prof.mentions:
-                _check_writable(m.document_key, m.surface)
-                other = owners.get(m.key)
-                if other is not None:
-                    raise IntegrityError(
-                        f"mention {m.key} interpreted by two profiles: "
-                        f"{other} and {pid}"
-                    )
-                owners[m.key] = pid
-                doc = self.documents.get(m.document_key)
-                if doc is None:
-                    raise IntegrityError(
-                        f"profile {pid}: mention references unknown document "
-                        f"{m.document_key!r}"
-                    )
-                names = doc.names(m.role)
-                if m.position >= len(names):
-                    raise IntegrityError(
-                        f"profile {pid}: position {m.position} out of range for "
-                        f"{m.role.value} list of {m.document_key} "
-                        f"(length {len(names)})"
-                    )
-        for key, doc in self.documents.items():
+        build = _Builder(self.time, None, None)
+        for key in sorted(self.documents):
+            doc = self.documents[key]
             if key != doc.document_key:
                 raise IntegrityError(
                     f"document map key {key!r} != record key {doc.document_key!r}"
@@ -200,6 +156,20 @@ class Snapshot:
                     f"document {key}: unresolved venue key {doc.venue_key!r}"
                 )
             _check_writable(key, doc.title, *doc.authors, *doc.editors, doc.external_link or "")
+            build.document(doc, self.venues.get(doc.venue_key))  # type: ignore[arg-type]
+        for pid in sorted(self.profiles):
+            prof = self.profiles[pid]
+            if pid != prof.profile_id:
+                raise IntegrityError(
+                    f"profile map key {pid!r} != profile id {prof.profile_id!r}"
+                )
+            _check_writable(pid)
+            for m in prof.mentions:
+                if m.position < 0:
+                    raise IntegrityError(f"profile {pid}: negative position in {m}")
+                _check_writable(m.document_key, m.surface)
+            build.profile(prof, sorted(prof.mentions, key=Signature.sort_key))
+        build.snapshot()
 
 
 def _check_writable(*values: str) -> None:

@@ -52,10 +52,11 @@ def parse_snapshot(
 ) -> Snapshot:
     """Parse one snapshot from bytes, a path, or a binary stream.
 
-    The result satisfies ``Snapshot.validate``: integrity violations in the
-    input (a mention claimed by two profiles, a dangling document key, a
-    position past the end of the name list) raise IntegrityError naming the
-    offending records.  Malformed markup raises FormatError with the byte
+    The result satisfies ``Snapshot.validate``, which runs the same record
+    builder: integrity violations in the input (a mention claimed by two
+    profiles, a dangling document key, a position past the end of the name
+    list, an empty profile id) raise IntegrityError naming the offending
+    records and the file.  Malformed markup raises FormatError with the byte
     offset into the decompressed stream.
     """
     if source_name is None and isinstance(source, (str, Path)):
@@ -162,16 +163,19 @@ def _parse_canonical(
 class _Builder:
     """Collects one snapshot's records; the one place integrity is enforced.
 
-    It rejects a duplicate document key or profile id, an empty profile, a
-    blank surface, a mention claimed twice, a venue key bound to two names,
-    and mentions of unknown documents or positions.  A record equal to the
-    previous snapshot's record under the same key, or to a record in
-    ``retired``, is replaced by that earlier object, so a series shares
-    storage for everything unchanged.  ``prev`` must itself have come out of
-    a builder.  ``snapshot`` records in ``changed`` the ids of the profiles
-    whose record differs from ``prev``'s.  The builder of a canonical file
-    keeps its record lines, the owner index and the venue counts, from which
-    ``advance`` reads the next canonical file as a line delta.
+    It rejects a duplicate document key or profile id, an empty profile id,
+    an empty profile, a blank surface, a mention claimed twice, a venue key
+    bound to two names, and mentions of unknown documents or positions.
+    ``Snapshot.validate`` feeds a value's records through a builder without
+    ``prev`` or a file name, so these rules have no other copy.  A record
+    equal to the previous snapshot's record under the same key, or to a
+    record in ``retired``, is replaced by that earlier object, so a series
+    shares storage for everything unchanged.  ``prev`` must itself have
+    come out of a builder.  ``snapshot`` records in ``changed`` the ids of
+    the profiles whose record differs from ``prev``'s.  The builder of a
+    canonical file keeps its record lines, the owner index and the venue
+    counts, from which ``advance`` reads the next canonical file as a line
+    delta.
     """
 
     def __init__(
@@ -227,6 +231,8 @@ class _Builder:
         """Add ``record``; ``sigs`` are its mentions as read, so a mention
         listed twice is caught even though the set holds it once."""
         pid = record.profile_id
+        if not pid:
+            raise self.error("profile id must be non-empty")
         if pid in self.profiles:
             raise self.error(f"duplicate profile id {pid!r}")
         if not record.mentions:
@@ -330,22 +336,6 @@ class _Builder:
             raise self.error("repeated record line or key")
         return self.snapshot(dropped, [pid for pid in dropped_ids if pid not in profiles])
 
-    def _check_references(self, prof: Profile) -> None:
-        documents = self.documents
-        for doc_key, pos, _surface, role in prof.mentions:
-            doc = documents.get(doc_key)
-            if doc is None:
-                raise self.error(
-                    f"profile {prof.profile_id}: mention references unknown "
-                    f"document {doc_key!r}"
-                )
-            names = doc.editors if role is _EDITOR else doc.authors
-            if pos >= len(names):
-                raise self.error(
-                    f"profile {prof.profile_id}: position {pos} out of range for "
-                    f"{role.value} list of {doc_key} (length {len(names)})"
-                )
-
     def snapshot(
         self,
         replaced: Iterable[DocumentRecord] | None = None,
@@ -360,7 +350,9 @@ class _Builder:
         The changed profiles are the fresh ones and the removed ones.  If a
         replaced document took away a position that a profile claims, every
         profile is checked, in the order of the profile map, which is file
-        order after a full pass.
+        order after a full pass.  A profile with several bad references is
+        reported for the first in the order the writer lists mentions: the
+        order a set iterates in depends on how it was built.
         """
         documents = self.documents
         if removed is None:
@@ -379,8 +371,28 @@ class _Builder:
         ):
             self.fresh = list(self.profiles.values())
         for prof in self.fresh:
-            self._check_references(prof)
+            if _bad_reference(documents, prof.mentions) is not None:
+                problem = _bad_reference(documents, sorted(prof.mentions, key=Signature.sort_key))
+                raise self.error(f"profile {prof.profile_id}: {problem}")
         return Snapshot(self.date, self.profiles, self.documents, self.venues)
+
+
+def _bad_reference(
+    documents: dict[str, DocumentRecord], mentions: Iterable[Signature]
+) -> str | None:
+    """What is wrong with the first of ``mentions`` whose document or
+    position ``documents`` lacks, or None."""
+    for doc_key, pos, _surface, role in mentions:
+        doc = documents.get(doc_key)
+        if doc is None:
+            return f"mention references unknown document {doc_key!r}"
+        names = doc.editors if role is _EDITOR else doc.authors
+        if pos >= len(names):
+            return (
+                f"position {pos} out of range for {role.value} list of "
+                f"{doc_key} (length {len(names)})"
+            )
+    return None
 
 
 def _lost_mentions(
@@ -846,13 +858,15 @@ def write_snapshot_to(
 
     Gzip output pins mtime and leaves the name field empty, so identical
     snapshots give identical files whatever they are called.
-    A value the format cannot carry raises FormatError and leaves no file.
+    If writing fails (a value the format cannot carry raises FormatError),
+    the error propagates and no file is left.
     """
     path = Path(path)
     if compress is None:
         compress = path.suffix == ".gz"
+    raw = open(path, "wb")
     try:
-        with open(path, "wb") as raw, (
+        with raw, (
             gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
             if compress else nullcontext(raw)
         ) as sink:
@@ -864,7 +878,7 @@ def write_snapshot_to(
                     buffer.clear()
             if buffer:
                 sink.write("".join(buffer).encode("utf-8"))
-    except FormatError:
+    except BaseException:
         path.unlink()
         raise
     return path

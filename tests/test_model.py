@@ -57,11 +57,25 @@ def test_author_and_editor_positions_are_independent():
     assert len(s.profiles["p1"].mentions) == 2
 
 
-def test_profile_check_rejects_empty_and_blank():
-    with pytest.raises(IntegrityError):
-        Profile("p1", frozenset()).check()
-    with pytest.raises(IntegrityError):
-        Profile("", frozenset({sig("d1", 0, "A")})).check()
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        (Profile("p1", frozenset()), "profile p1 has no signatures"),
+        (Profile("", frozenset({sig("d1", 0, "A")})), "profile id must be non-empty"),
+        (Profile("p1", frozenset({sig("d1", 0, " \t")})), "profile p1: blank surface on d1 pos 0"),
+        (Profile("p1", frozenset({sig("d1", -1, "A")})), "profile p1: negative position"),
+    ],
+    ids=["empty-profile", "empty-id", "blank-surface", "negative-position"],
+)
+def test_snapshot_rejects_bad_profile(profile, message):
+    s = Snapshot(
+        "2020-01-01",
+        {profile.profile_id: profile},
+        {"d1": DocumentRecord("d1", authors=("A",))},
+        {},
+    )
+    with pytest.raises(IntegrityError, match=message):
+        s.validate()
 
 
 def test_snapshot_rejects_shared_mention_across_profiles():

@@ -424,6 +424,10 @@ def test_canonical_looking_but_invalid_input_still_diagnosed():
             '<signature pkey="d1" pos="0" surface="A."/></profile>',
             re.escape("profile p1 lists mention ('d1', 0, 'author') twice"),
         ),
+        (
+            '<profile authorid=""><signature pkey="d1" pos="0" surface="A"/></profile>',
+            "profile id must be non-empty",
+        ),
     ]
     for profile_block, message in cases:
         with pytest.raises(IntegrityError, match=message) as canonical:
@@ -432,6 +436,23 @@ def test_canonical_looking_but_invalid_input_still_diagnosed():
         with pytest.raises(IntegrityError) as general:
             parse_snapshot(canonical_lines("  " + doc, "  " + profile_block))
         assert str(general.value) == str(canonical.value)
+
+
+def test_reference_error_names_the_first_bad_mention_in_file_order():
+    # A set iterates in an order that depends on hashes and on the order it
+    # was built in; every path names d00, the first mention a writer lists.
+    sigs = [sig(f"d{i:02}", 0, "A") for i in range(30)]
+    listed = "".join(f'<signature pkey="{m.document_key}" pos="0" surface="A"/>' for m in sigs)
+    for mentions in (sigs, sigs[::-1]):
+        s = Snapshot("2017-01-01", {"p1": Profile("p1", frozenset(mentions))}, {}, {})
+        for check in (
+            s.validate,
+            lambda: parse_snapshot(write_snapshot(s)),
+            lambda: parse_snapshot(canonical_lines(f'  <profile authorid="p1">{listed}</profile>')),
+        ):
+            with pytest.raises(IntegrityError) as err:
+                check()
+            assert str(err.value) == "profile p1: mention references unknown document 'd00'"
 
 
 def test_load_history_shares_across_nonadjacent_files(tmp_path):

@@ -24,7 +24,7 @@ from corrhist.embedded import EmbeddedAnnotation, parse_annotation, serialize_an
 from corrhist._xml import parse_int
 from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import CorrectionKind
-from corrhist.model import DocumentRecord, Profile, Signature, Snapshot
+from corrhist.model import DocumentRecord, Profile, Role, Signature, Snapshot
 from corrhist.snapshot_io import (
     _parse_canonical,
     _parse_expat,
@@ -118,6 +118,62 @@ def test_snapshot_round_trip(key, title, venue_key, venue_name, surface, pid, ur
     assert fast is None or contents(fast) == contents(s)
 
 
+# Unknown documents, positions past a name list, blank surfaces, and a small
+# slot space, so that profiles often claim the same slot or list one twice.
+_mention = st.builds(
+    Signature,
+    st.sampled_from(["d0", "d0", "d1", "d2", "dX"]),
+    st.integers(0, 2),
+    st.sampled_from(["A", "B"] * 4 + [" ", ""]),
+    st.sampled_from([Role.AUTHOR, Role.AUTHOR, Role.EDITOR]),
+)
+
+
+@st.composite
+def _snapshot_values(draw):
+    """Small values whose strings are writable and whose venues resolve,
+    with maps in sorted key order, as a file reads back."""
+    documents, venues = {}, {}
+    names = st.lists(st.sampled_from(["A", "B"]), max_size=3)
+    mentions = st.lists(_mention, min_size=1, max_size=3)
+    for key in ["d0", "d1", "d2"][: draw(st.integers(0, 3))]:
+        venue = draw(st.sampled_from([None, "v0", "v1"]))
+        if venue is not None:
+            venues[venue] = f"Venue {venue}"
+        documents[key] = DocumentRecord(
+            key, venue_key=venue, authors=tuple(draw(names)), editors=tuple(draw(names))
+        )
+    # An empty id or an empty profile now and then, so that the other rules
+    # get their turn.
+    rarely = st.sampled_from([False] * 9 + [True])
+    ids = draw(st.sets(st.sampled_from(["p0", "p1", "p2"])))
+    if draw(rarely):
+        ids.add("")
+    profiles = {
+        pid: Profile(pid, frozenset([] if draw(rarely) else draw(mentions)))
+        for pid in sorted(ids)
+    }
+    return Snapshot("2017-01-01", profiles, documents, dict(sorted(venues.items())))
+
+
+def _validated(s):
+    s.validate()
+    return s
+
+
+@given(s=_snapshot_values())
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_reading_the_written_file(s):
+    # One set of rules and messages, whether a value is checked in memory or
+    # its file is read back, canonical or indented (expat).
+    data = write_snapshot(s)
+    lines = data.split(b"\n")
+    indented = b"\n".join(lines[:2] + [b"  " + line for line in lines[2:-2]] + lines[-2:])
+    expected = outcome(lambda: _validated(s))
+    assert outcome(lambda: parse_snapshot(data)) == expected
+    assert outcome(lambda: parse_snapshot(indented)) == expected
+
+
 @given(person=_value, doc=_value, venue=_value, key=_value, name=_value, title=_value)
 @example(person="p\n", doc="d\t", venue="v\r", key="k\r", name="N", title="T\r")
 @settings(max_examples=200, deadline=None)
@@ -182,6 +238,19 @@ def test_writer_refusal_names_the_value(tmp_path):
         with pytest.raises(FormatError):
             write_snapshot_to(s, tmp_path / name)
         assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("name", ["s.xml", "s.xml.gz"])
+def test_failed_write_leaves_no_file(tmp_path, name):
+    # The last document's venue does not resolve, so writing fails after
+    # the writer has flushed its first 4,096 fragments to the file.
+    documents = {
+        f"d{i:05}": DocumentRecord(f"d{i:05}", title="T", authors=("A",)) for i in range(4999)
+    }
+    documents["d04999"] = DocumentRecord("d04999", venue_key="vX")
+    with pytest.raises(KeyError):
+        write_snapshot_to(Snapshot("2017-01-01", {}, documents, {}), tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 def test_parse_int_takes_exactly_ascii_integers():
