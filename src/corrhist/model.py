@@ -132,12 +132,12 @@ class Snapshot:
         """Raise IntegrityError on any invariant violation.
 
         Checks here only what a value can break and a file cannot: the date,
-        each map key against its record's id, venue key resolution, negative
-        positions, and characters XML 1.0 forbids (no writer could write
-        them).  The records go through the reader's record builder in the
-        order the writer puts them in a file, so every other rule is checked
-        by the same code, with the same message, as when the written file is
-        read back.
+        each map key against its record's id, venue key resolution, a venue
+        no document uses, negative positions, and characters XML 1.0 forbids
+        (no writer could write them).  The records go through the reader's
+        record builder in the order the writer puts them in a file, so every
+        other rule is checked by the same code, with the same message, as
+        when the written file is read back.
         """
         # ``snapshot_io`` imports this module, so the builder is imported here.
         from .snapshot_io import _Builder
@@ -157,6 +157,10 @@ class Snapshot:
                 )
             _check_writable(key, doc.title, *doc.authors, *doc.editors, doc.external_link or "")
             build.document(doc, self.venues.get(doc.venue_key))  # type: ignore[arg-type]
+        unused = self.venues.keys() - build.venues.keys()
+        if unused:
+            # A file names venues only inside documents; it would read back without it.
+            raise IntegrityError(f"venue key {min(unused)!r} is used by no document")
         for pid in sorted(self.profiles):
             prof = self.profiles[pid]
             if pid != prof.profile_id:

@@ -3,7 +3,9 @@
 A snapshot file is a flat XML document: a ``snapshot`` root carrying the
 observation date, document records, then profile records.  Writing is
 deterministic, so the same snapshot value always yields byte-identical
-output.
+output.  A series is written as a line delta (``write_history``): a record
+that is the very object of the previous snapshot's record keeps its line,
+and only the other records are rendered.
 
 Each file is read into memory whole and decompressed in one call if it
 starts with the gzip magic bytes.  Files in the exact form this module writes
@@ -802,45 +804,120 @@ def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
     """Yield the canonical serialization as text fragments.
 
     One line per record, documents before profiles, everything sorted, so
-    output bytes are a pure function of the snapshot value.
+    output bytes are a pure function of the snapshot value.  Each record
+    line comes from ``_document_line`` or ``_profile_line``, the renderers
+    a series write uses too.
     """
-    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
-    yield f'<snapshot date="{snapshot.time}" version="{FORMAT_VERSION}">\n'
-    for key in sorted(snapshot.documents):
-        d = snapshot.documents[key]
-        parts = [f'<document pkey="{escape_attr(d.document_key)}"']
-        if d.year:
-            parts.append(f' year="{d.year}"')
-        if d.external_link is not None:
-            parts.append(f' url="{escape_attr(d.external_link)}"')
-        parts.append(">")
-        if d.title:
-            parts.append(f"<title>{escape_text(d.title)}</title>")
-        if d.venue_key is not None:
-            parts.append(
-                f'<venue key="{escape_attr(d.venue_key)}">'
-                f"{escape_text(snapshot.venues[d.venue_key])}</venue>"
-            )
-        for a in d.authors:
-            parts.append(f"<author>{escape_text(a)}</author>")
-        for e in d.editors:
-            parts.append(f"<editor>{escape_text(e)}</editor>")
-        parts.append("</document>\n")
-        yield "".join(parts)
-    for pid in sorted(snapshot.profiles):
-        prof = snapshot.profiles[pid]
-        parts = [f'<profile authorid="{escape_attr(pid)}">']
-        for m in sorted(prof.mentions, key=Signature.sort_key):
-            bit = (
-                f'<signature pkey="{escape_attr(m.document_key)}" pos="{m.position}"'
-                f' surface="{escape_attr(m.surface)}"'
-            )
-            if m.role is Role.EDITOR:
-                bit += ' role="editor"'
-            parts.append(bit + "/>")
-        parts.append("</profile>\n")
-        yield "".join(parts)
-    yield "</snapshot>\n"
+    yield _HEAD
+    yield _root(snapshot.time)
+    documents, venues = snapshot.documents, snapshot.venues
+    for key in sorted(documents):
+        yield _document_line(documents[key], venues)
+    profiles = snapshot.profiles
+    for pid in sorted(profiles):
+        yield _profile_line(pid, profiles[pid])
+    yield _TAIL
+
+
+_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n'
+_TAIL = "</snapshot>\n"
+
+
+def _root(date: str) -> str:
+    return f'<snapshot date="{date}" version="{FORMAT_VERSION}">\n'
+
+
+def _document_line(d: DocumentRecord, venues: dict[str, str]) -> str:
+    """A document's record line, newline included; ``venues`` names its venue."""
+    parts = [f'<document pkey="{escape_attr(d.document_key)}"']
+    if d.year:
+        parts.append(f' year="{d.year}"')
+    if d.external_link is not None:
+        parts.append(f' url="{escape_attr(d.external_link)}"')
+    parts.append(">")
+    if d.title:
+        parts.append(f"<title>{escape_text(d.title)}</title>")
+    if d.venue_key is not None:
+        parts.append(
+            f'<venue key="{escape_attr(d.venue_key)}">'
+            f"{escape_text(venues[d.venue_key])}</venue>"
+        )
+    for a in d.authors:
+        parts.append(f"<author>{escape_text(a)}</author>")
+    for e in d.editors:
+        parts.append(f"<editor>{escape_text(e)}</editor>")
+    parts.append("</document>\n")
+    return "".join(parts)
+
+
+def _profile_line(pid: str, prof: Profile) -> str:
+    """The record line of profile ``prof``, filed under ``pid``, newline
+    included."""
+    parts = [f'<profile authorid="{escape_attr(pid)}">']
+    for m in sorted(prof.mentions, key=Signature.sort_key):
+        bit = (
+            f'<signature pkey="{escape_attr(m.document_key)}" pos="{m.position}"'
+            f' surface="{escape_attr(m.surface)}"'
+        )
+        if m.role is Role.EDITOR:
+            bit += ' role="editor"'
+        parts.append(bit + "/>")
+    parts.append("</profile>\n")
+    return "".join(parts)
+
+
+class _Series:
+    """The snapshot a series wrote last and its encoded record lines by key.
+
+    ``lines`` renders the next snapshot of the series and makes it the last
+    one.  A record that is the very object (``is``) of the last snapshot's
+    record under the same key reuses that record's line; a document only if
+    the name of its venue is unchanged too.  Equal records that are other
+    objects are rendered again.  Only the last snapshot's lines are held:
+    each is popped as it is reused or replaced, and the lines left over,
+    those of dropped records, go when ``lines`` returns.
+    """
+
+    __slots__ = ("snapshot", "documents", "profiles")
+
+    def __init__(self) -> None:
+        self.snapshot: Snapshot | None = None
+        self.documents: dict[str, bytes] = {}
+        self.profiles: dict[str, bytes] = {}
+
+    def lines(self, snapshot: Snapshot) -> list[bytes]:
+        """Every line of ``snapshot``'s file, encoded, in file order.
+
+        If rendering fails, the lines not yet popped stay valid, so the
+        state is still safe to use.
+        """
+        last = self.snapshot
+        last_documents = last.documents if last is not None else {}
+        last_profiles = last.profiles if last is not None else {}
+        venues = snapshot.venues
+        renamed: set[str] = set()
+        if last is not None and last.venues is not venues:
+            renamed = {k for k, name in last.venues.items() if venues.get(k) != name}
+        out = [_HEAD.encode(), _root(snapshot.time).encode()]
+        old, documents = self.documents, {}
+        for key in sorted(snapshot.documents):
+            doc = snapshot.documents[key]
+            line = old.pop(key, None)
+            if line is None or doc is not last_documents[key] or doc.venue_key in renamed:
+                line = _document_line(doc, venues).encode()
+            documents[key] = line
+            out.append(line)
+        old, profiles = self.profiles, {}
+        for pid in sorted(snapshot.profiles):
+            prof = snapshot.profiles[pid]
+            line = old.pop(pid, None)
+            if line is None or prof is not last_profiles[pid]:
+                line = _profile_line(pid, prof).encode()
+            profiles[pid] = line
+            out.append(line)
+        out.append(_TAIL.encode())
+        self.snapshot, self.documents, self.profiles = snapshot, documents, profiles
+        return out
 
 
 def write_snapshot(snapshot: Snapshot) -> bytes:
@@ -853,6 +930,7 @@ def write_snapshot_to(
     path: str | Path,
     *,
     compress: bool | None = None,
+    series: _Series | None = None,
 ) -> Path:
     """Write a snapshot file; gzip when ``compress`` (default: .gz suffix).
 
@@ -860,6 +938,12 @@ def write_snapshot_to(
     snapshots give identical files whatever they are called.
     If writing fails (a value the format cannot carry raises FormatError),
     the error propagates and no file is left.
+
+    ``series`` is the state ``write_history`` keeps between the files of
+    one series: the snapshot written before this one and its lines.  Each
+    record that is the very object of that snapshot's record reuses its
+    line, and only the others are rendered; the bytes are the same either
+    way.  Without it, every record is rendered.
     """
     path = Path(path)
     if compress is None:
@@ -870,14 +954,19 @@ def write_snapshot_to(
             gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
             if compress else nullcontext(raw)
         ) as sink:
-            buffer: list[str] = []
-            for fragment in iter_snapshot_xml(snapshot):
-                buffer.append(fragment)
-                if len(buffer) >= 4096:
+            if series is not None:
+                lines = series.lines(snapshot)
+                for i in range(0, len(lines), 4096):
+                    sink.write(b"".join(lines[i:i + 4096]))
+            else:
+                buffer: list[str] = []
+                for fragment in iter_snapshot_xml(snapshot):
+                    buffer.append(fragment)
+                    if len(buffer) >= 4096:
+                        sink.write("".join(buffer).encode("utf-8"))
+                        buffer.clear()
+                if buffer:
                     sink.write("".join(buffer).encode("utf-8"))
-                    buffer.clear()
-            if buffer:
-                sink.write("".join(buffer).encode("utf-8"))
     except BaseException:
         path.unlink()
         raise
@@ -961,3 +1050,37 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
             changes.append(reader.changed)
         snapshots.append(snap)
     return History(tuple(snapshots), tuple(changes))
+
+
+def write_history(history: History, directory: str | Path, *, compress: bool = False) -> list[Path]:
+    """Write every snapshot of ``history`` into ``directory`` under its
+    canonical file name; the mirror of ``load_history``.  Returns the paths.
+
+    The directory is created if needed.  A snapshot file already there that
+    this series would not overwrite (another date, or the other compression
+    of one of its dates) would be loaded with the series as one history, so
+    it raises FileExistsError naming the file before anything is written.
+    The files are written in order through one ``write_snapshot_to`` call
+    each, sharing one ``_Series``: a record that is the very object of the
+    previous snapshot's record reuses its line, so a file costs about what
+    changed in it.  The bytes are those of each snapshot written alone.
+    """
+    directory = Path(directory)
+    names = [snapshot_filename(s.time, compress=compress) for s in history.snapshots]
+    if directory.is_dir():
+        planned = set(names)
+        stray = sorted(
+            p.name for p in directory.iterdir()
+            if _FILENAME_RE.fullmatch(p.name) and p.name not in planned
+        )
+        if stray:
+            raise FileExistsError(
+                f"{directory / stray[0]} belongs to no snapshot of this series; "
+                f"writing here would mix two series"
+            )
+    directory.mkdir(parents=True, exist_ok=True)
+    series = _Series()
+    return [
+        write_snapshot_to(snap, directory / name, compress=compress, series=series)
+        for snap, name in zip(history.snapshots, names)
+    ]

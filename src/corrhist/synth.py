@@ -37,7 +37,7 @@ from .model import (
     Snapshot,
     validate_date,
 )
-from .snapshot_io import snapshot_filename, write_snapshot_to
+from .snapshot_io import write_history
 
 _FIRST_NAMES = (
     "Alice", "Anton", "Bao", "Bettina", "Carl", "Carmen", "Chen", "Daniel",
@@ -482,11 +482,14 @@ class _Generator:
                 ),
             )
 
+        # A snapshot holds only the venues its documents use; a new
+        # publication brings in any other one (``EditRecord.new_venue``).
+        used = {doc.venue_key for doc in documents.values()}
         snapshot = Snapshot(
             config.observation_dates[0],
             {pid: Profile(pid, frozenset(ms)) for pid, ms in profile_mentions.items()},
             documents,
-            venues,
+            {key: name for key, name in venues.items() if key in used},
         )
         snapshots = [snapshot]
         records: list[LoggedEdit] = []
@@ -633,6 +636,10 @@ class _Generator:
                         EditKind.NEW_PUBLICATION,
                         tuple(sorted(set(recipients))),
                         new_document=doc,
+                        new_venue=(
+                            None if doc.venue_key in state.venues
+                            else (doc.venue_key, venues[doc.venue_key])
+                        ),
                         new_assignments=tuple(assignments),
                     )
                 )
@@ -665,13 +672,16 @@ def write_generated(
     *,
     compress: bool = False,
 ) -> Path:
-    """Write snapshot files and the ground-truth log; returns the log path."""
+    """Write the snapshot files with ``write_history`` (which refuses a
+    directory holding snapshot files of another series) and the
+    ground-truth log; returns the log path.
+
+    Consecutive generated snapshots share every record an edit left alone,
+    so each later file renders only the records the edits of its interval
+    touched.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for snap in history.snapshots:
-        write_snapshot_to(
-            snap, out / snapshot_filename(snap.time, compress=compress)
-        )
+    write_history(history, out, compress=compress)
     log_path = out / "ground-truth.tsv"
     with open(log_path, "w", encoding="utf-8") as f:
         for line in ground_truth_lines(log):

@@ -85,6 +85,27 @@ class TestGenerate:
         assert captured.out == ""
         assert "ground truth" in captured.err
 
+    def test_refuses_a_directory_holding_another_series(self, tmp_path, capsys):
+        # A second, shorter series written over the first would leave two of
+        # the first one's snapshots behind, and loading the directory would
+        # read both series as one history.
+        out = tmp_path / "g"
+        argv = ["generate", "--quiet", "--persons", "30", "--documents", "150",
+                "--out", str(out)]
+        files = lambda: {p.name: p.read_bytes() for p in out.iterdir()}  # noqa: E731
+        assert main(argv + ["--observations", "4"]) == 0
+        first = files()
+        assert main(argv + ["--seed", "2", "--observations", "2"]) == 1
+        assert "snapshot-2015-03-01.xml belongs to no snapshot" in capsys.readouterr().err
+        assert files() == first
+        # The other compression of the same dates is another series too.
+        assert main(argv + ["--observations", "4", "--compress"]) == 1
+        assert "snapshot-2015-01-01.xml belongs to no snapshot" in capsys.readouterr().err
+        assert files() == first
+        # The same plan again overwrites its own files.
+        assert main(argv + ["--observations", "4"]) == 0
+        assert files() == first
+
 
 class TestExtract:
     def test_stdout_default(self, corpus, capsys):

@@ -11,6 +11,7 @@ from corrhist.model import (
     mentions_of,
     validate_date,
 )
+from corrhist.snapshot_io import parse_snapshot, write_snapshot
 
 from conftest import hist, sig, snap
 
@@ -75,6 +76,15 @@ def test_snapshot_rejects_bad_profile(profile, message):
         {},
     )
     with pytest.raises(IntegrityError, match=message):
+        s.validate()
+
+
+def test_snapshot_rejects_a_venue_no_document_uses():
+    # The writer names venues only inside documents, so the file would read
+    # back without it.
+    s = Snapshot("2017-01-01", {}, {"d1": DocumentRecord("d1")}, {"v0": "V"})
+    assert parse_snapshot(write_snapshot(s)).venues == {}
+    with pytest.raises(IntegrityError, match="venue key 'v0' is used by no document"):
         s.validate()
 
 

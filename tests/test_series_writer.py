@@ -1,0 +1,133 @@
+"""Writing a series renders each record once.
+
+``write_history`` reuses a record's line in the next file when the record is
+the very object of the previous snapshot's record under the same key (for a
+document, under an unchanged venue name too).  Every file must still hold
+exactly the bytes of its snapshot written alone, plain and gzip.
+"""
+
+import dataclasses
+import gzip
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrhist import snapshot_io
+from corrhist.model import DocumentRecord, Profile, Role, Signature, Snapshot
+from corrhist.snapshot_io import snapshot_filename, write_history, write_snapshot, write_snapshot_to
+
+from conftest import hist, sig
+
+_DOC_KEYS = ["d0", "d1", "d2", "d3"]
+_PIDS = ["p0", "p1", "p2"]
+_OPS = ["keep", "copy", "change", "rename", "drop", "restore", "venues-copy"]
+
+
+@st.composite
+def _document(draw, key):
+    names = st.lists(st.sampled_from(["Ann", "Bo & Co"]), max_size=2)
+    return DocumentRecord(
+        key,
+        title=draw(st.sampled_from(["", "T", "<T>"])),
+        year=draw(st.sampled_from([0, 1999])),
+        venue_key=draw(st.sampled_from([None, "v0", "v1"])),
+        authors=tuple(draw(names)),
+        editors=tuple(draw(names)),
+    )
+
+
+@st.composite
+def _profile(draw, pid):
+    mentions = st.builds(
+        Signature,
+        st.sampled_from(_DOC_KEYS),
+        st.integers(0, 1),
+        st.sampled_from(["Ann", "A. \"B\""]),
+        st.sampled_from([Role.AUTHOR, Role.EDITOR]),
+    )
+    return Profile(pid, frozenset(draw(st.lists(mentions, max_size=3))))
+
+
+@st.composite
+def _series(draw):
+    """Up to five snapshots.  Each shares the previous one's records, except
+    where an edit replaced one by an equal copy or a new record, renamed a
+    venue, dropped a record or brought a dropped one back (the same object),
+    or copied the venue map without changing it."""
+    documents = {key: draw(_document(key)) for key in _DOC_KEYS}
+    profiles = {pid: draw(_profile(pid)) for pid in _PIDS}
+    venues = {"v0": "Venue 0", "v1": "Venue 1"}
+    dropped: dict[tuple[str, str], object] = {}
+    snapshots = []
+    for i in range(draw(st.integers(1, 5))):
+        snapshots.append(Snapshot(f"2017-{i + 1:02d}-01", dict(profiles), dict(documents), venues))
+        for op in draw(st.lists(st.sampled_from(_OPS), max_size=4)):
+            kind = draw(st.sampled_from(["document", "profile"]))
+            records, keys, make = (
+                (documents, _DOC_KEYS, _document) if kind == "document"
+                else (profiles, _PIDS, _profile)
+            )
+            key = draw(st.sampled_from(keys))
+            if op == "copy" and key in records:
+                records[key] = dataclasses.replace(records[key])
+            elif op == "change":
+                records[key] = draw(make(key))
+            elif op == "rename":
+                venue = draw(st.sampled_from(["v0", "v1"]))
+                venues = {**venues, venue: venues[venue] + "'"}
+            elif op == "drop" and key in records:
+                dropped[kind, key] = records.pop(key)
+            elif op == "restore" and (kind, key) in dropped:
+                records[key] = dropped.pop((kind, key))
+            elif op == "venues-copy":
+                venues = dict(venues)
+    return snapshots
+
+
+@given(snapshots=_series(), compress=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_each_file_is_its_snapshot_written_alone(snapshots, compress):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "series"
+        paths = write_history(hist(*snapshots), directory, compress=compress)
+        assert [p.name for p in paths] == [
+            snapshot_filename(s.time, compress=compress) for s in snapshots
+        ]
+        for snapshot, path in zip(snapshots, paths):
+            data = path.read_bytes()
+            if compress:
+                assert gzip.decompress(data) == write_snapshot(snapshot)
+                alone = write_snapshot_to(snapshot, Path(tmp) / "alone.xml.gz")
+                assert data == alone.read_bytes()
+            else:
+                assert data == write_snapshot(snapshot)
+
+
+def test_a_later_file_renders_only_what_changed(tmp_path, monkeypatch):
+    documents = {k: DocumentRecord(k, venue_key="v", authors=("A",)) for k in ("d0", "d1", "d2")}
+    profiles = {p: Profile(p, frozenset({sig(f"d{i}", 0, "A")})) for i, p in enumerate(("p0", "p1", "p2"))}
+    first = Snapshot("2017-01-01", profiles, documents, {"v": "V"})
+    # p1 is replaced by an equal copy, and d2 by another record.
+    second = Snapshot(
+        "2017-02-01",
+        {**profiles, "p1": Profile("p1", profiles["p1"].mentions)},
+        {**documents, "d2": DocumentRecord("d2", title="T", venue_key="v", authors=("A",))},
+        first.venues,
+    )
+    # Renaming the venue renders every document bound to it.
+    third = Snapshot("2017-03-01", second.profiles, second.documents, {"v": "W"})
+    rendered = []
+    for name in ("_document_line", "_profile_line"):
+        render = getattr(snapshot_io, name)
+        # A document line is rendered from the record, a profile line from
+        # its id and the record.
+        monkeypatch.setattr(snapshot_io, name, lambda *a, render=render: rendered.append(a[0]) or render(*a))
+    write_history(hist(first, second, third), tmp_path)
+    assert rendered == [
+        *documents.values(), "p0", "p1", "p2",
+        second.documents["d2"], "p1",
+        *second.documents.values(),
+    ]
+

@@ -136,6 +136,9 @@ def _snapshot_values(draw):
     documents, venues = {}, {}
     names = st.lists(st.sampled_from(["A", "B"]), max_size=3)
     mentions = st.lists(_mention, min_size=1, max_size=3)
+    # An empty id, an empty profile or a venue no document uses now and
+    # then, so that the other rules get their turn.
+    rarely = st.sampled_from([False] * 9 + [True])
     for key in ["d0", "d1", "d2"][: draw(st.integers(0, 3))]:
         venue = draw(st.sampled_from([None, "v0", "v1"]))
         if venue is not None:
@@ -143,9 +146,8 @@ def _snapshot_values(draw):
         documents[key] = DocumentRecord(
             key, venue_key=venue, authors=tuple(draw(names)), editors=tuple(draw(names))
         )
-    # An empty id or an empty profile now and then, so that the other rules
-    # get their turn.
-    rarely = st.sampled_from([False] * 9 + [True])
+    if draw(rarely):
+        venues["v2"] = "Venue v2"
     ids = draw(st.sets(st.sampled_from(["p0", "p1", "p2"])))
     if draw(rarely):
         ids.add("")
@@ -170,6 +172,15 @@ def test_validate_matches_reading_the_written_file(s):
     lines = data.split(b"\n")
     indented = b"\n".join(lines[:2] + [b"  " + line for line in lines[2:-2]] + lines[-2:])
     expected = outcome(lambda: _validated(s))
+    if "v2" in s.venues:
+        # A file names a venue only inside a document, so an unused venue
+        # would not read back: the value is refused, and its file is the
+        # file of the value without it.
+        assert expected == ("IntegrityError", "venue key 'v2' is used by no document")
+        venues = {k: v for k, v in s.venues.items() if k != "v2"}
+        s = Snapshot(s.time, s.profiles, s.documents, venues)
+        assert write_snapshot(s) == data
+        expected = outcome(lambda: _validated(s))
     assert outcome(lambda: parse_snapshot(data)) == expected
     assert outcome(lambda: parse_snapshot(indented)) == expected
 
