@@ -11,13 +11,13 @@ Each file is read into memory whole and decompressed in one call if it
 starts with the gzip magic bytes.  Files in the exact form this module writes
 take a line-oriented fast path, everything else goes through expat.  Both
 parsers feed one record builder, which alone enforces integrity, so they
-accept and reject the same records with the same messages.  In a series, a
-file in that form after another one is read as a line delta: only the lines
-that changed are parsed, and only their records are checked.  A file expat
-reads after a file expat read, with the same prolog, is a record delta:
-expat reads every byte, but a top-level record whose bytes equal the
-previous file's record under the same key is not rebuilt.  The builder
-still checks it.
+accept and reject the same records with the same messages.  In a series,
+the builder of one file carries over to the next.  A file in that form
+after another one is read as a line delta: only the lines that changed are
+parsed, and only their records are checked.  A file expat reads after a
+file expat read, with the same prolog, is a record delta: expat reads every
+byte, but takes each run of records whose bytes equal the previous file's
+with its callbacks off, and only the other records are built and checked.
 """
 
 from __future__ import annotations
@@ -69,29 +69,34 @@ def parse_snapshot(
 class _Reader:
     """Reads the files of one series, in order, one file at a time.
 
-    A canonical file that follows a canonical file is read as a line delta
-    against it (``_Builder.advance``): only the record lines it adds are
-    parsed and checked, and every other record is the previous snapshot's
-    object.  Any other file is read by expat.  When expat read the previous
-    file too, and both files have the same prolog, a top-level record whose
-    bytes equal the previous file's record under the same key is not
-    rebuilt: expat still reads it, but its callbacks are off and the
-    builder gets the previous snapshot's record (``_expat_builder``).
-    Every full builder pass shares every record equal to the previous
-    snapshot's.  ``retired`` holds the records that deltas dropped, so a
-    record that comes back in a later file is shared again.
+    The builder of the file read last carries over to the next file, which
+    takes one of four paths:
+
+    - a canonical file after a canonical file is a line delta
+      (``_Builder.advance``): only the record lines it adds are parsed and
+      checked, and every other record is the previous snapshot's object;
+    - any other canonical file is a full canonical pass;
+    - a file expat reads after a file expat read, with the same prolog, is
+      a record delta (``_expat_builder``): expat takes each run of records
+      whose bytes equal the previous file's with its callbacks off, and
+      only the other records are built and checked;
+    - any other file is a full expat pass.
+
+    ``paths`` notes the path of each file read, with the first reason the
+    canonical path declined it, if it did.  Every full pass shares every
+    record equal to the previous snapshot's.  ``retired`` holds the records
+    that deltas dropped, so a record that comes back in a later file is
+    shared again.
     """
 
     def __init__(self, prev: Snapshot | None = None) -> None:
         self.prev = prev
-        # The builder of ``prev`` when its file was canonical: the state the
-        # next delta starts from.
+        # The builder of ``prev``'s file: the state the next delta starts from.
         self.build: _Builder | None = None
-        # Where the records of ``prev`` lie in its file when expat read it.
-        self.spans: _Spans | None = None
         self.retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] = {}
         # Ids of the profiles the last file read changed against ``prev``.
         self.changed: frozenset[str] = frozenset()
+        self.paths: list[tuple[str, str | None]] = []
 
     def read(self, source: bytes | str | Path | BinaryIO, source_name: str | None) -> Snapshot:
         if isinstance(source, (str, Path)):
@@ -99,67 +104,82 @@ class _Reader:
                 data = f.read()
         else:
             data = source if isinstance(source, bytes) else source.read()
-        last, self.spans = self.spans, None
+        last, self.build = self.build, None
         if data[:2] == GZIP_MAGIC:
             try:
                 data = gzip.decompress(data)
             except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
                 raise FormatError(f"corrupt gzip stream: {exc}", -1, source_name) from None
-        snapshot = self.canonical(data, source_name)
-        if snapshot is None:
-            try:
-                build, spans = _expat_builder(data, self.prev, source_name, last)
-                snapshot = build.snapshot()
-            except IntegrityError:
-                if last is None:
-                    raise
-                # A reused profile's mentions are checked in set order, not
-                # in the order the file lists them; a pass without reuse
-                # names the same conflict a single parse would.
-                build, spans = _expat_builder(data, self.prev, source_name)
-                snapshot = build.snapshot()
-            self.changed = build.changed
-            self.spans = spans
+        snapshot = self.canonical(data, source_name, last)
+        if isinstance(snapshot, str):
+            snapshot = self.expat(data, source_name, last, snapshot)
         self.prev = snapshot
         return snapshot
 
-    def canonical(self, data: bytes, source_name: str | None) -> Snapshot | None:
-        """Parse canonical serializer output; None means "not in that form".
+    def canonical(
+        self, data: bytes, source_name: str | None, last: _Builder | None = None
+    ) -> Snapshot | str:
+        """Parse canonical serializer output; a str says why the file is not
+        in that form.
 
-        None is returned for markup reasons only.  Records go through the
-        same builder as the general parser's, so a non-None result, or an
+        ``last`` is the builder of the file read before, if any.  A str is
+        returned for markup reasons only.  Records go through the same
+        builder as the general parser's, so a snapshot, or an
         IntegrityError, is exactly what the general parser would have
         produced.
         """
-        build, self.build = self.build, None
         parts = _canonical_lines(data)
-        if parts is None:
-            return None
+        if isinstance(parts, str):
+            return parts
         date, lines = parts
-        if build is not None:
+        if last is not None and last.spans is None:
             try:
-                snapshot = build.advance(date, lines, source_name)
+                snapshot = last.advance(date, lines, source_name)
             except IntegrityError:
                 pass  # the full pass below reports the first error in file order
             else:
-                if snapshot is not None:
-                    self.build = build
-                    self.changed = build.changed
+                if not isinstance(snapshot, str):
+                    self.took("line delta", last)
                 return snapshot
         build = _Builder(date, self.prev, source_name, self.retired)
         if not build.add(_parse_lines(lines)):
-            return None
+            # Each line before the first one not in canonical form added one
+            # record, or the pass would have raised.
+            return _not_canonical(lines, len(build.documents) + len(build.profiles))
         snapshot = build.snapshot()
+        self.took("full canonical pass", build)
+        return snapshot
+
+    def expat(
+        self, data: bytes, source_name: str | None, last: _Builder | None, reason: str
+    ) -> Snapshot:
+        """Read a file the canonical path declined, for ``reason``."""
+        if last is not None and last.spans is None:
+            last = None
+        try:
+            build, snapshot = _expat_builder(data, self.prev, source_name, self.retired, last)
+        except (IntegrityError, FormatError):
+            if last is None:
+                raise
+            # A delta checks records out of file order; a pass without reuse
+            # reports the error a single parse would.
+            build, snapshot = _expat_builder(data, self.prev, source_name, self.retired)
+        self.took("expat record delta" if build is last else "full expat pass", build, reason)
+        return snapshot
+
+    def took(self, path: str, build: _Builder, reason: str | None = None) -> None:
         self.build = build
         self.changed = build.changed
-        return snapshot
+        self.paths.append((path, reason))
 
 
 def _parse_canonical(
     data: bytes, prev: Snapshot | None, source_name: str | None = None
 ) -> Snapshot | None:
-    """``_Reader.canonical`` on one file read after ``prev``."""
-    return _Reader(prev).canonical(data, source_name)
+    """``_Reader.canonical`` on one file read after ``prev``; None if the
+    file is not in canonical form."""
+    snapshot = _Reader(prev).canonical(data, source_name)
+    return None if isinstance(snapshot, str) else snapshot
 
 
 class _Builder:
@@ -174,9 +194,12 @@ class _Builder:
     record in ``retired``, is replaced by that earlier object, so a series
     shares storage for everything unchanged.  ``prev`` must itself have
     come out of a builder.  ``snapshot`` records in ``changed`` the ids of
-    the profiles whose record differs from ``prev``'s.  The builder of a
-    canonical file keeps its record lines, the owner index and the venue
-    counts, from which ``advance`` reads the next canonical file as a line
+    the profiles whose record differs from ``prev``'s.  A builder keeps the
+    owner index and the venue counts, and ``delta`` turns it into the
+    builder of the next file of its series.  The builder of a canonical
+    file keeps its record lines, from which ``advance`` reads the next
+    canonical file as a line delta; that of an expat-read file keeps its
+    ``spans``, from which ``_expat_builder`` reads the next one as a record
     delta.
     """
 
@@ -204,6 +227,8 @@ class _Builder:
         # A canonical file's record lines, each mapped to its key and record.
         self.doc_lines: dict[bytes, tuple[str, DocumentRecord]] = {}
         self.prof_lines: dict[bytes, tuple[str, Profile]] = {}
+        # An expat-read file and where its records lie in it.
+        self.spans: _Spans | None = None
 
     def error(self, message: str) -> IntegrityError:
         return IntegrityError(message + (f" ({self.source_name})" if self.source_name else ""))
@@ -267,8 +292,8 @@ class _Builder:
         return record
 
     def add(self, records: Iterable[_Parsed | None]) -> bool:
-        """Add parsed record lines, in order, noting each line's record;
-        False at the first line not in canonical form."""
+        """Add parsed records, in order, noting the record of each line
+        given; False at the first line not in canonical form."""
         add_profile, prof_lines = self.profile, self.prof_lines
         add_document, doc_lines = self.document, self.doc_lines
         for record in records:
@@ -277,33 +302,61 @@ class _Builder:
             line, is_profile, parsed = record
             if is_profile:
                 prof = add_profile(*parsed)  # type: ignore[arg-type]
-                prof_lines[line] = (prof.profile_id, prof)
+                if line is not None:
+                    prof_lines[line] = (prof.profile_id, prof)
             else:
                 doc = add_document(*parsed)  # type: ignore[arg-type]
-                doc_lines[line] = (doc.document_key, doc)
+                if line is not None:
+                    doc_lines[line] = (doc.document_key, doc)
         return True
 
-    def advance(self, date: str, lines: list[bytes], source_name: str | None) -> Snapshot | None:
+    def advance(self, date: str, lines: list[bytes], source_name: str | None) -> Snapshot | str:
         """Turn this builder of a canonical file into the builder of the
         next canonical file, whose record lines are ``lines``.
 
-        The new record maps start as copies of the previous ones.  The
-        records of the lines that went away leave them, the owner index and
-        the venue counts, and go into ``retired``; then only the lines the
-        previous file lacks are parsed, checked and added.  The maps are not
-        in file order: writers sort, and nothing reads a snapshot's records
-        in order.  A carried profile is rechecked only if a document
-        vanished or lost names under it.  Returns None, with nothing
-        changed, if an added line is not in canonical form.  An
-        IntegrityError leaves the builder unusable; a full pass over the
-        file then reports the error, in file order, as a fresh parse would.
+        Only the lines the previous file lacks are parsed; the records of
+        the lines that went away, and those parsed, go to ``delta``.
+        Returns why the file is not in canonical form, with nothing
+        changed, if an added line is not.
         """
         doc_lines = self.doc_lines
         prof_lines = self.prof_lines
         current = set(lines)
-        records = list(_parse_lines(sorted(current.difference(doc_lines, prof_lines))))
+        added = sorted(current.difference(doc_lines, prof_lines))
+        records = list(_parse_lines(added))
         if None in records:
-            return None
+            bad = {line for line, record in zip(added, records) if record is None}
+            return _not_canonical(lines, next(i for i, line in enumerate(lines) if line in bad))
+        gone_documents = [doc_lines.pop(line)[1] for line in
+                          [line for line in doc_lines if line not in current]]
+        gone_profiles = [prof_lines.pop(line)[1] for line in
+                         [line for line in prof_lines if line not in current]]
+        return self.delta(date, source_name, gone_documents, gone_profiles, records, len(lines))
+
+    def delta(
+        self,
+        date: str,
+        source_name: str | None,
+        gone_documents: list[DocumentRecord],
+        gone_profiles: list[Profile],
+        records: Iterable[_Parsed],
+        count: int,
+    ) -> Snapshot:
+        """Turn this builder into the builder of the next file of its
+        series, which holds ``count`` records: this one's, less those that
+        did not come back, ``gone_documents`` and ``gone_profiles``, plus
+        ``records``, in file order.
+
+        The new record maps start as copies of the previous ones.  The gone
+        records leave them, the owner index and the venue counts, and go
+        into ``retired``; then ``records`` are checked and added.  The maps
+        are not in file order: writers sort, and nothing reads a snapshot's
+        records in order.  A carried profile is rechecked only if a document
+        vanished or lost names under it.  An IntegrityError leaves the
+        builder unusable, and the errors of a delta need not be those of the
+        file read alone: a full pass over the file then reports the error,
+        in file order, as a fresh parse would.
+        """
         self.date = date
         self.source_name = source_name
         self.prev_profiles = self.profiles
@@ -315,28 +368,25 @@ class _Builder:
         retired = self.retired
         venue_docs = self.venue_docs
         owners = self.owners
-        gone = [line for line in doc_lines if line not in current]
-        dropped = [doc_lines.pop(line)[1] for line in gone]
-        for doc in dropped:
+        for doc in gone_documents:
             retired[doc] = doc
             del documents[doc.document_key]
             if doc.venue_key is not None:
                 venue_docs[doc.venue_key] -= 1
                 if not venue_docs[doc.venue_key]:
                     del venue_docs[doc.venue_key], venues[doc.venue_key]
-        dropped_ids = []
-        for line in [line for line in prof_lines if line not in current]:
-            pid, prof = prof_lines.pop(line)
-            dropped_ids.append(pid)
+        for prof in gone_profiles:
             retired[prof] = prof
-            del profiles[pid]
+            del profiles[prof.profile_id]
             for doc_key, pos, _surface, role in prof.mentions:
                 del owners[doc_key, pos, role is _EDITOR]
         self.add(records)
-        # A repeated line or key leaves fewer records than lines.
-        if len(documents) + len(profiles) != len(lines):
+        # A record listed twice leaves fewer records than were read.
+        if len(documents) + len(profiles) != count:
             raise self.error("repeated record line or key")
-        return self.snapshot(dropped, [pid for pid in dropped_ids if pid not in profiles])
+        return self.snapshot(
+            gone_documents, [p.profile_id for p in gone_profiles if p.profile_id not in profiles]
+        )
 
     def snapshot(
         self,
@@ -441,29 +491,40 @@ _CANON_SIG = re.compile(
 )
 
 
-def _canonical_lines(data: bytes) -> tuple[str, list[bytes]] | None:
-    """The date and the record lines of a file in canonical form, else None.
+def _canonical_lines(data: bytes) -> tuple[str, list[bytes]] | str:
+    """The date and the record lines of a file in canonical form, else why
+    it is not.
 
     The lines stay bytes: splitting bytes is about twice as fast as decoding
     and splitting text, and a line delta decodes only the lines it adds.
     """
     lines = data.split(b"\n")
-    if len(lines) < 4 or lines[0] != _CANON_HEAD or lines[-2:] != [b"</snapshot>", b""]:
-        return None
-    root = _CANON_ROOT.fullmatch(lines[1])
+    root = _CANON_ROOT.fullmatch(lines[1]) if len(lines) >= 4 and lines[0] == _CANON_HEAD else None
     if root is None:
-        return None
+        return "header not canonical"
+    if lines[-2:] != [b"</snapshot>", b""]:
+        return "end not canonical"
     try:
         date = validate_date(root.group(1).decode("ascii"))
     except ValueError:
-        return None
+        return "header not canonical"
     return date, lines[2:-2]
 
 
-# A canonical record line, whether it is a profile line, and what
-# ``_parse_profile`` or ``_parse_document`` made of it.
+def _not_canonical(lines: list[bytes], i: int) -> str:
+    """Why record line ``i`` of ``lines`` is not in canonical form."""
+    try:
+        lines[i].decode("utf-8")
+    except UnicodeDecodeError:
+        return f"line {i + 3} not UTF-8"
+    return f"line {i + 3} not a canonical record"
+
+
+# A canonical record line (None for a record expat read), whether it is a
+# profile, and what the parser made of it: a profile and its mentions as
+# listed, or a document and its venue name.
 _Parsed = tuple[
-    bytes, bool, "tuple[Profile, list[Signature]] | tuple[DocumentRecord, str | None]"
+    "bytes | None", bool, "tuple[Profile, list[Signature]] | tuple[DocumentRecord, str | None]"
 ]
 
 
@@ -537,61 +598,144 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
 
 def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) -> Snapshot:
     """The general parser on one file read after ``prev``."""
-    return _expat_builder(data, prev, source_name)[0].snapshot()
+    return _expat_builder(data, prev, source_name)[1]
 
 
 class _Spans(NamedTuple):
-    """An expat-read file and where each top-level record lies in it.
+    """An expat-read file and where its top-level records lie in it.
 
-    A record's span runs from its start tag through its end tag.  It is kept
-    by key as one int, ``start * (len(data) + 1) + end``, which takes a
-    third of the memory of a tuple of two.
+    ``order`` holds, in file order, the span of each record whose start tag
+    is literally in ``data`` (so it begins ``<document`` or ``<profile``),
+    from its start tag through its end tag, packed as one int
+    ``start * (len(data) + 1) + end``; ``keys`` holds their keys.
     """
 
     data: bytes
     root: int  # offset of the root start tag; the bytes before it are the prolog
-    documents: dict[str, int]
-    profiles: dict[str, int]
-
-    def record(self, span: int) -> bytes:
-        start, end = divmod(span, len(self.data) + 1)
-        return self.data[start:end]
+    order: list[int]
+    keys: list[str]
 
 
 _START_TAGS = {"document": b"<document", "profile": b"<profile"}
 _END_TAGS = {"document": b"</document", "profile": b"</profile"}
+_RECORD_START = re.compile(rb"<(?:document|profile)")
+_RECORD_KEY = re.compile(
+    rb"<(?:document[ \t\r\n]+pkey|profile[ \t\r\n]+authorid)[ \t\r\n]*=[ \t\r\n]*"
+    rb"(?:\"([^\"]*)\"|'([^']*)')"
+)
+_XML_SPACE = re.compile(rb"[ \t\r\n]*")
+
+
+def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """Propose the runs of ``last``'s records in ``data``, in file order.
+
+    A run is a sequence of records, each byte-identical to a record of
+    ``last``, separated only by XML whitespace.  Each is yielded as its
+    start and end offsets, the positions of its records in ``last.order``
+    and their spans in ``data``, packed as ``_Spans`` packs them.  Records
+    are found by bytes alone: ``startswith`` on the record that followed
+    the previous one in ``last``'s file, then a lookup by the key the start
+    tag seems to carry.  A proposal proves nothing about where expat is: the
+    bytes may lie inside a comment or a CDATA section.
+    """
+    pdata, porder = last.data, last.order
+    pstride = len(pdata) + 1
+    stride = len(data) + 1
+    n = len(porder)
+    index: dict[str, int] | None = None
+    space = _XML_SPACE.match
+    i = 0  # the record of ``last`` expected next
+
+    def record_at(q: int) -> int:
+        """The position of the record of ``last`` whose bytes ``data`` has
+        at ``q``, or -1."""
+        nonlocal index
+        if i < n:
+            start, end = divmod(porder[i], pstride)
+            if data.startswith(pdata[start:end], q):
+                return i
+        m = _RECORD_KEY.match(data, q)
+        if m is None:
+            return -1
+        if index is None:
+            index = dict(zip(last.keys, range(n)))
+        j = index.get(m.group(m.lastindex).decode("utf-8", "replace"), -1)  # type: ignore[arg-type]
+        if j >= 0:
+            start, end = divmod(porder[j], pstride)
+            if not data.startswith(pdata[start:end], q):
+                j = -1
+        return j
+
+    m = _RECORD_START.search(data, last.root + 1)
+    while m is not None:
+        q = m.start()
+        j = record_at(q)
+        if j < 0:
+            m = _RECORD_START.search(data, q + 1)
+            continue
+        first, positions, spans = q, [], []
+        while j >= 0:
+            start, end = divmod(porder[j], pstride)
+            e = q + end - start
+            positions.append(j)
+            spans.append(q * stride + e)
+            i = j + 1
+            q = space(data, e).end()
+            j = record_at(q)
+        yield first, e, positions, spans
+        m = _RECORD_START.search(data, q + 1)
 
 
 def _expat_builder(
-    data: bytes, prev: Snapshot | None, source_name: str | None, last: _Spans | None = None
-) -> tuple[_Builder, _Spans]:
-    """A builder holding every record of ``data``, read by expat, and the
-    spans of its records.
+    data: bytes,
+    prev: Snapshot | None,
+    source_name: str | None,
+    retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] | None = None,
+    last: _Builder | None = None,
+) -> tuple[_Builder, Snapshot]:
+    """Read ``data`` with expat; the builder holding its records and their
+    spans, and the snapshot.
 
-    ``last`` are the spans of the file ``prev`` was read from.  If that file
-    has the same prolog (declaration, encoding, DOCTYPE: everything that
-    changes what the same bytes mean), a top-level record whose bytes equal
-    ``last``'s record under the same key is not rebuilt.  Its start and
-    character callbacks are switched off until its own end tag, where the
-    builder gets ``prev``'s record, in file order, and runs every check on
-    it.  Expat still reads every byte, so markup errors and their offsets
-    are unchanged.
+    ``last`` is the builder of the file ``prev`` was read from, if expat
+    read it.  If that file has the same prolog (declaration, encoding,
+    DOCTYPE: everything that changes what the same bytes mean) and every
+    record of it has a span, ``data`` is read as a record delta, and the
+    builder returned is ``last``, turned into the builder of ``data``.
+    ``_runs`` proposes runs of unchanged records, and expat gets every byte,
+    in order.  When it reports the first record of a run, with its handlers
+    on, as a top-level start tag at exactly the run's offset, every handler
+    goes off until the run ends; that report is what proves the run lies
+    where ``_runs`` found it.  Every other byte is read with the handlers
+    on, and the records built from it go to ``_Builder.delta`` with the
+    records of ``last`` that did not come back.  Markup errors and their
+    offsets are expat's, as in a full pass; integrity errors are found out
+    of file order, so a caller reruns a failed delta without ``last``.
 
-    The handlers never refer to one another except ``end`` to those it puts
-    back, and the parser drops them when the parse ends, so no reference
-    cycle keeps ``data`` alive.
+    The handlers never refer to one another, and the parser drops them when
+    the parse ends, so no reference cycle keeps ``data`` alive.
     """
     intern = sys.intern
     build: _Builder | None = None
+    date = ""
     root = -1
-    doc_spans: dict[str, int] = {}
-    prof_spans: dict[str, int] = {}
+    # The spans of ``last``'s file, if ``data`` can be read as a delta of it.
+    prior = None
+    if (
+        last is not None and last.spans is not None
+        and len(last.spans.order) == len(last.documents) + len(last.profiles)
+        and data.startswith(last.spans.data[:last.spans.root])
+    ):
+        prior = last.spans
+    # The records a delta builds, for ``_Builder.delta``; None in a full pass.
+    fresh: list[_Parsed] | None = None
+    # The spans and keys of the top-level records, as ``_Spans`` holds them.
+    order: list[int] = []
+    keys: list[str] = []
     stride = len(data) + 1
-    reuse: _Spans | None = None
     # Start offset of the top-level record being read.
     record_start = -1
-    # The reused record being skipped: its element name, key and span.
-    skipping: tuple[str, str, int] | None = None
+    # Where the run fed next starts.
+    target = -1
     # document under construction
     doc_attrs: dict[str, str] = {}
     doc_title: list[str] = []
@@ -618,24 +762,8 @@ def _expat_builder(
             raise fail(f"<{element}> lacks required attribute {name!r}")
         return value
 
-    def reused(name: str, last_spans: dict[str, int], key: str | None) -> bool:
-        """Whether the record starting here has the bytes of ``last``'s
-        record under ``key``; if so, switch off its callbacks."""
-        nonlocal skipping
-        assert reuse is not None
-        span = last_spans.get(key)  # type: ignore[arg-type]
-        if span is None:
-            return False
-        record = reuse.record(span)
-        if not data.startswith(record, record_start):
-            return False
-        assert key is not None
-        skipping = (name, key, record_start * stride + record_start + len(record))
-        parser.StartElementHandler = parser.CharacterDataHandler = None
-        return True
-
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal build, root, reuse, record_start, doc_attrs, doc_venue, prof_id, capturing
+        nonlocal build, date, root, fresh, record_start, doc_attrs, doc_venue, prof_id, capturing
         depth = len(stack)
         if depth == 0:
             if name != "snapshot":
@@ -648,23 +776,26 @@ def _expat_builder(
                 validate_date(date)
             except ValueError as exc:
                 raise fail(str(exc)) from None
-            build = _Builder(date, prev, source_name)
             root = parser.CurrentByteIndex
-            if last is not None and data[:root] == last.data[:last.root]:
-                reuse = last
+            if prior is not None and root == prior.root:
+                fresh = []
+            else:
+                build = _Builder(date, prev, source_name, retired)
         elif depth == 1:
             record_start = parser.CurrentByteIndex
+            if record_start == target and fresh is not None:
+                # The run the walk proposed starts here, at the top level:
+                # expat takes it with every handler off.
+                parser.StartElementHandler = None
+                parser.EndElementHandler = parser.CharacterDataHandler = None
+                return
             if name == "document":
-                if reuse is not None and reused(name, reuse.documents, attrs.get("pkey")):
-                    return
                 doc_attrs = attrs
                 doc_title.clear()
                 doc_venue = None
                 doc_authors.clear()
                 doc_editors.clear()
             elif name == "profile":
-                if reuse is not None and reused(name, reuse.profiles, attrs.get("authorid")):
-                    return
                 prof_id = require(attrs, "authorid", name)
                 prof_sigs.clear()
             else:
@@ -697,7 +828,7 @@ def _expat_builder(
             raise fail(f"unexpected element <{name}> inside <{stack[-1]}>")
         stack.append(name)
 
-    def note_span(name: str, spans: dict[str, int], key: str) -> None:
+    def note_span(name: str, key: str) -> None:
         """Note the span of the top-level record whose end event this is,
         unless its start tag is not literally in ``data`` (an entity's
         replacement text, or an encoding that is not ASCII-compatible)."""
@@ -709,28 +840,11 @@ def _expat_builder(
         # end is found from here, not by a search from the start tag.
         if data.startswith(_END_TAGS[name], end):
             end = data.index(b">", end) + 1
-        spans[key] = record_start * stride + end
+        order.append(record_start * stride + end)
+        keys.append(key)
 
     def end(name: str) -> None:
-        nonlocal prof_id, capturing, skipping
-        assert build is not None
-        if skipping is not None:
-            if name != skipping[0]:
-                return  # an element inside the reused record
-            _, key, span = skipping
-            skipping = None
-            parser.StartElementHandler = start
-            parser.CharacterDataHandler = chars
-            assert prev is not None
-            if name == "document":
-                doc = prev.documents[key]
-                build.document(doc, None if doc.venue_key is None else prev.venues[doc.venue_key])
-                doc_spans[key] = span
-            else:
-                prof = prev.profiles[key]
-                build.profile(prof, prof.mentions)
-                prof_spans[key] = span
-            return
+        nonlocal prof_id, capturing
         stack.pop()
         if name == "document":
             pkey = intern(require(doc_attrs, "pkey", name))
@@ -754,13 +868,20 @@ def _expat_builder(
                 editors=tuple(intern(e) for e in doc_editors),
                 external_link=doc_attrs.get("url"),
             )
-            build.document(record, venue_name)
-            note_span(name, doc_spans, pkey)
+            if fresh is None:
+                build.document(record, venue_name)  # type: ignore[union-attr]
+            else:
+                fresh.append((None, False, (record, venue_name)))
+            note_span(name, pkey)
         elif name == "profile":
             assert prof_id is not None
             pid = intern(prof_id)
-            build.profile(Profile(pid, frozenset(prof_sigs)), prof_sigs)
-            note_span(name, prof_spans, pid)
+            prof = Profile(pid, frozenset(prof_sigs))
+            if fresh is None:
+                build.profile(prof, prof_sigs)  # type: ignore[union-attr]
+            else:
+                fresh.append((None, True, (prof, list(prof_sigs))))
+            note_span(name, pid)
             prof_id = None
         elif name in _TEXT_ELEMENTS and stack and stack[-1] == "document":
             content = "".join(text)
@@ -785,9 +906,29 @@ def _expat_builder(
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
+    # Which records of ``last`` came back, by position in its spans.
+    kept = bytearray(len(prior.order) if prior is not None else 0)
+    reused = 0
 
     try:
-        parser.Parse(data, True)
+        with memoryview(data) as view:
+            fed = 0
+            if prior is not None:
+                for target, run_end, positions, run_spans in _runs(data, prior):
+                    parser.Parse(view[fed:run_end], False)
+                    fed = run_end
+                    if fresh is None:
+                        break  # the root is not where the prolog says: a full pass
+                    if parser.StartElementHandler is None:
+                        parser.StartElementHandler = start
+                        parser.EndElementHandler = end
+                        parser.CharacterDataHandler = chars
+                        order += run_spans
+                        keys += [prior.keys[j] for j in positions]
+                        for j in positions:
+                            kept[j] = 1
+                        reused += len(positions)
+            parser.Parse(view[fed:], True)
     except expat.ExpatError as exc:
         raise FormatError(
             f"malformed snapshot XML: {exc}", parser.ErrorByteIndex, source_name
@@ -795,9 +936,29 @@ def _expat_builder(
     finally:
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
-    if build is None:
-        raise FormatError("no <snapshot> element found", -1, source_name)
-    return build, _Spans(data, root, doc_spans, prof_spans)
+    spans = _Spans(data, root, order, keys)
+    if fresh is None:
+        if build is None:
+            raise FormatError("no <snapshot> element found", -1, source_name)
+        build.spans = spans
+        return build, build.snapshot()
+    assert last is not None and prior is not None
+    pdata, porder, pkeys = prior.data, prior.order, prior.keys
+    pstride = len(pdata) + 1
+    gone_documents, gone_profiles = [], []
+    j = kept.find(0)
+    while j >= 0:
+        # A span starts at ``<document`` or ``<profile``.
+        if pdata.startswith(b"<p", porder[j] // pstride):
+            gone_profiles.append(last.profiles[pkeys[j]])
+        else:
+            gone_documents.append(last.documents[pkeys[j]])
+        j = kept.find(0, j + 1)
+    snapshot = last.delta(
+        date, source_name, gone_documents, gone_profiles, fresh, reused + len(fresh)
+    )
+    last.spans = spans
+    return last, snapshot
 
 
 def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
@@ -1014,13 +1175,15 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     explicit SnapshotFile sequence.  Declared dates must strictly increase,
     and each file's header date must match its declared date.  The files
     are read in order by one reader, so each snapshot shares every record
-    equal to the previous snapshot's.  A canonical file after a canonical
-    file is read as a line delta: only the lines that changed are parsed
-    and checked.  A file expat reads after a file expat read, with the same
-    prolog, skips the callbacks of each record whose bytes equal the
-    previous file's record under the same key, and takes that record.  The
-    ids of the profiles each file changed against the one before, which the
-    reader knows from that work, go into the history's ``profile_changes``.
+    equal to the previous snapshot's, and the builder of each file carries
+    over to the next.  A canonical file after a canonical file is read as a
+    line delta: only the lines that changed are parsed and checked.  A file
+    expat reads after a file expat read, with the same prolog, is a record
+    delta: expat takes each run of records whose bytes equal the previous
+    file's with its callbacks off, and only the other records are built and
+    checked.  The ids of the profiles each file changed against the one
+    before, which the reader knows from that work, go into the history's
+    ``profile_changes``.
     """
     if isinstance(source, (str, Path)):
         files: Sequence[SnapshotFile] = discover_snapshot_files(source)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrhist import snapshot_io
-from corrhist.errors import IntegrityError
+from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import raw_groups_between
 from corrhist.model import DocumentRecord, History, Profile
 from corrhist.snapshot_io import load_history, parse_snapshot, snapshot_filename
@@ -334,14 +334,231 @@ def test_an_expat_read_leaves_no_reference_cycle(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# How the reader read each file, and layouts the record delta must survive
+
+
+def test_reader_notes_how_it_read_each_file(tmp_path):
+    d1 = doc_line("d1", ["A", "B"])
+    p1, p2 = profile_line("p1", ("d1", 0, "A")), profile_line("p2", ("d1", 1, "B"))
+    paths = write_series(tmp_path, [
+        [d1, p1, p2],
+        [d1, profile_line("p1", ("d1", 0, "A"), ("d1", 1, "B"))],
+        foreign_file(DATES[2], [d1, p1, p2]),
+        foreign_file(DATES[3], [d1, p1]),
+        foreign_file(DATES[4], [d1, p1, p2], XML_DECL + "\n<!-- another prolog -->"),
+    ])
+    reader = snapshot_io._Reader()
+    for path in paths:
+        reader.read(path, str(path))
+    assert reader.paths == [
+        ("full canonical pass", None),
+        ("line delta", None),
+        ("full expat pass", "line 3 not a canonical record"),
+        ("expat record delta", "line 3 not a canonical record"),
+        ("full expat pass", "header not canonical"),
+    ]
+
+
+_D1 = doc_line("d1", ["A"])
+_CANON = canonical_file(DATES[0], [_D1, _P1])
+
+
+@pytest.mark.parametrize("data, reason", [
+    (_CANON.replace(b'version="1.0"', b"version='1.0'"), "header not canonical"),
+    (_CANON.replace(b'version="1">', b'version="1" >'), "header not canonical"),
+    (_CANON.replace(b"2017-01-01", b"2017-13-01"), "header not canonical"),
+    (_CANON[:-1], "end not canonical"),
+    (_CANON.replace(b'surface="A"', b'surface="\xff"'), "line 4 not UTF-8"),
+    (_CANON.replace(b"<profile", b" <profile"), "line 4 not a canonical record"),
+])
+def test_the_canonical_path_says_why_it_declines(data, reason):
+    assert snapshot_io._Reader().canonical(data, None) == reason
+    assert snapshot_io._parse_canonical(data, None) is None
+
+
+def test_a_declined_line_delta_names_its_first_bad_line_in_file_order():
+    reader = snapshot_io._Reader()
+    reader.read(canonical_file(DATES[0], [_D1, _P1]), None)
+    # The comment sorts before the other bad line, which comes first.
+    bad = _P1.replace("<profile ", "<profile  ")
+    reader.read(canonical_file(DATES[1], [_D1, bad, "<!-- edited -->"]), None)
+    assert reader.paths[1] == ("full expat pass", "line 4 not a canonical record")
+
+
+def outcome(read):
+    try:
+        return contents(read())
+    except (FormatError, IntegrityError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "byte_offset", None)
+
+
+def read_each_way(tmp_path, monkeypatch, files):
+    """Read ``files`` each alone and as one series and assert the outcomes
+    agree: equal snapshots, or the same error at the same byte offset.
+
+    Returns, for the series, the path each file took, the keys of the
+    records built for each file, and for each file after an expat-read one
+    the runs ``_runs`` proposed in it, as lists of keys.
+    """
+    paths = write_series(tmp_path, files)
+    alone = []
+    for path in paths:
+        alone.append(outcome(lambda: parse_snapshot(path)))
+        if alone[-1][0] in ("FormatError", "IntegrityError"):
+            break
+    built: list[list[str]] = []
+
+    def counting(cls, key):
+        def make(*args, **kwargs):
+            record = cls(*args, **kwargs)
+            built[-1].append(getattr(record, key))
+            return record
+        return make
+
+    reader, series, runs = snapshot_io._Reader(), [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(snapshot_io, "Profile", counting(Profile, "profile_id"))
+        patch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord, "document_key"))
+        for path in paths[:len(alone)]:
+            spans = reader.build.spans if reader.build is not None else None
+            if spans is not None:
+                runs.append([
+                    [spans.keys[j] for j in positions]
+                    for _start, _end, positions, _spans in snapshot_io._runs(path.read_bytes(), spans)
+                ])
+            built.append([])
+            series.append(outcome(lambda: reader.read(path, str(path))))
+    assert series == alone
+    return [path for path, _reason in reader.paths], built, runs
+
+
+def body_file(date, body):
+    """A file whose records lie between the root tags as in ``body``, after
+    an indent, so the canonical path builds no record of it."""
+    return f'{XML_DECL}\n<snapshot date="{date}" version="1">\n  {body}\n</snapshot>\n'.encode()
+
+
+_DOCS = [doc_line(f"d{i}", [f"N{i}"]) for i in range(4)]
+_PROFS = [profile_line(f"p{i}", (f"d{i}", 0, f"N{i}")) for i in range(4)]
+_P1_EDITED = profile_line("p1", ("d1", 0, "N. 1"))
+_INDENTED = body_file(DATES[0], "\n  ".join(_DOCS + _PROFS))
+_DELTA = ["full expat pass", "expat record delta"]
+_EXPAT = set(_DELTA)
+
+
+def test_records_with_no_whitespace_between_them(tmp_path, monkeypatch):
+    # Targets the search for the next record after a changed one: it finds
+    # ``<profile`` wherever it lies, not only after whitespace.
+    files = [_INDENTED, body_file(DATES[1], "".join(_DOCS + [_PROFS[0], _P1_EDITED] + _PROFS[2:]))]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert built[1] == ["p1"]
+    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]]
+
+
+def test_crlf_between_records(tmp_path, monkeypatch):
+    # Targets the whitespace a run may span: carriage return is XML
+    # whitespace.
+    files = [_INDENTED, body_file(DATES[1], "\r\n".join(_DOCS + [_PROFS[0], _P1_EDITED] + _PROFS[2:]))]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert built[1] == ["p1"]
+    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]]
+
+
+def test_a_comment_between_two_unchanged_records(tmp_path, monkeypatch):
+    # Targets the walk's resumption: a run ends at the comment, which expat
+    # reads with its handlers on, and the next record starts a new run.
+    body = "\n".join(_DOCS + _PROFS[:2] + ["<!-- edited -->"] + _PROFS[2:])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA
+    assert built[1] == []
+    assert runs == [[["d0", "d1", "d2", "d3", "p0", "p1"], ["p2", "p3"]]]
+
+
+def test_an_absent_record_inside_a_comment_is_not_reused(tmp_path, monkeypatch):
+    # Targets the start-tag check: the walk proposes p3's exact bytes inside
+    # the comment, expat never reports them as a start tag, so p3 is gone.
+    body = "\n".join(_DOCS + _PROFS[:3] + [f"<!-- {_PROFS[3]} -->"])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA
+    assert runs == [[["d0", "d1", "d2", "d3", "p0", "p1", "p2"], ["p3"]]]
+    assert built[1] == []
+
+
+def test_a_reordered_record_between_two_runs_is_no_change(tmp_path, monkeypatch):
+    # Targets the change set: a record rebuilt from other bytes that is
+    # equal to the previous one is that object, and no change.
+    reordered = '<profile authorid="p1"><signature surface="N1" pos="0" pkey="d1"/></profile>'
+    body = "\n".join(_DOCS + [_PROFS[0], reordered] + _PROFS[2:])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA
+    assert built[1] == ["p1"]
+    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]]
+    history = load_history(tmp_path)
+    first, second = history.snapshots
+    assert second.profiles["p1"] is first.profiles["p1"]
+    assert history.profile_changes == (frozenset(),)
+
+
+def test_an_unchanged_record_listed_twice(tmp_path, monkeypatch):
+    # Targets the record count: the repeat is a reused record both times.
+    body = "\n".join(_DOCS + _PROFS[:2] + _PROFS[1:])
+    paths, _built, _runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA[:1]
+    with pytest.raises(IntegrityError, match="duplicate profile id 'p1'"):
+        load_history(tmp_path)
+
+
+@pytest.mark.parametrize("conflict", [False, True])
+def test_a_markup_error_in_a_changed_record_after_a_run(tmp_path, monkeypatch, conflict):
+    # With ``conflict``, targets the rerun of a delta that raised a
+    # FormatError: p1 claims p0's mention first, which a file read alone
+    # reports before it reaches the markup error.
+    p1 = profile_line("p1", ("d1", 0, "N1"), ("d0", 0, "N0")) if conflict else _PROFS[1]
+    broken = '<profile authorid="p3"><signature pkey="d3" pos="0" surface="N3"/></document>'
+    body = "\n".join(_DOCS + [_PROFS[0], p1, _PROFS[2], broken])
+    paths, _built, _runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA[:1]
+    with pytest.raises(IntegrityError if conflict else FormatError):
+        load_history(tmp_path)
+
+
+def test_stray_text_right_after_an_unchanged_record(tmp_path, monkeypatch):
+    # Targets the separator rule: only XML whitespace lies between the
+    # records of a run, so the text reaches expat with its handlers on.
+    body = "\n".join(_DOCS + [_PROFS[0] + "oops"] + _PROFS[1:])
+    paths, _built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA[:1]
+    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p1", "p2", "p3"]]]
+    with pytest.raises(FormatError, match="stray text 'oops'"):
+        load_history(tmp_path)
+
+
+def test_a_key_that_contains_a_closing_bracket(tmp_path, monkeypatch):
+    # Targets the lookup by key: after p1, which is gone, the walk finds
+    # the record under the key ``a>b`` read from the start tag's bytes.
+    odd = profile_line("a>b", ("d2", 0, "N2"))
+    files = [
+        body_file(DATES[0], "\n".join(_DOCS[:3] + [_PROFS[0], _PROFS[1], odd])),
+        body_file(DATES[1], "\n".join(_DOCS[:3] + [_PROFS[0], odd])),
+    ]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert built[1] == []
+    assert runs == [[["d0", "d1", "d2", "p0", "a>b"]]]
+
+
+# ---------------------------------------------------------------------------
 # Differential test over random series with random, partly invalid, edits
 
 
 class Series:
     """A small bibliography edited step by step, rendered as canonical lines
     without any check, so the edits can break every integrity rule.  A
-    foreign series indents its record lines, as a dump written by another
-    tool would, so its files go to expat until an edit toggles it back."""
+    foreign series lays its records out as a dump written by another tool
+    might, indented and joined by ``separator``, so its files go to expat
+    until an edit toggles it back."""
 
     def __init__(self):
         self.docs = {
@@ -360,12 +577,14 @@ class Series:
         self.repeat: int | None = None
         self.comment: int | None = None
         self.foreign = False
+        self.separator = "\n  "
 
     def copy(self):
         other = Series()
         other.docs = {k: [v[0], list(v[1]), list(v[2])] for k, v in self.docs.items()}
         other.profiles = {k: set(v) for k, v in self.profiles.items()}
         other.foreign = self.foreign
+        other.separator = self.separator
         return other
 
     def lines(self):
@@ -377,10 +596,10 @@ class Series:
             ]))
         if self.repeat is not None and out:
             out.insert(self.repeat % (len(out) + 1), out[self.repeat % len(out)])
-        if self.foreign:
-            out = ["  " + line for line in out]
         if self.comment is not None:
             out.insert(self.comment % (len(out) + 1), "<!-- edited -->")
+        if self.foreign:
+            out = ["  " + self.separator.join(out)]
         return out
 
     def edit(self, op, a, b, c, history):
@@ -437,13 +656,19 @@ class Series:
             self.comment = a
         elif op == "foreign":
             self.foreign = not self.foreign
+        elif op == "layout":
+            self.separator = SEPARATORS[a % len(SEPARATORS)]
+
+
+# What a foreign series puts between two records.
+SEPARATORS = ["", "\n", "\n  ", "\r\n\t", "<!-- between -->"]
 
 
 _edit = st.tuples(
     st.sampled_from([
         "move", "move", "move", "double", "surface", "surface", "shrink", "grow",
         "drop_doc", "new_doc", "new_doc", "venue_one", "venue_all", "revert",
-        "revert", "repeat", "comment", "foreign",
+        "revert", "repeat", "comment", "foreign", "layout",
     ]),
     st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
 )
@@ -452,16 +677,19 @@ _edit = st.tuples(
 @given(
     steps=st.lists(st.lists(_edit, min_size=1, max_size=3), min_size=1, max_size=4),
     foreign=st.booleans(),
+    separator=st.sampled_from(SEPARATORS),
 )
 # Every record gone, then a line repeated: there is no line to repeat.
 @example(
     steps=[[("drop_doc", 0, 1, 0)] * 2, [("drop_doc", 0, 1, 0)] * 2 + [("repeat", 0, 0, 0)]],
     foreign=False,
+    separator="\n  ",
 )
 @settings(max_examples=200, deadline=None)
-def test_load_history_matches_parsing_each_file_alone(steps, foreign):
+def test_load_history_matches_parsing_each_file_alone(steps, foreign, separator):
     history = [Series()]
     history[0].foreign = foreign
+    history[0].separator = separator
     for edits in steps:
         state = history[-1].copy()
         for op, a, b, c in edits:
@@ -476,6 +704,18 @@ def test_load_history_matches_parsing_each_file_alone(steps, foreign):
             except IntegrityError as exc:
                 expected.append(("IntegrityError", str(exc)))
                 break
+        # Every file expat reads after a file expat read, with the same
+        # prolog, is a record delta, unless it raised.
+        reader = snapshot_io._Reader()
+        try:
+            for path in paths:
+                reader.read(path, str(path))
+        except IntegrityError:
+            pass
+        took = [path for path, _reason in reader.paths]
+        for before, after in zip(took, took[1:]):
+            if before in _EXPAT and after in _EXPAT:
+                assert after == "expat record delta"
         try:
             history = load_history(directory)
         except IntegrityError as exc:

@@ -455,7 +455,13 @@ def test_reference_error_names_the_first_bad_mention_in_file_order():
             assert str(err.value) == "profile p1: mention references unknown document 'd00'"
 
 
-def test_load_history_shares_across_nonadjacent_files(tmp_path):
+def indented(data):
+    """Canonical bytes with each record line indented: expat reads them."""
+    return re.sub(rb"(?m)^(?=<(?:document|profile))", b"  ", data)
+
+
+@pytest.mark.parametrize("render", [lambda data: data, indented], ids=["canonical", "indented"])
+def test_load_history_shares_across_nonadjacent_files(tmp_path, render):
     split = {"p1": [("d1", 0, "A")], "p2": [("d1", 1, "B")]}
     merged = {"p1": [("d1", 0, "A"), ("d1", 1, "B")]}
     for time, assign in [
@@ -463,7 +469,7 @@ def test_load_history_shares_across_nonadjacent_files(tmp_path):
         ("2017-02-01", merged),
         ("2017-03-01", split),
     ]:
-        write_snapshot_to(snap(time, assign), tmp_path / snapshot_filename(time))
+        (tmp_path / snapshot_filename(time)).write_bytes(render(write_snapshot(snap(time, assign))))
     s1, s2, s3 = load_history(tmp_path).snapshots
     assert "p2" not in s2.profiles
     # The middle file has no p2 and another p1, so pairwise dedup cannot
