@@ -12,12 +12,11 @@ starts with the gzip magic bytes.  Files in the exact form this module writes
 take a line-oriented fast path, everything else goes through expat.  Both
 parsers feed one record builder, which alone enforces integrity, so they
 accept and reject the same records with the same messages.  In a series,
-the builder of one file carries over to the next.  A file in that form
-after another one is read as a line delta: only the lines that changed are
-parsed, and only their records are checked.  A file expat reads after a
-file expat read, with the same prolog, is a record delta: expat reads every
-byte, but takes each run of records whose bytes equal the previous file's
-with its callbacks off, and only the other records are built and checked.
+the builder of one file carries over to the next, and a later file is read
+as a delta of the one before (``_Reader``): a canonical file by a walk over
+its bytes against the previous canonical file's, which the builder keeps,
+and a file expat reads by taking its runs of unchanged records with expat's
+callbacks off.  Only the records that changed are built and checked.
 """
 
 from __future__ import annotations
@@ -72,9 +71,11 @@ class _Reader:
     The builder of the file read last carries over to the next file, which
     takes one of four paths:
 
-    - a canonical file after a canonical file is a line delta
-      (``_Builder.advance``): only the record lines it adds are parsed and
-      checked, and every other record is the previous snapshot's object;
+    - a canonical file after a canonical file is a line delta: a walk over
+      its bytes and the previous file's (``_changed_lines``) pairs
+      byte-identical lines, only the lines it leaves unpaired are parsed and
+      checked, and every other record is the previous snapshot's object; a
+      file out of writer order reads the same, with more lines parsed;
     - any other canonical file is a full canonical pass;
     - a file expat reads after a file expat read, with the same prolog, is
       a record delta (``_expat_builder``): expat takes each run of records
@@ -123,29 +124,50 @@ class _Reader:
         in that form.
 
         ``last`` is the builder of the file read before, if any.  A str is
-        returned for markup reasons only.  Records go through the same
-        builder as the general parser's, so a snapshot, or an
-        IntegrityError, is exactly what the general parser would have
-        produced.
+        returned for markup reasons only: the first record line that starts
+        unlike canonical ones, found before any record is built, else the
+        first one not in canonical form.  Records go through the general
+        parser's builder, so a snapshot, or an IntegrityError, is exactly
+        what the general parser would have produced.
         """
-        parts = _canonical_lines(data)
-        if isinstance(parts, str):
-            return parts
-        date, lines = parts
-        if last is not None and last.spans is None:
+        head = _CANON_HEAD.match(data)
+        if head is None or data.find(b"\n", head.end()) < 0:
+            return "header not canonical"
+        if not data.endswith(_CANON_END):
+            return "end not canonical"
+        try:
+            date = validate_date(head.group(1).decode("ascii"))
+        except ValueError:
+            return "header not canonical"
+        body = head.end()
+        if last is not None and last.data is not None:
+            walked = _changed_lines(last.data, data, body)
+            if isinstance(walked, str):
+                return walked
+            added, gone = walked
+            records = list(_parse_lines(data[start:data.index(b"\n", start)] for start in added))
+            if None in records:
+                return _not_canonical(data, added[records.index(None)])
+            count = len(last.documents) + len(last.profiles) - len(gone) + len(added)
             try:
-                snapshot = last.advance(date, lines, source_name)
+                snapshot = last.delta(date, source_name, gone, records, count)
             except IntegrityError:
                 pass  # the full pass below reports the first error in file order
             else:
-                if not isinstance(snapshot, str):
-                    self.took("line delta", last)
+                last.data = data
+                self.took("line delta", last)
                 return snapshot
+        bad = _BAD_START.search(data, body - 1, len(data) - len(_CANON_END))
+        if bad is not None:
+            return _not_canonical(data, bad.end())
+        lines = data.split(b"\n")[2:-2]
         build = _Builder(date, self.prev, source_name, self.retired)
         if not build.add(_parse_lines(lines)):
             # Each line before the first one not in canonical form added one
             # record, or the pass would have raised.
-            return _not_canonical(lines, len(build.documents) + len(build.profiles))
+            i = len(build.documents) + len(build.profiles)
+            return _not_canonical(data, body + sum(map(len, lines[:i])) + i)
+        build.data = data
         snapshot = build.snapshot()
         self.took("full canonical pass", build)
         return snapshot
@@ -197,10 +219,10 @@ class _Builder:
     the profiles whose record differs from ``prev``'s.  A builder keeps the
     owner index and the venue counts, and ``delta`` turns it into the
     builder of the next file of its series.  The builder of a canonical
-    file keeps its record lines, from which ``advance`` reads the next
-    canonical file as a line delta; that of an expat-read file keeps its
-    ``spans``, from which ``_expat_builder`` reads the next one as a record
-    delta.
+    file keeps its bytes, ``data``, for the walk of the next one, and no
+    map of its lines: a record the walk finds gone is looked up by key.
+    That of an expat-read file keeps its ``spans``, from which
+    ``_expat_builder`` reads the next one as a record delta.
     """
 
     def __init__(
@@ -224,9 +246,8 @@ class _Builder:
         # documents; the others still need their references checked.
         self.fresh: list[Profile] = []
         self.changed: frozenset[str] = frozenset()
-        # A canonical file's record lines, each mapped to its key and record.
-        self.doc_lines: dict[bytes, tuple[str, DocumentRecord]] = {}
-        self.prof_lines: dict[bytes, tuple[str, Profile]] = {}
+        # A canonical file's bytes.
+        self.data: bytes | None = None
         # An expat-read file and where its records lie in it.
         self.spans: _Spans | None = None
 
@@ -292,59 +313,30 @@ class _Builder:
         return record
 
     def add(self, records: Iterable[_Parsed | None]) -> bool:
-        """Add parsed records, in order, noting the record of each line
-        given; False at the first line not in canonical form."""
-        add_profile, prof_lines = self.profile, self.prof_lines
-        add_document, doc_lines = self.document, self.doc_lines
+        """Add parsed records, in order; False at the first line not in
+        canonical form."""
+        add_profile, add_document = self.profile, self.document
         for record in records:
             if record is None:
                 return False
-            line, is_profile, parsed = record
+            is_profile, parsed = record
             if is_profile:
-                prof = add_profile(*parsed)  # type: ignore[arg-type]
-                if line is not None:
-                    prof_lines[line] = (prof.profile_id, prof)
+                add_profile(*parsed)  # type: ignore[arg-type]
             else:
-                doc = add_document(*parsed)  # type: ignore[arg-type]
-                if line is not None:
-                    doc_lines[line] = (doc.document_key, doc)
+                add_document(*parsed)  # type: ignore[arg-type]
         return True
-
-    def advance(self, date: str, lines: list[bytes], source_name: str | None) -> Snapshot | str:
-        """Turn this builder of a canonical file into the builder of the
-        next canonical file, whose record lines are ``lines``.
-
-        Only the lines the previous file lacks are parsed; the records of
-        the lines that went away, and those parsed, go to ``delta``.
-        Returns why the file is not in canonical form, with nothing
-        changed, if an added line is not.
-        """
-        doc_lines = self.doc_lines
-        prof_lines = self.prof_lines
-        current = set(lines)
-        added = sorted(current.difference(doc_lines, prof_lines))
-        records = list(_parse_lines(added))
-        if None in records:
-            bad = {line for line, record in zip(added, records) if record is None}
-            return _not_canonical(lines, next(i for i, line in enumerate(lines) if line in bad))
-        gone_documents = [doc_lines.pop(line)[1] for line in
-                          [line for line in doc_lines if line not in current]]
-        gone_profiles = [prof_lines.pop(line)[1] for line in
-                         [line for line in prof_lines if line not in current]]
-        return self.delta(date, source_name, gone_documents, gone_profiles, records, len(lines))
 
     def delta(
         self,
         date: str,
         source_name: str | None,
-        gone_documents: list[DocumentRecord],
-        gone_profiles: list[Profile],
+        gone: list[tuple[bool, str]],
         records: Iterable[_Parsed],
         count: int,
     ) -> Snapshot:
         """Turn this builder into the builder of the next file of its
         series, which holds ``count`` records: this one's, less those that
-        did not come back, ``gone_documents`` and ``gone_profiles``, plus
+        did not come back, ``gone`` as (is a profile, key), plus
         ``records``, in file order.
 
         The new record maps start as copies of the previous ones.  The gone
@@ -368,24 +360,27 @@ class _Builder:
         retired = self.retired
         venue_docs = self.venue_docs
         owners = self.owners
-        for doc in gone_documents:
+        replaced = []
+        for is_profile, key in gone:
+            if is_profile:
+                prof = profiles.pop(key)
+                retired[prof] = prof
+                for doc_key, pos, _surface, role in prof.mentions:
+                    del owners[doc_key, pos, role is _EDITOR]
+                continue
+            doc = documents.pop(key)
             retired[doc] = doc
-            del documents[doc.document_key]
+            replaced.append(doc)
             if doc.venue_key is not None:
                 venue_docs[doc.venue_key] -= 1
                 if not venue_docs[doc.venue_key]:
                     del venue_docs[doc.venue_key], venues[doc.venue_key]
-        for prof in gone_profiles:
-            retired[prof] = prof
-            del profiles[prof.profile_id]
-            for doc_key, pos, _surface, role in prof.mentions:
-                del owners[doc_key, pos, role is _EDITOR]
         self.add(records)
         # A record listed twice leaves fewer records than were read.
         if len(documents) + len(profiles) != count:
             raise self.error("repeated record line or key")
         return self.snapshot(
-            gone_documents, [p.profile_id for p in gone_profiles if p.profile_id not in profiles]
+            replaced, [key for is_profile, key in gone if is_profile and key not in profiles]
         )
 
     def snapshot(
@@ -469,8 +464,14 @@ def _lost_mentions(
 _BAD = r"\x00-\x08\x0b-\x1f\ufffe\uffff"
 _ATTR = rf'[^"&<>\t{_BAD}]*'
 _TEXT = rf"[^&<>{_BAD}]*"
-_CANON_HEAD = b'<?xml version="1.0" encoding="UTF-8"?>'
-_CANON_ROOT = re.compile(rb'<snapshot date="(\d{4}-\d{2}-\d{2})" version="1">')
+# Of fixed length: the record lines of every canonical file start at one offset.
+_CANON_HEAD = re.compile(
+    rb'<\?xml version="1\.0" encoding="UTF-8"\?>\n'
+    rb'<snapshot date="(\d{4}-\d{2}-\d{2})" version="1">\n'
+)
+_CANON_END = b"\n</snapshot>\n"
+# A newline before a line that does not start as record lines do.
+_BAD_START = re.compile(rb'\n(?!<document pkey="|<profile authorid=")')
 _CANON_DOC = re.compile(
     rf'<document pkey="({_ATTR})"(?: year="(-?[0-9]+)")?(?: url="({_ATTR})")?>'
     r"(.*)</document>"
@@ -491,41 +492,67 @@ _CANON_SIG = re.compile(
 )
 
 
-def _canonical_lines(data: bytes) -> tuple[str, list[bytes]] | str:
-    """The date and the record lines of a file in canonical form, else why
-    it is not.
+def _changed_lines(
+    old: bytes, new: bytes, body: int
+) -> tuple[list[int], list[tuple[bool, str]]] | str:
+    """The record lines, from ``body`` on, of canonical files ``old`` and
+    ``new`` that a walk pairs with no identical line: the offsets of
+    ``new``'s, and whether each of ``old``'s is a profile and its key, in
+    file order.  Else why ``new`` is not in canonical form.
 
-    The lines stay bytes: splitting bytes is about twice as fast as decoding
-    and splitting text, and a line delta decodes only the lines it adds.
+    The walk skips the longest equal stretch of both files by ``startswith``
+    on memoryview slices (memcmp speed, no copy), doubling the stretch while
+    it matches, then halving it down to the first unequal byte.  Of the two
+    lines holding it, it steps past the one that sorts first as bytes: the
+    writer's order (documents by key, then profiles by id), but for a key
+    that extends another by a space or ``!``.  Lines pair only when
+    byte-identical, each at most once, so a file in any order reads
+    correctly; in writer order, only the changed lines stay unpaired.
     """
-    lines = data.split(b"\n")
-    root = _CANON_ROOT.fullmatch(lines[1]) if len(lines) >= 4 and lines[0] == _CANON_HEAD else None
-    if root is None:
-        return "header not canonical"
-    if lines[-2:] != [b"</snapshot>", b""]:
-        return "end not canonical"
-    try:
-        date = validate_date(root.group(1).decode("ascii"))
-    except ValueError:
-        return "header not canonical"
-    return date, lines[2:-2]
+    view = memoryview(old)
+    p = q = body
+    p_end, q_end = len(old) - len(_CANON_END) + 1, len(new) - len(_CANON_END) + 1
+    added, gone = [], []
+    while True:
+        n, step, limit = 0, 1, min(p_end - p, q_end - q)
+        while step <= limit - n and new.startswith(view[p + n:p + n + step], q + n):
+            n, step = n + step, step * 2
+        while step > 1:
+            step //= 2
+            if step <= limit - n and new.startswith(view[p + n:p + n + step], q + n):
+                n += step
+        # Every line that the equal bytes end is paired.
+        k = old.rfind(b"\n", p, p + n) + 1 or p
+        p, q = k, q + k - p
+        if p == p_end and q == q_end:
+            return added, gone
+        old_line = old[p:old.index(b"\n", p) + 1]
+        new_line = new[q:new.index(b"\n", q) + 1]
+        if q < q_end and (p == p_end or new_line < old_line):
+            if _BAD_START.match(new, q - 1):
+                return _not_canonical(new, q)
+            added.append(q)
+            q += len(new_line)
+        else:
+            # The first value on a canonical line is its record's key.
+            gone.append((old_line[1:2] == b"p", old_line.split(b'"', 2)[1].decode()))
+            p += len(old_line)
 
 
-def _not_canonical(lines: list[bytes], i: int) -> str:
-    """Why record line ``i`` of ``lines`` is not in canonical form."""
+def _not_canonical(data: bytes, start: int) -> str:
+    """Why the record line at offset ``start`` of ``data`` is not in
+    canonical form."""
+    number = data.count(b"\n", 0, start) + 1
     try:
-        lines[i].decode("utf-8")
+        data[start:data.index(b"\n", start)].decode("utf-8")
     except UnicodeDecodeError:
-        return f"line {i + 3} not UTF-8"
-    return f"line {i + 3} not a canonical record"
+        return f"line {number} not UTF-8"
+    return f"line {number} not a canonical record"
 
 
-# A canonical record line (None for a record expat read), whether it is a
-# profile, and what the parser made of it: a profile and its mentions as
-# listed, or a document and its venue name.
-_Parsed = tuple[
-    "bytes | None", bool, "tuple[Profile, list[Signature]] | tuple[DocumentRecord, str | None]"
-]
+# Whether a record is a profile, and what a parser made of it: a profile
+# and its mentions as listed, or a document and its venue name.
+_Parsed = tuple[bool, "tuple[Profile, list[Signature]] | tuple[DocumentRecord, str | None]"]
 
 
 def _parse_lines(lines: Iterable[bytes]) -> Iterator[_Parsed | None]:
@@ -537,13 +564,9 @@ def _parse_lines(lines: Iterable[bytes]) -> Iterator[_Parsed | None]:
         except UnicodeDecodeError:
             yield None
             continue
-        kind = text[1:2]
-        parsed = (
-            _parse_profile(text) if kind == "p"
-            else _parse_document(text) if kind == "d"
-            else None
-        )
-        yield None if parsed is None else (line, kind == "p", parsed)
+        is_profile = text[1:2] == "p"
+        parsed = _parse_profile(text) if is_profile else _parse_document(text)
+        yield None if parsed is None else (is_profile, parsed)
 
 
 def _parse_profile(line: str) -> tuple[Profile, list[Signature]] | None:
@@ -871,7 +894,7 @@ def _expat_builder(
             if fresh is None:
                 build.document(record, venue_name)  # type: ignore[union-attr]
             else:
-                fresh.append((None, False, (record, venue_name)))
+                fresh.append((False, (record, venue_name)))
             note_span(name, pkey)
         elif name == "profile":
             assert prof_id is not None
@@ -880,7 +903,7 @@ def _expat_builder(
             if fresh is None:
                 build.profile(prof, prof_sigs)  # type: ignore[union-attr]
             else:
-                fresh.append((None, True, (prof, list(prof_sigs))))
+                fresh.append((True, (prof, list(prof_sigs))))
             note_span(name, pid)
             prof_id = None
         elif name in _TEXT_ELEMENTS and stack and stack[-1] == "document":
@@ -945,18 +968,13 @@ def _expat_builder(
     assert last is not None and prior is not None
     pdata, porder, pkeys = prior.data, prior.order, prior.keys
     pstride = len(pdata) + 1
-    gone_documents, gone_profiles = [], []
+    gone = []
     j = kept.find(0)
     while j >= 0:
         # A span starts at ``<document`` or ``<profile``.
-        if pdata.startswith(b"<p", porder[j] // pstride):
-            gone_profiles.append(last.profiles[pkeys[j]])
-        else:
-            gone_documents.append(last.documents[pkeys[j]])
+        gone.append((pdata.startswith(b"<p", porder[j] // pstride), pkeys[j]))
         j = kept.find(0, j + 1)
-    snapshot = last.delta(
-        date, source_name, gone_documents, gone_profiles, fresh, reused + len(fresh)
-    )
+    snapshot = last.delta(date, source_name, gone, fresh, reused + len(fresh))
     last.spans = spans
     return last, snapshot
 
@@ -1175,15 +1193,12 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     explicit SnapshotFile sequence.  Declared dates must strictly increase,
     and each file's header date must match its declared date.  The files
     are read in order by one reader, so each snapshot shares every record
-    equal to the previous snapshot's, and the builder of each file carries
-    over to the next.  A canonical file after a canonical file is read as a
-    line delta: only the lines that changed are parsed and checked.  A file
-    expat reads after a file expat read, with the same prolog, is a record
-    delta: expat takes each run of records whose bytes equal the previous
-    file's with its callbacks off, and only the other records are built and
-    checked.  The ids of the profiles each file changed against the one
-    before, which the reader knows from that work, go into the history's
-    ``profile_changes``.
+    equal to the previous snapshot's, and each file after the first is read
+    as a delta of the one before, by one of the paths ``_Reader`` lists: a
+    canonical file by walking its bytes against the previous file's.  Only
+    the records that changed are built and checked.  The ids of the
+    profiles each file changed against the one before, which the reader
+    knows from that work, go into the history's ``profile_changes``.
     """
     if isinstance(source, (str, Path)):
         files: Sequence[SnapshotFile] = discover_snapshot_files(source)

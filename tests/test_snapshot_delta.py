@@ -550,6 +550,131 @@ def test_a_key_that_contains_a_closing_bracket(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Layouts the line delta must survive: canonical files after canonical files
+
+_LINES = _DOCS + _PROFS
+_LINE_DELTA = ["full canonical pass", "line delta"]
+
+
+def test_the_first_and_the_last_record_changed(tmp_path, monkeypatch):
+    # Targets both ends of the walk: a difference in the very first byte of
+    # the records, and one in the last line before ``</snapshot>``.
+    changed = [
+        doc_line("d0", ["N0", "M0"]), *_LINES[1:-1], profile_line("p3", ("d3", 0, "N. 3")),
+    ]
+    paths, built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, changed])
+    assert paths == _LINE_DELTA
+    assert built[1] == ["d0", "p3"]
+
+
+@pytest.mark.parametrize("moved, parsed", [
+    # p2 before p0: the walk steps past p0 and p1 as gone, pairs p2, then
+    # meets p0 and p1 again as added lines.
+    (_DOCS + [_PROFS[2], _PROFS[0], _PROFS[1], _PROFS[3]], ["p0", "p1"]),
+    # A document among the profiles.
+    (_DOCS[:1] + _DOCS[2:] + _PROFS[:2] + _DOCS[1:2] + _PROFS[2:], ["d1"]),
+])
+def test_a_record_moved_out_of_writer_order(tmp_path, monkeypatch, moved, parsed):
+    # Targets the claim that correctness does not rest on writer order: a
+    # line the walk cannot pair is parsed, and an equal record is shared.
+    paths, built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, moved])
+    assert paths == _LINE_DELTA
+    assert built[1] == parsed
+    history = load_history(tmp_path)
+    first, second = history.snapshots
+    assert second.profiles["p0"] is first.profiles["p0"]
+    assert second.documents["d1"] is first.documents["d1"]
+    assert history.profile_changes == (frozenset(),)
+
+
+def test_a_repeated_line(tmp_path, monkeypatch):
+    # Targets pairing each line once: the second copy of p1 is unpaired,
+    # parsed and refused, and the full pass reports it as a single parse.
+    repeated = _DOCS + _PROFS[:2] + _PROFS[1:]
+    paths, _built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, repeated])
+    assert paths == _LINE_DELTA[:1]
+    with pytest.raises(IntegrityError, match="duplicate profile id 'p1'"):
+        load_history(tmp_path)
+
+
+def test_the_same_key_with_other_bytes(tmp_path, monkeypatch):
+    # Targets the step at two unequal lines under one key: the old one is
+    # gone, the new one parsed, and nothing else.
+    changed = _DOCS[:2] + [doc_line("d2", ["N2", "X"])] + _DOCS[3:] + _PROFS
+    paths, built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, changed])
+    assert paths == _LINE_DELTA
+    assert built[1] == ["d2"]
+    first, second = load_history(tmp_path).snapshots
+    assert second.documents["d2"].authors == ("N2", "X")
+    assert second.documents["d3"] is first.documents["d3"]
+
+
+def test_a_file_that_only_appends(tmp_path, monkeypatch):
+    # Targets the walk past the previous file's last line.
+    paths, built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES[:-1], _LINES])
+    assert paths == _LINE_DELTA
+    assert built[1] == ["p3"]
+
+
+def test_a_file_with_no_records_in_between(tmp_path, monkeypatch):
+    # Targets empty record sections on either side of the walk; the records
+    # that come back are shared with their earlier copies.
+    paths, built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, [], _LINES])
+    assert paths == ["full canonical pass", "line delta", "line delta"]
+    assert built[1] == []
+    assert sorted(built[2]) == sorted(built[0])
+    first, empty, third = load_history(tmp_path).snapshots
+    assert not empty.documents and not empty.profiles
+    assert third.profiles["p0"] is first.profiles["p0"]
+    assert third.documents["d0"] is first.documents["d0"]
+
+
+@pytest.mark.parametrize("before, after, reason", [
+    (True, False, "line 3 not a canonical record"),
+    (False, True, "line 11 not a canonical record"),
+    (True, True, "line 3 not a canonical record"),
+])
+def test_a_non_canonical_line_at_either_end_of_the_records(
+    tmp_path, monkeypatch, before, after, reason
+):
+    # Targets the start check at both ends of the walk: a comment directly
+    # after the root line or directly before ``</snapshot>``.  The reason
+    # names the first such line, as the full pass over the file alone does.
+    lines = ["<!-- edited -->"] * before + _LINES + ["<!-- edited -->"] * after
+    paths, _built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, lines])
+    assert paths == ["full canonical pass", "full expat pass"]
+    reader = snapshot_io._Reader()
+    for path in sorted(tmp_path.glob("snapshot-*")):
+        reader.read(path, str(path))
+    assert reader.paths[1] == ("full expat pass", reason)
+    assert snapshot_io._Reader().canonical(canonical_file(DATES[1], lines), None) == reason
+
+
+@pytest.mark.parametrize("after_a_canonical_file", [False, True])
+def test_a_later_line_that_starts_unlike_a_record_declines_before_any_record_is_built(
+    monkeypatch, after_a_canonical_file
+):
+    # Targets the start check: the lines before the indented one are in
+    # canonical form, and neither the full pass nor the walk builds them.
+    reader = snapshot_io._Reader()
+    if after_a_canonical_file:
+        reader.read(canonical_file(DATES[0], _DOCS[:1]), None)
+    made = []
+
+    def counting(cls):
+        def make(*args, **kwargs):
+            made.append(cls(*args, **kwargs))
+            return made[-1]
+        return make
+
+    monkeypatch.setattr(snapshot_io, "Profile", counting(Profile))
+    monkeypatch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord))
+    data = canonical_file(DATES[1], _LINES[:-1] + ["  " + _LINES[-1]])
+    assert reader.canonical(data, None, reader.build) == "line 10 not a canonical record"
+    assert made == []
+
+
+# ---------------------------------------------------------------------------
 # Differential test over random series with random, partly invalid, edits
 
 
@@ -572,9 +697,10 @@ class Series:
             "p2": {("d2", 0, "A2", False), ("d3", 0, "E3", True)},
             "p3": {("d3", 0, "A3", False)},
         }
-        # A line repeated, or a comment that sends the file to expat, in
-        # this file only.
+        # A line repeated, a line moved out of writer order, or a comment
+        # that sends the file to expat, in this file only.
         self.repeat: int | None = None
+        self.unsort: tuple[int, int] | None = None
         self.comment: int | None = None
         self.foreign = False
         self.separator = "\n  "
@@ -594,6 +720,9 @@ class Series:
                 (d, p, s, "editor") if e else (d, p, s)
                 for d, p, s, e in sorted(mentions, key=lambda m: (m[0], m[1], m[3]))
             ]))
+        if self.unsort is not None and out:
+            line = out.pop(self.unsort[0] % len(out))
+            out.insert(self.unsort[1] % (len(out) + 1), line)
         if self.repeat is not None and out:
             out.insert(self.repeat % (len(out) + 1), out[self.repeat % len(out)])
         if self.comment is not None:
@@ -652,6 +781,8 @@ class Series:
             self.docs, self.profiles = earlier.docs, earlier.profiles
         elif op == "repeat":
             self.repeat = a
+        elif op == "unsort":
+            self.unsort = (a, b)
         elif op == "comment":
             self.comment = a
         elif op == "foreign":
@@ -668,7 +799,7 @@ _edit = st.tuples(
     st.sampled_from([
         "move", "move", "move", "double", "surface", "surface", "shrink", "grow",
         "drop_doc", "new_doc", "new_doc", "venue_one", "venue_all", "revert",
-        "revert", "repeat", "comment", "foreign", "layout",
+        "revert", "repeat", "unsort", "comment", "foreign", "layout",
     ]),
     st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
 )
