@@ -13,10 +13,11 @@ take a line-oriented fast path, everything else goes through expat.  Both
 parsers feed one record builder, which alone enforces integrity, so they
 accept and reject the same records with the same messages.  In a series,
 the builder of one file carries over to the next, and a later file is read
-as a delta of the one before (``_Reader``): a canonical file by a walk over
-its bytes against the previous canonical file's, which the builder keeps,
-and a file expat reads by taking its runs of unchanged records with expat's
-callbacks off.  Only the records that changed are built and checked.
+as a delta of the one before (``_Reader``).  Both deltas compare the two
+files' bytes in long equal stretches (``_equal_bytes``): a canonical file
+pairs the lines that did not change, and expat takes each stretch equal to
+records of the previous file, gaps included, with its callbacks off.  Only
+the records that changed are built and checked.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import gzip
 import re
 import sys
 import zlib
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,9 +80,9 @@ class _Reader:
       file out of writer order reads the same, with more lines parsed;
     - any other canonical file is a full canonical pass;
     - a file expat reads after a file expat read, with the same prolog, is
-      a record delta (``_expat_builder``): expat takes each run of records
-      whose bytes equal the previous file's with its callbacks off, and
-      only the other records are built and checked;
+      a record delta (``_expat_builder``): expat takes each stretch equal to
+      records of the previous file, gaps included, with its callbacks off,
+      and only the other records are built and checked;
     - any other file is a full expat pass.
 
     ``paths`` notes the path of each file read, with the first reason the
@@ -175,8 +177,19 @@ class _Reader:
     def expat(
         self, data: bytes, source_name: str | None, last: _Builder | None, reason: str
     ) -> Snapshot:
-        """Read a file the canonical path declined, for ``reason``."""
-        if last is not None and last.spans is None:
+        """Read a file the canonical path declined, for ``reason``.
+
+        This alone decides whether the file is a record delta of the file
+        read before: it is if expat read that file, every record of it has
+        a span, and ``data`` starts with its prolog (declaration, encoding,
+        DOCTYPE: everything that changes what the same bytes mean) and its
+        root tag's name, so that expat reads the root at the same offset.
+        """
+        if last is None or last.spans is None or not (
+            len(last.spans.keys) == len(last.documents) + len(last.profiles)
+            and data.startswith(last.spans.data[:last.spans.root])
+            and data.startswith(b"<snapshot", last.spans.root)
+        ):
             last = None
         try:
             build, snapshot = _expat_builder(data, self.prev, source_name, self.retired, last)
@@ -193,15 +206,6 @@ class _Reader:
         self.build = build
         self.changed = build.changed
         self.paths.append((path, reason))
-
-
-def _parse_canonical(
-    data: bytes, prev: Snapshot | None, source_name: str | None = None
-) -> Snapshot | None:
-    """``_Reader.canonical`` on one file read after ``prev``; None if the
-    file is not in canonical form."""
-    snapshot = _Reader(prev).canonical(data, source_name)
-    return None if isinstance(snapshot, str) else snapshot
 
 
 class _Builder:
@@ -500,27 +504,20 @@ def _changed_lines(
     ``new``'s, and whether each of ``old``'s is a profile and its key, in
     file order.  Else why ``new`` is not in canonical form.
 
-    The walk skips the longest equal stretch of both files by ``startswith``
-    on memoryview slices (memcmp speed, no copy), doubling the stretch while
-    it matches, then halving it down to the first unequal byte.  Of the two
-    lines holding it, it steps past the one that sorts first as bytes: the
-    writer's order (documents by key, then profiles by id), but for a key
-    that extends another by a space or ``!``.  Lines pair only when
-    byte-identical, each at most once, so a file in any order reads
-    correctly; in writer order, only the changed lines stay unpaired.
+    The walk skips the longest equal stretch of both files
+    (``_equal_bytes``).  Of the two lines holding the first unequal byte, it
+    steps past the one that sorts first as bytes: the writer's order
+    (documents by key, then profiles by id), but for a key that extends
+    another by a space or ``!``.  Lines pair only when byte-identical, each
+    at most once, so a file in any order reads correctly; in writer order,
+    only the changed lines stay unpaired.
     """
     view = memoryview(old)
     p = q = body
     p_end, q_end = len(old) - len(_CANON_END) + 1, len(new) - len(_CANON_END) + 1
     added, gone = [], []
     while True:
-        n, step, limit = 0, 1, min(p_end - p, q_end - q)
-        while step <= limit - n and new.startswith(view[p + n:p + n + step], q + n):
-            n, step = n + step, step * 2
-        while step > 1:
-            step //= 2
-            if step <= limit - n and new.startswith(view[p + n:p + n + step], q + n):
-                n += step
+        n = _equal_bytes(view, new, p, q, min(p_end - p, q_end - q))
         # Every line that the equal bytes end is paired.
         k = old.rfind(b"\n", p, p + n) + 1 or p
         p, q = k, q + k - p
@@ -537,6 +534,24 @@ def _changed_lines(
             # The first value on a canonical line is its record's key.
             gone.append((old_line[1:2] == b"p", old_line.split(b'"', 2)[1].decode()))
             p += len(old_line)
+
+
+def _equal_bytes(view: memoryview, new: bytes, p: int, q: int, limit: int) -> int:
+    """How many bytes ``view`` from ``p`` and ``new`` from ``q`` have equal,
+    up to ``limit``, which both must hold.
+
+    ``startswith`` on memoryview slices compares at memcmp speed with no
+    copy.  The stretch doubles while it matches, then halves down to the
+    first unequal byte, so the count is exact.
+    """
+    n, step = 0, 1
+    while step <= limit - n and new.startswith(view[p + n:p + n + step], q + n):
+        n, step = n + step, step * 2
+    while step > 1:
+        step //= 2
+        if step <= limit - n and new.startswith(view[p + n:p + n + step], q + n):
+            n += step
+    return n
 
 
 def _not_canonical(data: bytes, start: int) -> str:
@@ -619,18 +634,16 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
     return record, b.group(3)
 
 
-def _parse_expat(data: bytes, prev: Snapshot | None, source_name: str | None) -> Snapshot:
-    """The general parser on one file read after ``prev``."""
-    return _expat_builder(data, prev, source_name)[1]
-
-
 class _Spans(NamedTuple):
     """An expat-read file and where its top-level records lie in it.
 
-    ``order`` holds, in file order, the span of each record whose start tag
-    is literally in ``data`` (so it begins ``<document`` or ``<profile``),
-    from its start tag through its end tag, packed as one int
-    ``start * (len(data) + 1) + end``; ``keys`` holds their keys.
+    ``order`` holds, flat and in file order, the start and end offsets of
+    each record whose start tag is literally in ``data`` (so it begins
+    ``<document`` or ``<profile``), from its start tag through its end tag:
+    record ``i`` spans ``data[order[2 * i]:order[2 * i + 1]]``.  The list is
+    sorted, so a bisection finds the records up to an offset, and a run of
+    records moves to another file as one slice shifted by one offset.
+    ``keys`` holds their keys.
     """
 
     data: bytes
@@ -641,72 +654,60 @@ class _Spans(NamedTuple):
 
 _START_TAGS = {"document": b"<document", "profile": b"<profile"}
 _END_TAGS = {"document": b"</document", "profile": b"</profile"}
-_RECORD_START = re.compile(rb"<(?:document|profile)")
+# A record start tag whose first attribute is its key.
 _RECORD_KEY = re.compile(
     rb"<(?:document[ \t\r\n]+pkey|profile[ \t\r\n]+authorid)[ \t\r\n]*=[ \t\r\n]*"
     rb"(?:\"([^\"]*)\"|'([^']*)')"
 )
-_XML_SPACE = re.compile(rb"[ \t\r\n]*")
 
 
-def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, list[int], list[int]]]:
+def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
     """Propose the runs of ``last``'s records in ``data``, in file order.
 
-    A run is a sequence of records, each byte-identical to a record of
-    ``last``, separated only by XML whitespace.  Each is yielded as its
-    start and end offsets, the positions of its records in ``last.order``
-    and their spans in ``data``, packed as ``_Spans`` packs them.  Records
-    are found by bytes alone: ``startswith`` on the record that followed
-    the previous one in ``last``'s file, then a lookup by the key the start
-    tag seems to carry.  A proposal proves nothing about where expat is: the
-    bytes may lie inside a comment or a CDATA section.
+    A run is a stretch of ``data`` equal to records ``i`` to ``k - 1`` of
+    ``last``'s file, whole, with the gaps between them; it is yielded as
+    its start and end offsets in ``data``, ``i`` and ``k``.  At each start
+    tag whose key names a record of ``last``, ``_equal_bytes`` compares the
+    two files from there and from that record's start, and a bisection over
+    ``last.order`` cuts the equal stretch after the last record it holds
+    whole.  A proposal proves nothing about where expat is: the bytes may
+    lie inside a comment or a CDATA section.
+
+    Once expat reports the run's first start tag at the top level at
+    exactly its offset, the rest of the run needs no proof, its gaps
+    included, and its records are ``last``'s:
+
+    - expat is deterministic: in equal states, equal bytes give equal
+      events and errors;
+    - both files share the prolog, so the declaration, encoding and DTD
+      that decide what the bytes mean are the same;
+    - both parsers stand at depth 1, inside the root, at a start tag, which
+      is all the state that one top-level record passes to the next;
+    - so expat reads the stretch as it read it in ``last``'s file, where
+      it raised nothing, and where each gap was checked, either with the
+      callbacks on or as an equal gap of the file before it.  Every record
+      of that file has a span, so no gap holds a record, as one from an
+      entity reference would be.
     """
-    pdata, porder = last.data, last.order
-    pstride = len(pdata) + 1
-    stride = len(data) + 1
-    n = len(porder)
-    index: dict[str, int] | None = None
-    space = _XML_SPACE.match
-    i = 0  # the record of ``last`` expected next
-
-    def record_at(q: int) -> int:
-        """The position of the record of ``last`` whose bytes ``data`` has
-        at ``q``, or -1."""
-        nonlocal index
-        if i < n:
-            start, end = divmod(porder[i], pstride)
-            if data.startswith(pdata[start:end], q):
-                return i
-        m = _RECORD_KEY.match(data, q)
-        if m is None:
-            return -1
-        if index is None:
-            index = dict(zip(last.keys, range(n)))
-        j = index.get(m.group(m.lastindex).decode("utf-8", "replace"), -1)  # type: ignore[arg-type]
-        if j >= 0:
-            start, end = divmod(porder[j], pstride)
-            if not data.startswith(pdata[start:end], q):
-                j = -1
-        return j
-
-    m = _RECORD_START.search(data, last.root + 1)
+    order = last.order
+    view = memoryview(last.data)
+    index = dict(zip(last.keys, range(len(last.keys))))
+    m = _RECORD_KEY.search(data, last.root + 1)
     while m is not None:
         q = m.start()
-        j = record_at(q)
-        if j < 0:
-            m = _RECORD_START.search(data, q + 1)
-            continue
-        first, positions, spans = q, [], []
-        while j >= 0:
-            start, end = divmod(porder[j], pstride)
-            e = q + end - start
-            positions.append(j)
-            spans.append(q * stride + e)
-            i = j + 1
-            q = space(data, e).end()
-            j = record_at(q)
-        yield first, e, positions, spans
-        m = _RECORD_START.search(data, q + 1)
+        i = index.get(m.group(m.lastindex).decode("utf-8", "replace"), -1)  # type: ignore[arg-type]
+        if i >= 0:
+            p = order[2 * i]
+            n = _equal_bytes(view, data, p, q, min(order[-1] - p, len(data) - q))
+            # The offsets up to ``p + n`` pair up into whole records, but
+            # for the start of one the stretch cuts off.
+            k = bisect_right(order, p + n, 2 * i) // 2
+            if k > i:
+                end = q + order[2 * k - 1] - p
+                yield q, end, i, k
+                m = _RECORD_KEY.search(data, end)
+                continue
+        m = _RECORD_KEY.search(data, q + 1)
 
 
 def _expat_builder(
@@ -719,20 +720,20 @@ def _expat_builder(
     """Read ``data`` with expat; the builder holding its records and their
     spans, and the snapshot.
 
-    ``last`` is the builder of the file ``prev`` was read from, if expat
-    read it.  If that file has the same prolog (declaration, encoding,
-    DOCTYPE: everything that changes what the same bytes mean) and every
-    record of it has a span, ``data`` is read as a record delta, and the
-    builder returned is ``last``, turned into the builder of ``data``.
-    ``_runs`` proposes runs of unchanged records, and expat gets every byte,
-    in order.  When it reports the first record of a run, with its handlers
-    on, as a top-level start tag at exactly the run's offset, every handler
-    goes off until the run ends; that report is what proves the run lies
-    where ``_runs`` found it.  Every other byte is read with the handlers
-    on, and the records built from it go to ``_Builder.delta`` with the
-    records of ``last`` that did not come back.  Markup errors and their
-    offsets are expat's, as in a full pass; integrity errors are found out
-    of file order, so a caller reruns a failed delta without ``last``.
+    With ``last``, the builder of the file ``prev`` was read from, which
+    ``_Reader.expat`` found fit, ``data`` is read as a record delta of that
+    file, and the builder returned is ``last``, turned into the builder of
+    ``data``.  ``_runs`` proposes runs of ``last``'s records, and expat gets
+    every byte, in order.  When it reports the first record of a run, with
+    its handlers on, as a top-level start tag at exactly the run's offset,
+    every handler goes off until the run ends: that report proves where
+    the run lies, and ``_runs`` argues why the rest of it needs no proof.
+    The run's spans, keys and marks of the records that came back carry
+    over as slices.  Every other byte is read with the handlers on, and the
+    records built from it go to ``_Builder.delta`` with the records of
+    ``last`` that did not come back.  Markup errors and their offsets are
+    expat's, as in a full pass; integrity errors are found out of file
+    order, so a caller reruns a failed delta without ``last``.
 
     The handlers never refer to one another, and the parser drops them when
     the parse ends, so no reference cycle keeps ``data`` alive.
@@ -741,20 +742,13 @@ def _expat_builder(
     build: _Builder | None = None
     date = ""
     root = -1
-    # The spans of ``last``'s file, if ``data`` can be read as a delta of it.
-    prior = None
-    if (
-        last is not None and last.spans is not None
-        and len(last.spans.order) == len(last.documents) + len(last.profiles)
-        and data.startswith(last.spans.data[:last.spans.root])
-    ):
-        prior = last.spans
-    # The records a delta builds, for ``_Builder.delta``; None in a full pass.
-    fresh: list[_Parsed] | None = None
+    # The spans of ``last``'s file, and the records a delta builds, for
+    # ``_Builder.delta``; None in a full pass.
+    prior = last.spans if last is not None else None
+    fresh: list[_Parsed] | None = [] if last is not None else None
     # The spans and keys of the top-level records, as ``_Spans`` holds them.
     order: list[int] = []
     keys: list[str] = []
-    stride = len(data) + 1
     # Start offset of the top-level record being read.
     record_start = -1
     # Where the run fed next starts.
@@ -786,7 +780,7 @@ def _expat_builder(
         return value
 
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal build, date, root, fresh, record_start, doc_attrs, doc_venue, prof_id, capturing
+        nonlocal build, date, root, record_start, doc_attrs, doc_venue, prof_id, capturing
         depth = len(stack)
         if depth == 0:
             if name != "snapshot":
@@ -800,9 +794,7 @@ def _expat_builder(
             except ValueError as exc:
                 raise fail(str(exc)) from None
             root = parser.CurrentByteIndex
-            if prior is not None and root == prior.root:
-                fresh = []
-            else:
+            if fresh is None:
                 build = _Builder(date, prev, source_name, retired)
         elif depth == 1:
             record_start = parser.CurrentByteIndex
@@ -863,7 +855,7 @@ def _expat_builder(
         # end is found from here, not by a search from the start tag.
         if data.startswith(_END_TAGS[name], end):
             end = data.index(b">", end) + 1
-        order.append(record_start * stride + end)
+        order.extend((record_start, end))
         keys.append(key)
 
     def end(name: str) -> None:
@@ -930,27 +922,25 @@ def _expat_builder(
     parser.EndElementHandler = end
     parser.CharacterDataHandler = chars
     # Which records of ``last`` came back, by position in its spans.
-    kept = bytearray(len(prior.order) if prior is not None else 0)
+    kept = bytearray(len(prior.keys) if prior is not None else 0)
     reused = 0
 
     try:
         with memoryview(data) as view:
             fed = 0
             if prior is not None:
-                for target, run_end, positions, run_spans in _runs(data, prior):
+                for target, run_end, i, k in _runs(data, prior):
                     parser.Parse(view[fed:run_end], False)
                     fed = run_end
-                    if fresh is None:
-                        break  # the root is not where the prolog says: a full pass
                     if parser.StartElementHandler is None:
                         parser.StartElementHandler = start
                         parser.EndElementHandler = end
                         parser.CharacterDataHandler = chars
-                        order += run_spans
-                        keys += [prior.keys[j] for j in positions]
-                        for j in positions:
-                            kept[j] = 1
-                        reused += len(positions)
+                        shift = target - prior.order[2 * i]
+                        order += map(shift.__add__, prior.order[2 * i:2 * k])
+                        keys += prior.keys[i:k]
+                        kept[i:k] = b"\1" * (k - i)
+                        reused += k - i
             parser.Parse(view[fed:], True)
     except expat.ExpatError as exc:
         raise FormatError(
@@ -967,12 +957,11 @@ def _expat_builder(
         return build, build.snapshot()
     assert last is not None and prior is not None
     pdata, porder, pkeys = prior.data, prior.order, prior.keys
-    pstride = len(pdata) + 1
     gone = []
     j = kept.find(0)
     while j >= 0:
         # A span starts at ``<document`` or ``<profile``.
-        gone.append((pdata.startswith(b"<p", porder[j] // pstride), pkeys[j]))
+        gone.append((pdata.startswith(b"<p", porder[2 * j]), pkeys[j]))
         j = kept.find(0, j + 1)
     snapshot = last.delta(date, source_name, gone, fresh, reused + len(fresh))
     last.spans = spans

@@ -333,6 +333,34 @@ def test_an_expat_read_leaves_no_reference_cycle(tmp_path):
     assert unreachable == 0
 
 
+@pytest.mark.parametrize("prolog", [
+    # Not the first file's prolog.
+    "<!-- no declaration -->",
+    # The first file's prolog, then more before the root.
+    XML_DECL + "\n<!-- more prolog -->",
+], ids=["other-prolog", "longer-prolog"])
+def test_a_failing_file_that_is_no_delta_is_parsed_once(tmp_path, monkeypatch, prolog):
+    # Targets the one decision whether a file is a record delta: a file
+    # that is not one, and fails, is not parsed again as if it were.
+    assert_delta_error_as_single_parse(
+        tmp_path,
+        foreign_file(DATES[0], [_D1, _P1]),
+        foreign_file(DATES[1], [_D1, profile_line("p1", ("d2", 0, "A"))], prolog),
+        "p1: mention references unknown document 'd2'",
+    )
+    parsers = []
+    create = snapshot_io.expat.ParserCreate
+
+    def counting(*args, **kwargs):
+        parsers.append(create(*args, **kwargs))
+        return parsers[-1]
+
+    monkeypatch.setattr(snapshot_io.expat, "ParserCreate", counting)
+    with pytest.raises(IntegrityError):
+        load_history(tmp_path)
+    assert len(parsers) == 2  # one per file
+
+
 # ---------------------------------------------------------------------------
 # How the reader read each file, and layouts the record delta must survive
 
@@ -373,7 +401,6 @@ _CANON = canonical_file(DATES[0], [_D1, _P1])
 ])
 def test_the_canonical_path_says_why_it_declines(data, reason):
     assert snapshot_io._Reader().canonical(data, None) == reason
-    assert snapshot_io._parse_canonical(data, None) is None
 
 
 def test_a_declined_line_delta_names_its_first_bad_line_in_file_order():
@@ -423,8 +450,7 @@ def read_each_way(tmp_path, monkeypatch, files):
             spans = reader.build.spans if reader.build is not None else None
             if spans is not None:
                 runs.append([
-                    [spans.keys[j] for j in positions]
-                    for _start, _end, positions, _spans in snapshot_io._runs(path.read_bytes(), spans)
+                    spans.keys[i:k] for _start, _end, i, k in snapshot_io._runs(path.read_bytes(), spans)
                 ])
             built.append([])
             series.append(outcome(lambda: reader.read(path, str(path))))
@@ -446,55 +472,91 @@ _DELTA = ["full expat pass", "expat record delta"]
 _EXPAT = set(_DELTA)
 
 
-def test_records_with_no_whitespace_between_them(tmp_path, monkeypatch):
+def first_file(separator):
+    """The first file of a layout test: ``_INDENTED``'s records, separated
+    by ``separator``."""
+    return body_file(DATES[0], separator.join(_DOCS + _PROFS))
+
+
+def each(*keys):
+    """Runs of one record each: what a later file whose gaps differ from
+    the first file's gets."""
+    return [[key] for key in keys]
+
+
+# Each layout test reads its later file after ``_INDENTED`` and after a
+# first file with the later file's gaps.  Only bytes equal to the previous
+# file's, gaps included, make one run: after ``_INDENTED`` each unchanged
+# record is a run of its own, after the other file runs hold many records.
+@pytest.mark.parametrize("first, expected", [
+    (_INDENTED, each("d0", "d1", "d2", "d3", "p0", "p2", "p3")),
+    (first_file(""), [["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]),
+], ids=["indented", "same-gaps"])
+def test_records_with_no_whitespace_between_them(tmp_path, monkeypatch, first, expected):
     # Targets the search for the next record after a changed one: it finds
     # ``<profile`` wherever it lies, not only after whitespace.
-    files = [_INDENTED, body_file(DATES[1], "".join(_DOCS + [_PROFS[0], _P1_EDITED] + _PROFS[2:]))]
+    files = [first, body_file(DATES[1], "".join(_DOCS + [_PROFS[0], _P1_EDITED] + _PROFS[2:]))]
     paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
     assert paths == _DELTA
     assert built[1] == ["p1"]
-    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]]
+    assert runs == [expected]
 
 
-def test_crlf_between_records(tmp_path, monkeypatch):
+@pytest.mark.parametrize("first, expected", [
+    (_INDENTED, each("d0", "d1", "d2", "d3", "p0", "p2", "p3")),
+    (first_file("\r\n"), [["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]),
+], ids=["indented", "same-gaps"])
+def test_crlf_between_records(tmp_path, monkeypatch, first, expected):
     # Targets the whitespace a run may span: carriage return is XML
     # whitespace.
-    files = [_INDENTED, body_file(DATES[1], "\r\n".join(_DOCS + [_PROFS[0], _P1_EDITED] + _PROFS[2:]))]
+    files = [first, body_file(DATES[1], "\r\n".join(_DOCS + [_PROFS[0], _P1_EDITED] + _PROFS[2:]))]
     paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
     assert paths == _DELTA
     assert built[1] == ["p1"]
-    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]]
+    assert runs == [expected]
 
 
-def test_a_comment_between_two_unchanged_records(tmp_path, monkeypatch):
+@pytest.mark.parametrize("first, expected", [
+    (_INDENTED, each("d0", "d1", "d2", "d3", "p0", "p1", "p2", "p3")),
+    (first_file("\n"), [["d0", "d1", "d2", "d3", "p0", "p1"], ["p2", "p3"]]),
+], ids=["indented", "same-gaps"])
+def test_a_comment_between_two_unchanged_records(tmp_path, monkeypatch, first, expected):
     # Targets the walk's resumption: a run ends at the comment, which expat
     # reads with its handlers on, and the next record starts a new run.
     body = "\n".join(_DOCS + _PROFS[:2] + ["<!-- edited -->"] + _PROFS[2:])
-    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [first, body_file(DATES[1], body)])
     assert paths == _DELTA
     assert built[1] == []
-    assert runs == [[["d0", "d1", "d2", "d3", "p0", "p1"], ["p2", "p3"]]]
+    assert runs == [expected]
 
 
-def test_an_absent_record_inside_a_comment_is_not_reused(tmp_path, monkeypatch):
+@pytest.mark.parametrize("first, expected", [
+    (_INDENTED, each("d0", "d1", "d2", "d3", "p0", "p1", "p2", "p3")),
+    (first_file("\n"), [["d0", "d1", "d2", "d3", "p0", "p1", "p2"], ["p3"]]),
+], ids=["indented", "same-gaps"])
+def test_an_absent_record_inside_a_comment_is_not_reused(tmp_path, monkeypatch, first, expected):
     # Targets the start-tag check: the walk proposes p3's exact bytes inside
     # the comment, expat never reports them as a start tag, so p3 is gone.
     body = "\n".join(_DOCS + _PROFS[:3] + [f"<!-- {_PROFS[3]} -->"])
-    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [first, body_file(DATES[1], body)])
     assert paths == _DELTA
-    assert runs == [[["d0", "d1", "d2", "d3", "p0", "p1", "p2"], ["p3"]]]
+    assert runs == [expected]
     assert built[1] == []
 
 
-def test_a_reordered_record_between_two_runs_is_no_change(tmp_path, monkeypatch):
+@pytest.mark.parametrize("first, expected", [
+    (_INDENTED, each("d0", "d1", "d2", "d3", "p0", "p2", "p3")),
+    (first_file("\n"), [["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]),
+], ids=["indented", "same-gaps"])
+def test_a_reordered_record_between_two_runs_is_no_change(tmp_path, monkeypatch, first, expected):
     # Targets the change set: a record rebuilt from other bytes that is
     # equal to the previous one is that object, and no change.
     reordered = '<profile authorid="p1"><signature surface="N1" pos="0" pkey="d1"/></profile>'
     body = "\n".join(_DOCS + [_PROFS[0], reordered] + _PROFS[2:])
-    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [first, body_file(DATES[1], body)])
     assert paths == _DELTA
     assert built[1] == ["p1"]
-    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p2", "p3"]]]
+    assert runs == [expected]
     history = load_history(tmp_path)
     first, second = history.snapshots
     assert second.profiles["p1"] is first.profiles["p1"]
@@ -524,29 +586,107 @@ def test_a_markup_error_in_a_changed_record_after_a_run(tmp_path, monkeypatch, c
         load_history(tmp_path)
 
 
-def test_stray_text_right_after_an_unchanged_record(tmp_path, monkeypatch):
-    # Targets the separator rule: only XML whitespace lies between the
-    # records of a run, so the text reaches expat with its handlers on.
+@pytest.mark.parametrize("first, expected", [
+    (_INDENTED, each("d0", "d1", "d2", "d3", "p0", "p1", "p2", "p3")),
+    (first_file("\n"), [["d0", "d1", "d2", "d3", "p0"], ["p1", "p2", "p3"]]),
+], ids=["indented", "same-gaps"])
+def test_stray_text_right_after_an_unchanged_record(tmp_path, monkeypatch, first, expected):
+    # Targets the separator rule: only gaps equal to the previous file's lie
+    # inside a run, so the text reaches expat with its handlers on.
     body = "\n".join(_DOCS + [_PROFS[0] + "oops"] + _PROFS[1:])
-    paths, _built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    paths, _built, runs = read_each_way(tmp_path, monkeypatch, [first, body_file(DATES[1], body)])
     assert paths == _DELTA[:1]
-    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p1", "p2", "p3"]]]
+    assert runs == [expected]
     with pytest.raises(FormatError, match="stray text 'oops'"):
         load_history(tmp_path)
 
 
-def test_a_key_that_contains_a_closing_bracket(tmp_path, monkeypatch):
+@pytest.mark.parametrize("separator, expected", [
+    ("\n", [["d0", "d1", "d2", "p0"], ["a>b"]]),
+    ("\n  ", each("d0", "d1", "d2", "p0", "a>b")),
+], ids=["same-gaps", "indented"])
+def test_a_key_that_contains_a_closing_bracket(tmp_path, monkeypatch, separator, expected):
     # Targets the lookup by key: after p1, which is gone, the walk finds
     # the record under the key ``a>b`` read from the start tag's bytes.
     odd = profile_line("a>b", ("d2", 0, "N2"))
     files = [
-        body_file(DATES[0], "\n".join(_DOCS[:3] + [_PROFS[0], _PROFS[1], odd])),
+        body_file(DATES[0], separator.join(_DOCS[:3] + [_PROFS[0], _PROFS[1], odd])),
         body_file(DATES[1], "\n".join(_DOCS[:3] + [_PROFS[0], odd])),
     ]
     paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
     assert paths == _DELTA
     assert built[1] == []
-    assert runs == [[["d0", "d1", "d2", "p0", "a>b"]]]
+    assert runs == [expected]
+
+
+def test_a_comment_that_spans_unchanged_records(tmp_path, monkeypatch):
+    # Targets the start-tag proof: the comment opens before p1 and closes
+    # after p2, so the run proposed from p1 lies inside it, expat reports
+    # no start tag there, and p1 and p2 are gone.
+    body = "\n  ".join(_DOCS + [_PROFS[0], "<!-- " + _PROFS[1], _PROFS[2] + " -->", _PROFS[3]])
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, body_file(DATES[1], body)])
+    assert paths == _DELTA
+    assert runs == [[["d0", "d1", "d2", "d3", "p0"], ["p1", "p2"], ["p3"]]]
+    assert built[1] == []
+    second = load_history(tmp_path).snapshots[1]
+    assert second.profiles.keys() == {"p0", "p3"}
+
+
+def test_a_stretch_that_starts_inside_a_comment(tmp_path, monkeypatch):
+    # Targets the start-tag proof where the equal bytes close the comment:
+    # ``-->`` in dt's title ends the comment opened in d9's title, so the
+    # stretch equal to the whole first file is no run, dt is gone, and
+    # every other record is read with the handlers on.
+    dt = '<document pkey="dt"><title>--></title></document>'
+    body = "\n  ".join([dt] + _DOCS + _PROFS)
+    files = [
+        body_file(DATES[0], body),
+        body_file(DATES[1], '<document pkey="d9"><title>x<!-- ' + body),
+    ]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert runs == [[["dt", "d0", "d1", "d2", "d3", "p0", "p1", "p2", "p3"]]]
+    assert built[1] == ["d9", "d0", "d1", "d2", "d3", "p0", "p1", "p2", "p3"]
+    second = load_history(tmp_path).snapshots[1]
+    assert second.documents["d9"].title == "x"
+    assert "dt" not in second.documents
+
+
+def test_a_comment_and_blank_cdata_between_records_ride_in_a_run(tmp_path, monkeypatch):
+    # Targets the equal-gap rule: gaps equal to the previous file's, which
+    # its read checked, are carried inside one run without a second check.
+    gap = "\n  <!-- between --><![CDATA[ \n ]]>\n  "
+    files = [
+        body_file(DATES[0], gap.join(_DOCS + _PROFS)),
+        body_file(DATES[1], gap.join(_DOCS + _PROFS[:3])),
+    ]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert runs == [[["d0", "d1", "d2", "d3", "p0", "p1", "p2"]]]
+    assert built[1] == []
+
+
+def equal_bytes_reference(old, new, p, q, limit):
+    n = 0
+    while n < limit and old[p + n] == new[q + n]:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+def test_equal_bytes_counts_exactly(length):
+    # Targets the comparison both deltas share: one byte too many would
+    # pair two unequal lines, or take a changed record into a run with
+    # expat's callbacks off.
+    stretch = bytes(i * 7 % 256 for i in range(length))
+    old = b"<>" + stretch + b"old"
+    for unequal in {None, 0, 1, length // 2, length - 1}:
+        new = bytearray(b"abc" + stretch + b"new")
+        if unequal is not None:
+            new[3 + unequal] ^= 0xFF
+        for limit in {0, 1, length // 2, length - 1, length}:
+            expected = equal_bytes_reference(old, new, 2, 3, limit)
+            assert snapshot_io._equal_bytes(memoryview(old), bytes(new), 2, 3, limit) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from corrhist.errors import FormatError, IntegrityError
 from corrhist.model import DocumentRecord, Profile, Role, Signature, Snapshot
 from corrhist.snapshot_io import (
     SnapshotFile,
-    _parse_canonical,
-    _parse_expat,
+    _expat_builder,
+    _Reader,
     discover_snapshot_files,
     load_history,
     parse_snapshot,
@@ -350,20 +350,20 @@ def plain_snapshot(time="2017-08-01"):
 
 def test_fast_path_accepts_own_output():
     s = plain_snapshot()
-    fast = _parse_canonical(write_snapshot(s), None)
-    assert fast is not None
+    fast = _Reader().canonical(write_snapshot(s), None)
+    assert not isinstance(fast, str)
     assert_snapshots_equal(fast, s)
 
 
 def test_fast_path_matches_general_parser():
     data = write_snapshot(plain_snapshot())
-    assert_snapshots_equal(_parse_canonical(data, None), _parse_expat(data, None, None))
+    assert_snapshots_equal(_Reader().canonical(data, None), _expat_builder(data, None, None)[1])
 
 
 def test_escaped_content_takes_general_parser():
     s = rich_snapshot()
     data = write_snapshot(s)
-    assert _parse_canonical(data, None) is None
+    assert isinstance(_Reader().canonical(data, None), str)
     assert_snapshots_equal(parse_snapshot(data), s)
 
 
@@ -381,7 +381,7 @@ def test_equivalent_markup_variants_parse_identically():
         base.replace(b"\n<profile", b"\n  <profile"),
     ]
     for data in variants:
-        assert _parse_canonical(data, None) is None
+        assert isinstance(_Reader().canonical(data, None), str)
         assert_snapshots_equal(parse_snapshot(data), expected)
 
 

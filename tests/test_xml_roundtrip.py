@@ -26,8 +26,8 @@ from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import CorrectionKind
 from corrhist.model import DocumentRecord, Profile, Role, Signature, Snapshot
 from corrhist.snapshot_io import (
-    _parse_canonical,
-    _parse_expat,
+    _expat_builder,
+    _Reader,
     parse_snapshot,
     write_snapshot,
     write_snapshot_to,
@@ -60,13 +60,14 @@ def contents(s):
 
 
 def outcome(parse):
+    """What ``parse`` gives: None if it declined the file (a str)."""
     try:
         parsed = parse()
     except IntegrityError as exc:
         return ("IntegrityError", str(exc))
     except FormatError:
         return "FormatError"
-    return parsed if parsed is None else contents(parsed)
+    return None if isinstance(parsed, str) else contents(parsed)
 
 
 @given(key=_raw, title=_raw, venue_key=_raw, venue_name=_raw, surface=_raw, pid=_raw)
@@ -87,9 +88,9 @@ def test_fast_path_declines_or_matches_expat(key, title, venue_key, venue_name, 
         "</snapshot>",
         "",
     ]).encode("utf-8", "surrogatepass")
-    fast = outcome(lambda: _parse_canonical(data, None))
+    fast = outcome(lambda: _Reader().canonical(data, None))
     if fast is not None:
-        assert fast == outcome(lambda: _parse_expat(data, None, None))
+        assert fast == outcome(lambda: _expat_builder(data, None, None)[1])
 
 
 @given(key=_value, title=_value, venue_key=_value, venue_name=_value, surface=_name,
@@ -114,8 +115,8 @@ def test_snapshot_round_trip(key, title, venue_key, venue_name, surface, pid, ur
     s.validate()
     data = write_snapshot(s)
     assert contents(parse_snapshot(data)) == contents(s)
-    fast = _parse_canonical(data, None)
-    assert fast is None or contents(fast) == contents(s)
+    fast = _Reader().canonical(data, None)
+    assert isinstance(fast, str) or contents(fast) == contents(s)
 
 
 # Unknown documents, positions past a name list, blank surfaces, and a small
