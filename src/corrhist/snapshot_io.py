@@ -15,9 +15,10 @@ accept and reject the same records with the same messages.  In a series,
 the builder of one file carries over to the next, and a later file is read
 as a delta of the one before (``_Reader``).  Both deltas compare the two
 files' bytes in long equal stretches (``_equal_bytes``): a canonical file
-pairs the lines that did not change, and expat takes each stretch equal to
-records of the previous file, gaps included, with its callbacks off.  Only
-the records that changed are built and checked.
+pairs the lines that did not change, and of each stretch equal to records
+of the previous file, gaps included, expat reads the first record with its
+callbacks off and, unless the prolog declares an entity, never gets the
+rest.  Only the records that changed are built and checked.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 _FILENAME_RE = re.compile(r"snapshot-([0-9]{4}-[0-9]{2}-[0-9]{2})\.xml(?:\.gz)?")
 
-_TEXT_ELEMENTS = frozenset({"title", "venue", "author", "editor"})
-
 # Hot loops test roles by identity; owner-index keys hold ``role is _EDITOR``.
 _AUTHOR = Role.AUTHOR
 _EDITOR = Role.EDITOR
+# The values of a signature's ``role`` attribute.
+_ROLES = {"author": _AUTHOR, "editor": _EDITOR}
 
 
 def parse_snapshot(
@@ -80,9 +81,10 @@ class _Reader:
       file out of writer order reads the same, with more lines parsed;
     - any other canonical file is a full canonical pass;
     - a file expat reads after a file expat read, with the same prolog, is
-      a record delta (``_expat_builder``): expat takes each stretch equal to
-      records of the previous file, gaps included, with its callbacks off,
-      and only the other records are built and checked;
+      a record delta (``_expat_builder``): of each stretch equal to records
+      of the previous file, gaps included, expat reads the first record
+      with its callbacks off and skips the rest (see ``_runs``), and only
+      the other records are built and checked;
     - any other file is a full expat pass.
 
     ``paths`` notes the path of each file read, with the first reason the
@@ -643,13 +645,14 @@ class _Spans(NamedTuple):
     record ``i`` spans ``data[order[2 * i]:order[2 * i + 1]]``.  The list is
     sorted, so a bisection finds the records up to an offset, and a run of
     records moves to another file as one slice shifted by one offset.
-    ``keys`` holds their keys.
+    ``keys`` holds whether each is a profile, and its key: a document and a
+    profile may share a key.
     """
 
     data: bytes
     root: int  # offset of the root start tag; the bytes before it are the prolog
     order: list[int]
-    keys: list[str]
+    keys: list[tuple[bool, str]]
 
 
 _START_TAGS = {"document": b"<document", "profile": b"<profile"}
@@ -688,6 +691,18 @@ def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
       callbacks on or as an equal gap of the file before it.  Every record
       of that file has a span, so no gap holds a record, as one from an
       entity reference would be.
+
+    So expat need not read the run past its first record.  After that
+    record's end tag it stands at depth 1, between top-level elements, in
+    the state that feeding it the rest of the run would leave it in, but
+    for two things.  One is its byte, line and column counters:
+    ``_expat_builder`` adds the bytes it skips back to every byte offset it
+    reads from the parser, and line and column are never reported, because
+    any error in a delta reruns the file as a full pass.  The other is the
+    tally by which expat refuses a file whose entities expand too far
+    against the bytes it reads.  Where the prolog declares no entity,
+    nothing expands and the tally cannot refuse; where it declares one,
+    each run is read whole.
     """
     order = last.order
     view = memoryview(last.data)
@@ -695,7 +710,9 @@ def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
     m = _RECORD_KEY.search(data, last.root + 1)
     while m is not None:
         q = m.start()
-        i = index.get(m.group(m.lastindex).decode("utf-8", "replace"), -1)  # type: ignore[arg-type]
+        key = m.group(m.lastindex).decode("utf-8", "replace")  # type: ignore[arg-type]
+        # A document and a profile may share a key.
+        i = index.get((data.startswith(b"<p", q), key), -1)
         if i >= 0:
             p = order[2 * i]
             n = _equal_bytes(view, data, p, q, min(order[-1] - p, len(data) - q))
@@ -724,15 +741,18 @@ def _expat_builder(
     ``_Reader.expat`` found fit, ``data`` is read as a record delta of that
     file, and the builder returned is ``last``, turned into the builder of
     ``data``.  ``_runs`` proposes runs of ``last``'s records, and expat gets
-    every byte, in order.  When it reports the first record of a run, with
-    its handlers on, as a top-level start tag at exactly the run's offset,
-    every handler goes off until the run ends: that report proves where
-    the run lies, and ``_runs`` argues why the rest of it needs no proof.
-    The run's spans, keys and marks of the records that came back carry
-    over as slices.  Every other byte is read with the handlers on, and the
-    records built from it go to ``_Builder.delta`` with the records of
-    ``last`` that did not come back.  Markup errors and their offsets are
-    expat's, as in a full pass; integrity errors are found out of file
+    the bytes in order up to the end of each run's first record.  When it
+    reports that record, with its handlers on, as a top-level start tag at
+    exactly the run's offset, every handler goes off for the rest of the
+    record, and expat resumes at the run's end (where the prolog declares
+    an entity, it reads on to there with the handlers off): that report
+    proves where the run lies, and ``_runs`` argues why the rest of it needs
+    neither proof nor reading.  ``skipped`` counts the bytes expat never
+    got.  The run's spans, keys and marks of the records that came back
+    carry over as slices.  Every other byte is read with the handlers on,
+    and the records built from it go to ``_Builder.delta`` with the records
+    of ``last`` that did not come back.  Markup errors and their offsets
+    are expat's, as in a full pass; integrity errors are found out of file
     order, so a caller reruns a failed delta without ``last``.
 
     The handlers never refer to one another, and the parser drops them when
@@ -748,7 +768,7 @@ def _expat_builder(
     fresh: list[_Parsed] | None = [] if last is not None else None
     # The spans and keys of the top-level records, as ``_Spans`` holds them.
     order: list[int] = []
-    keys: list[str] = []
+    keys: list[tuple[bool, str]] = []
     # Start offset of the top-level record being read.
     record_start = -1
     # Where the run fed next starts.
@@ -763,15 +783,19 @@ def _expat_builder(
     prof_id: str | None = None
     prof_sigs: list[Signature] = []
 
-    stack: list[str] = []
+    # The open elements down to a record, under an empty name for the
+    # document itself, and the open child of a record, if any.
+    stack: list[str] = [""]
+    child = ""
+    # The text of the element being read, and the list it goes to.
     text: list[str] = []
-    capturing = False
+    capturing: list[str] | None = None
 
     parser = expat.ParserCreate()
     parser.buffer_text = True
 
     def fail(message: str) -> FormatError:
-        return FormatError(message, parser.CurrentByteIndex, source_name)
+        return FormatError(message, parser.CurrentByteIndex + skipped, source_name)
 
     def require(attrs: dict[str, str], name: str, element: str) -> str:
         value = attrs.get(name)
@@ -780,9 +804,50 @@ def _expat_builder(
         return value
 
     def start(name: str, attrs: dict[str, str]) -> None:
-        nonlocal build, date, root, record_start, doc_attrs, doc_venue, prof_id, capturing
-        depth = len(stack)
-        if depth == 0:
+        nonlocal build, date, root, record_start, doc_attrs, doc_venue, prof_id, capturing, child
+        if child:
+            raise fail(f"unexpected element <{name}> inside <{child}>")
+        parent = stack[-1]
+        # A record's children, the most common elements, come first and
+        # stay off the stack.
+        if name == "signature" and parent == "profile":
+            try:
+                pos = attrs["pos"]
+                sig: Signature | None = Signature(
+                    intern(attrs["pkey"]),
+                    int(pos) if pos.isdigit() and pos.isascii() else parse_position(pos),
+                    intern(attrs["surface"]),
+                    _ROLES[attrs.get("role", "author")],
+                )
+            except (KeyError, ValueError):
+                sig = None
+            if sig is None:
+                # Report the first fault: pkey, pos, surface, then role.
+                require(attrs, "pkey", name)
+                try:
+                    parse_position(require(attrs, "pos", name))
+                except ValueError as exc:
+                    raise fail(str(exc)) from None
+                require(attrs, "surface", name)
+                raise fail(f"unknown signature role {attrs['role']!r}")
+            prof_sigs.append(sig)
+            child = name
+            return
+        elif parent == "document":
+            if name == "author":
+                capturing = doc_authors
+            elif name == "title":
+                capturing = doc_title
+            elif name == "editor":
+                capturing = doc_editors
+            elif name == "venue":
+                doc_venue = (attrs.get("key"), [])
+                capturing = doc_venue[1]
+            else:
+                raise fail(f"unexpected element <{name}> under <document>")
+            child = name
+            return
+        elif not parent:
             if name != "snapshot":
                 raise fail(f"expected <snapshot> root, got <{name}>")
             version = attrs.get("version", FORMAT_VERSION)
@@ -796,11 +861,11 @@ def _expat_builder(
             root = parser.CurrentByteIndex
             if fresh is None:
                 build = _Builder(date, prev, source_name, retired)
-        elif depth == 1:
-            record_start = parser.CurrentByteIndex
+        elif parent == "snapshot":
+            record_start = parser.CurrentByteIndex + skipped
             if record_start == target and fresh is not None:
                 # The run the walk proposed starts here, at the top level:
-                # expat takes it with every handler off.
+                # expat reads its first record with every handler off.
                 parser.StartElementHandler = None
                 parser.EndElementHandler = parser.CharacterDataHandler = None
                 return
@@ -815,32 +880,8 @@ def _expat_builder(
                 prof_sigs.clear()
             else:
                 raise fail(f"unexpected element <{name}> under <snapshot>")
-        elif stack[-1] == "document":
-            if name not in _TEXT_ELEMENTS:
-                raise fail(f"unexpected element <{name}> under <document>")
-            if name == "venue":
-                doc_venue = (attrs.get("key"), [])
-            text.clear()
-            capturing = True
-        elif stack[-1] == "profile":
-            if name != "signature":
-                raise fail(f"unexpected element <{name}> under <profile>")
-            pkey = intern(require(attrs, "pkey", name))
-            try:
-                pos = parse_position(require(attrs, "pos", name))
-            except ValueError as exc:
-                raise fail(str(exc)) from None
-            surface = intern(require(attrs, "surface", name))
-            role_raw = attrs.get("role", "author")
-            if role_raw == "author":
-                role = _AUTHOR
-            elif role_raw == "editor":
-                role = _EDITOR
-            else:
-                raise fail(f"unknown signature role {role_raw!r}")
-            prof_sigs.append(Signature(pkey, pos, surface, role))
-        else:
-            raise fail(f"unexpected element <{name}> inside <{stack[-1]}>")
+        else:  # a profile, the only element the stack holds besides these
+            raise fail(f"unexpected element <{name}> under <profile>")
         stack.append(name)
 
     def note_span(name: str, key: str) -> None:
@@ -849,17 +890,24 @@ def _expat_builder(
         replacement text, or an encoding that is not ASCII-compatible)."""
         if not data.startswith(_START_TAGS[name], record_start):
             return
-        end = parser.CurrentByteIndex
+        end = parser.CurrentByteIndex + skipped
         # The end event of ``<x>...</x>`` sits at ``</x``, that of ``<x/>``
         # just after ``/>``.  ``>`` may occur inside attribute values, so the
         # end is found from here, not by a search from the start tag.
         if data.startswith(_END_TAGS[name], end):
             end = data.index(b">", end) + 1
         order.extend((record_start, end))
-        keys.append(key)
+        keys.append((name == "profile", key))
 
     def end(name: str) -> None:
-        nonlocal prof_id, capturing
+        nonlocal prof_id, capturing, child
+        if child:
+            child = ""
+            if capturing is not None:
+                capturing.append("".join(text))
+                text.clear()
+                capturing = None
+            return
         stack.pop()
         if name == "document":
             pkey = intern(require(doc_attrs, "pkey", name))
@@ -879,8 +927,8 @@ def _expat_builder(
                 title="".join(doc_title),
                 year=year,
                 venue_key=venue_key,
-                authors=tuple(intern(a) for a in doc_authors),
-                editors=tuple(intern(e) for e in doc_editors),
+                authors=tuple(map(intern, doc_authors)),
+                editors=tuple(map(intern, doc_editors)),
                 external_link=doc_attrs.get("url"),
             )
             if fresh is None:
@@ -898,22 +946,9 @@ def _expat_builder(
                 fresh.append((True, (prof, list(prof_sigs))))
             note_span(name, pid)
             prof_id = None
-        elif name in _TEXT_ELEMENTS and stack and stack[-1] == "document":
-            content = "".join(text)
-            if name == "title":
-                doc_title.append(content)
-            elif name == "venue":
-                assert doc_venue is not None
-                doc_venue[1].append(content)
-            elif name == "author":
-                doc_authors.append(content)
-            else:
-                doc_editors.append(content)
-            text.clear()
-            capturing = False
 
     def chars(chunk: str) -> None:
-        if capturing:
+        if capturing is not None:
             text.append(chunk)
         elif not chunk.isspace():
             raise fail(f"stray text {chunk.strip()[:40]!r}")
@@ -924,15 +959,25 @@ def _expat_builder(
     # Which records of ``last`` came back, by position in its spans.
     kept = bytearray(len(prior.keys) if prior is not None else 0)
     reused = 0
+    # Bytes of ``data`` expat never got; it counts offsets without them.
+    skipped = 0
 
     try:
         with memoryview(data) as view:
             fed = 0
             if prior is not None:
+                # Where entities may expand, expat reads each run whole
+                # (see ``_runs``).
+                skip = b"<!ENTITY" not in prior.data[:prior.root]
                 for target, run_end, i, k in _runs(data, prior):
-                    parser.Parse(view[fed:run_end], False)
-                    fed = run_end
+                    # The end of the run's first record, in ``data``.
+                    stop = target + prior.order[2 * i + 1] - prior.order[2 * i]
+                    stop = stop if skip else run_end
+                    parser.Parse(view[fed:stop], False)
+                    fed = stop
                     if parser.StartElementHandler is None:
+                        skipped += run_end - stop
+                        fed = run_end
                         parser.StartElementHandler = start
                         parser.EndElementHandler = end
                         parser.CharacterDataHandler = chars
@@ -944,7 +989,7 @@ def _expat_builder(
             parser.Parse(view[fed:], True)
     except expat.ExpatError as exc:
         raise FormatError(
-            f"malformed snapshot XML: {exc}", parser.ErrorByteIndex, source_name
+            f"malformed snapshot XML: {exc}", parser.ErrorByteIndex + skipped, source_name
         ) from None
     finally:
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
@@ -956,12 +1001,10 @@ def _expat_builder(
         build.spans = spans
         return build, build.snapshot()
     assert last is not None and prior is not None
-    pdata, porder, pkeys = prior.data, prior.order, prior.keys
     gone = []
     j = kept.find(0)
     while j >= 0:
-        # A span starts at ``<document`` or ``<profile``.
-        gone.append((pdata.startswith(b"<p", porder[2 * j]), pkeys[j]))
+        gone.append(prior.keys[j])
         j = kept.find(0, j + 1)
     snapshot = last.delta(date, source_name, gone, fresh, reused + len(fresh))
     last.spans = spans

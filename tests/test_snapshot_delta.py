@@ -425,7 +425,8 @@ def read_each_way(tmp_path, monkeypatch, files):
 
     Returns, for the series, the path each file took, the keys of the
     records built for each file, and for each file after an expat-read one
-    the runs ``_runs`` proposed in it, as lists of keys.
+    the runs ``_runs`` proposed in it, as lists of keys.  Each record delta
+    must leave the spans a full pass over its file notes.
     """
     paths = write_series(tmp_path, files)
     alone = []
@@ -442,7 +443,7 @@ def read_each_way(tmp_path, monkeypatch, files):
             return record
         return make
 
-    reader, series, runs = snapshot_io._Reader(), [], []
+    reader, series, runs, deltas = snapshot_io._Reader(), [], [], []
     with monkeypatch.context() as patch:
         patch.setattr(snapshot_io, "Profile", counting(Profile, "profile_id"))
         patch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord, "document_key"))
@@ -450,12 +451,25 @@ def read_each_way(tmp_path, monkeypatch, files):
             spans = reader.build.spans if reader.build is not None else None
             if spans is not None:
                 runs.append([
-                    spans.keys[i:k] for _start, _end, i, k in snapshot_io._runs(path.read_bytes(), spans)
+                    [key for _is_profile, key in spans.keys[i:k]]
+                    for _start, _end, i, k in snapshot_io._runs(path.read_bytes(), spans)
                 ])
             built.append([])
+            read = len(reader.paths)
             series.append(outcome(lambda: reader.read(path, str(path))))
+            if [took for took, _reason in reader.paths[read:]] == ["expat record delta"]:
+                deltas.append(reader.build.spans)
     assert series == alone
+    for spans in deltas:
+        assert_spans_of_a_full_pass(spans)
     return [path for path, _reason in reader.paths], built, runs
+
+
+def assert_spans_of_a_full_pass(spans):
+    """``spans``, which a record delta left, are those a full pass over its
+    file notes: the skipped bytes are counted back into every offset."""
+    full = snapshot_io._expat_builder(spans.data, None, None)[0].spans
+    assert (spans.order, spans.keys) == (full.order, full.keys)
 
 
 def body_file(date, body):
@@ -664,6 +678,87 @@ def test_a_comment_and_blank_cdata_between_records_ride_in_a_run(tmp_path, monke
     assert paths == _DELTA
     assert runs == [[["d0", "d1", "d2", "d3", "p0", "p1", "p2"]]]
     assert built[1] == []
+
+
+def test_a_document_and_a_profile_with_one_key(tmp_path, monkeypatch):
+    # Targets the index of the previous file's records: document x is
+    # proposed at its own start tag, not looked up as profile x.
+    lines = [doc_line("x", ["A"]), doc_line("y", ["B"]), profile_line("x", ("x", 0, "A")), _P1]
+    files = [body_file(DATES[0], "\n  ".join(lines + [_D1]))]
+    lines[1] = doc_line("y", ["C"])
+    files.append(body_file(DATES[1], "\n  ".join(lines + [_D1])))
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert runs == [[["x"], ["x", "p1", "d1"]]]
+    assert built[1] == ["y"]
+
+
+class CountingParser:
+    """An expat parser that notes every chunk handed to ``Parse``."""
+
+    def __init__(self, parser, fed):
+        object.__setattr__(self, "parser", parser)
+        object.__setattr__(self, "fed", fed)
+
+    def __getattr__(self, name):
+        return getattr(self.parser, name)
+
+    def __setattr__(self, name, value):
+        setattr(self.parser, name, value)
+
+    def Parse(self, data, final=False):
+        self.fed.append(bytes(data))
+        return self.parser.Parse(data, final)
+
+
+def test_a_proven_run_reaches_expat_only_to_the_end_of_its_first_record(monkeypatch):
+    # Targets the skip: once expat reports a run's first start tag, the
+    # rest of the run is never parsed.
+    lines = [doc_line(f"d{i:02}", [f"N{i}"]) for i in range(30)]
+    lines += [profile_line(f"p{i:02}", (f"d{i:02}", 0, f"N{i}")) for i in range(30)]
+    first = body_file(DATES[0], "\n  ".join(lines))
+    changed = 40
+    lines[changed] = profile_line("p10", ("d10", 0, "N. 10"))
+    second = body_file(DATES[1], "\n  ".join(lines))
+    expected = contents(parse_snapshot(second))
+    reader = snapshot_io._Reader()
+    reader.read(first, None)
+    fed = []
+    create = snapshot_io.expat.ParserCreate
+    monkeypatch.setattr(
+        snapshot_io.expat, "ParserCreate", lambda *args: CountingParser(create(*args), fed)
+    )
+    assert contents(reader.read(second, None)) == expected
+    assert reader.paths[-1][0] == "expat record delta"
+    # The prolog, the root and the gap before the first record; the first
+    # record of each run; the changed record with a gap on either side;
+    # the end.
+    head = second.index(lines[0].encode())
+    allowed = (
+        head + len(lines[0]) + len(lines[changed + 1])
+        + len("\n  " + lines[changed] + "\n  ") + len("\n</snapshot>\n")
+    )
+    assert sum(map(len, fed)) <= allowed < len(second) // 10
+
+
+def test_a_run_is_read_whole_where_entities_expand(tmp_path, monkeypatch):
+    # Targets the limit expat puts on entity expansion, which weighs the
+    # bytes entities expand to against the bytes it reads.  r1 expands to
+    # 10 MB: the first file reads enough bytes before it, the second does
+    # not.  Were r1 skipped in the run [r0, r1], the delta would accept a
+    # file expat refuses.
+    prolog = doctype(f'<!ENTITY a "{"x" * 1000}"><!ENTITY b "{"&a;" * 100}">')
+    r0, r1 = doc_line("r0", ["A"]), f'<document pkey="r1"><title>{"&b;" * 100}</title></document>'
+    plain = f'<document pkey="b"><title>{"y" * 120_000}</title></document>'
+    files = [
+        foreign_file(DATES[0], [plain, r0, r1], prolog),
+        foreign_file(DATES[1], ['<document pkey="b"/>', r0, r1], prolog),
+    ]
+    paths, _built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA[:1]
+    assert runs == [[["r0", "r1"]]]
+    with pytest.raises(FormatError, match="amplification"):
+        load_history(tmp_path)
 
 
 def equal_bytes_reference(old, new, p, q, limit):
@@ -981,6 +1076,8 @@ def test_load_history_matches_parsing_each_file_alone(steps, foreign, separator)
         try:
             for path in paths:
                 reader.read(path, str(path))
+                if reader.paths[-1][0] == "expat record delta":
+                    assert_spans_of_a_full_pass(reader.build.spans)
         except IntegrityError:
             pass
         took = [path for path, _reason in reader.paths]
