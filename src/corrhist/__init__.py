@@ -9,166 +9,61 @@ entity-resolution evaluation, scores blocking keys against them, and
 generates synthetic histories with known ground truth.
 """
 
-from .blocking import (
-    ALL_VARIANTS,
-    BlockingVariant,
-    CaseMode,
-    KeyScheme,
-    blocking_key,
-    blocking_report_lines,
-    hit_rate,
-    name_pairs,
-    representative_surface,
-    strip_homonym_suffix,
-)
-from .casegraph import (
-    CaseGraph,
-    Edge,
-    EdgeType,
-    Node,
-    NodeLabel,
-    build_case_collection,
-    build_case_graphs,
-    parse_case_graph,
-    serialize_case_graph,
-)
-from .embedded import (
-    EmbeddedAnnotation,
-    annotation_from_case,
-    build_embedded_collection,
-    parse_annotations_file,
-    serialize_annotation,
-    validate_annotations,
-    write_annotations_file,
-)
-from .errors import (
-    CorrhistError,
-    FormatError,
-    IntegrityError,
-    PlanError,
-    UnknownTimeError,
-)
-from .extract import (
-    CorrectionCase,
-    CorrectionKind,
-    RawGroup,
-    assign_case_ids,
-    case_summary_lines,
-    chain_corrections,
-    detect_distributes,
-    detect_merge_groups,
-    detect_split_groups,
-    extract_corrections,
-    is_consistent_predecessor,
-    raw_groups_between,
-    reference_predecessors,
-    reference_successors,
-)
-from .model import (
-    DocumentRecord,
-    History,
-    Profile,
-    Role,
-    Signature,
-    Snapshot,
-    mentions_of,
-    validate_date,
-)
-from .snapshot_io import (
-    SnapshotFile,
-    discover_snapshot_files,
-    load_history,
-    parse_snapshot,
-    snapshot_filename,
-    write_history,
-    write_snapshot,
-    write_snapshot_to,
-)
-from .synth import (
-    EditKind,
-    EditRecord,
-    GeneratorConfig,
-    GroundTruthLog,
-    LoggedEdit,
-    apply_edit,
-    default_dates,
-    generate,
-    ground_truth_lines,
-    write_generated,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_VARIANTS",
-    "BlockingVariant",
-    "CaseGraph",
-    "CaseMode",
-    "CorrectionCase",
-    "CorrectionKind",
-    "CorrhistError",
-    "DocumentRecord",
-    "Edge",
-    "EdgeType",
-    "EditKind",
-    "EditRecord",
-    "EmbeddedAnnotation",
-    "FormatError",
-    "GeneratorConfig",
-    "GroundTruthLog",
-    "History",
-    "IntegrityError",
-    "KeyScheme",
-    "LoggedEdit",
-    "Node",
-    "NodeLabel",
-    "PlanError",
-    "Profile",
-    "RawGroup",
-    "Role",
-    "Signature",
-    "Snapshot",
-    "SnapshotFile",
-    "UnknownTimeError",
-    "annotation_from_case",
-    "apply_edit",
-    "assign_case_ids",
-    "blocking_key",
-    "blocking_report_lines",
-    "build_case_collection",
-    "build_case_graphs",
-    "build_embedded_collection",
-    "case_summary_lines",
-    "chain_corrections",
-    "default_dates",
-    "detect_distributes",
-    "detect_merge_groups",
-    "detect_split_groups",
-    "discover_snapshot_files",
-    "extract_corrections",
-    "generate",
-    "ground_truth_lines",
-    "hit_rate",
-    "is_consistent_predecessor",
-    "load_history",
-    "mentions_of",
-    "name_pairs",
-    "parse_annotations_file",
-    "parse_case_graph",
-    "parse_snapshot",
-    "raw_groups_between",
-    "reference_predecessors",
-    "reference_successors",
-    "representative_surface",
-    "serialize_annotation",
-    "serialize_case_graph",
-    "snapshot_filename",
-    "strip_homonym_suffix",
-    "validate_annotations",
-    "validate_date",
-    "write_annotations_file",
-    "write_generated",
-    "write_history",
-    "write_snapshot",
-    "write_snapshot_to",
-]
+# The modules that define the public names.  A name is imported from its
+# module on first use (PEP 562), so a command loads only the layers it runs.
+_EXPORTS = {
+    "blocking": (
+        "ALL_VARIANTS", "BlockingVariant", "CaseMode", "KeyScheme", "blocking_key",
+        "blocking_report_lines", "hit_rate", "name_pairs", "representative_surface",
+        "strip_homonym_suffix",
+    ),
+    "casegraph": (
+        "CaseGraph", "Edge", "EdgeType", "Node", "NodeLabel", "build_case_collection",
+        "build_case_graphs", "parse_case_graph", "serialize_case_graph",
+    ),
+    "embedded": (
+        "EmbeddedAnnotation", "annotation_from_case", "build_embedded_collection",
+        "parse_annotations_file", "serialize_annotation", "validate_annotations",
+        "write_annotations_file",
+    ),
+    "errors": (
+        "CorrhistError", "FormatError", "IntegrityError", "PlanError",
+        "UnknownTimeError",
+    ),
+    "extract": (
+        "CorrectionCase", "CorrectionKind", "RawGroup", "assign_case_ids",
+        "case_summary_lines", "chain_corrections", "detect_distributes",
+        "detect_merge_groups", "detect_split_groups", "extract_corrections",
+        "is_consistent_predecessor", "raw_groups_between", "reference_predecessors",
+        "reference_successors",
+    ),
+    "model": (
+        "DocumentRecord", "History", "Profile", "Role", "Signature", "Snapshot",
+        "mentions_of", "validate_date",
+    ),
+    "snapshot_io": (
+        "SnapshotFile", "discover_snapshot_files", "load_history", "parse_snapshot",
+        "snapshot_filename", "write_history", "write_snapshot", "write_snapshot_to",
+    ),
+    "synth": (
+        "EditKind", "EditRecord", "GeneratorConfig", "GroundTruthLog", "LoggedEdit",
+        "apply_edit", "default_dates", "generate", "ground_truth_lines",
+        "write_generated",
+    ),
+}
+_MODULES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULES)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -6,25 +6,22 @@ cases from a snapshot directory, ``case-collection`` and ``embedded``
 materialize the two test-collection layouts, ``blocking`` reports key
 hit rates over the mined name pairs, and ``stats`` summarizes snapshots.
 
-Data goes to files or stdout; diagnostics go to stderr.  Exit status is
-0 on success, 1 on input or processing errors, 2 on usage errors.
+Each command imports only the layers it runs.  Data goes to files or
+stdout; diagnostics go to stderr.  Exit status is 0 on success, 1 on
+input or processing errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import __version__
-from .blocking import blocking_report_lines, name_pairs
-from .casegraph import build_case_collection
-from .embedded import build_embedded_collection
 from .errors import CorrhistError
-from .extract import CorrectionKind, case_summary_lines, extract_corrections
-from .model import History
-from .snapshot_io import load_history
-from .synth import GeneratorConfig, default_dates, generate, write_generated
+
+if TYPE_CHECKING:
+    from .model import History
 
 
 def _say(args: argparse.Namespace, message: str) -> None:
@@ -49,12 +46,16 @@ def _write_lines(path: str | None, lines) -> None:
 
 
 def _load(args: argparse.Namespace) -> History:
+    from .snapshot_io import load_history
+
     history = load_history(args.snapshots)
     _say(args, f"loaded {len(history.snapshots)} snapshots from {args.snapshots}")
     return history
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .synth import GeneratorConfig, default_dates, generate, write_generated
+
     dates = (
         tuple(args.dates.split(","))
         if args.dates
@@ -82,6 +83,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .extract import CorrectionKind, case_summary_lines, extract_corrections
+
     history = _load(args)
     cases = extract_corrections(history)
     by_kind = {kind.value: 0 for kind in CorrectionKind}
@@ -94,6 +97,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_case_collection(args: argparse.Namespace) -> int:
+    from .casegraph import build_case_collection
+    from .extract import extract_corrections
+
     history = _load(args)
     cases = extract_corrections(history)
     manifest = build_case_collection(cases, history, args.out)
@@ -102,6 +108,8 @@ def _cmd_case_collection(args: argparse.Namespace) -> int:
 
 
 def _cmd_embedded(args: argparse.Namespace) -> int:
+    from .embedded import build_embedded_collection
+
     history = _load(args)
     counts = build_embedded_collection(
         history,
@@ -116,6 +124,9 @@ def _cmd_embedded(args: argparse.Namespace) -> int:
 
 
 def _cmd_blocking(args: argparse.Namespace) -> int:
+    from .blocking import blocking_report_lines, name_pairs
+    from .extract import CorrectionKind, extract_corrections
+
     history = _load(args)
     cases = extract_corrections(history)
     merge_cases = [c for c in cases if c.kind is CorrectionKind.MERGE]

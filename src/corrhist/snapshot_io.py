@@ -9,7 +9,8 @@ and only the other records are rendered.
 
 Each file is read into memory whole and decompressed in one call if it
 starts with the gzip magic bytes.  Files in the exact form this module writes
-take a line-oriented fast path, everything else goes through expat.  Both
+take a line-oriented fast path, which proves and reads each record line with
+one regular-expression match; everything else goes through expat.  Both
 parsers feed one record builder, which alone enforces integrity, so they
 accept and reject the same records with the same messages.  In a series,
 the builder of one file carries over to the next, and a later file is read
@@ -19,16 +20,20 @@ pairs the lines that did not change, and of each stretch equal to records
 of the previous file, gaps included, expat reads the first record with its
 callbacks off and, unless the prolog declares an entity, never gets the
 rest.  Only the records that changed are built and checked.
+
+``load_history`` and ``parse_snapshot`` pause automatic cyclic garbage
+collection while they read (``_collection_paused``).
 """
 
 from __future__ import annotations
 
+import gc
 import gzip
 import re
 import sys
 import zlib
 from bisect import bisect_right
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
@@ -65,7 +70,26 @@ def parse_snapshot(
     """
     if source_name is None and isinstance(source, (str, Path)):
         source_name = str(source)
-    return _Reader().read(source, source_name)
+    with _collection_paused():
+        return _Reader().read(source, source_name)
+
+
+@contextmanager
+def _collection_paused() -> Iterator[None]:
+    """Pause automatic cyclic garbage collection, if it is on, while a read
+    runs, and turn it back on however the read ends.
+
+    A read allocates many records and no reference cycle, so each
+    collection it would trigger walks every record loaded so far and frees
+    nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Reader:
@@ -478,19 +502,26 @@ _CANON_HEAD = re.compile(
 _CANON_END = b"\n</snapshot>\n"
 # A newline before a line that does not start as record lines do.
 _BAD_START = re.compile(rb'\n(?!<document pkey="|<profile authorid=")')
+# One ``fullmatch`` proves a whole record line, and its groups read it.
+# ``_ATTR`` excludes '"' and both value classes exclude "<", so a value ends
+# at the first quote or tag after it, and each optional part is told apart
+# by the characters that start it.  A line therefore splits into its start
+# tag, its children or signatures, and its end tag in at most one way, and
+# ``_CANON_SIG.findall`` reads back the signatures the match proved, one
+# after another from the start of the profile's body.
 _CANON_DOC = re.compile(
     rf'<document pkey="({_ATTR})"(?: year="(-?[0-9]+)")?(?: url="({_ATTR})")?>'
-    r"(.*)</document>"
-)
-_CANON_DOC_BODY = re.compile(
     rf"(?:<title>({_TEXT})</title>)?"
     rf'(?:<venue key="({_ATTR})">({_TEXT})</venue>)?'
     rf"((?:<author>{_TEXT}</author>)*)"
     rf"((?:<editor>{_TEXT}</editor>)*)"
+    r"</document>"
 )
 _CANON_NAME = re.compile(rf"<(?:author|editor)>({_TEXT})</(?:author|editor)>")
 _CANON_PROFILE = re.compile(
-    rf'<profile authorid="({_ATTR})">((?:<signature [^<>&]*/>)*)</profile>'
+    rf'<profile authorid="({_ATTR})">('
+    rf'(?:<signature pkey="{_ATTR}" pos="[0-9]+" surface="{_ATTR}"(?: role="editor")?/>)*'
+    r")</profile>"
 )
 _CANON_SIG = re.compile(
     rf'<signature pkey="({_ATTR})" pos="([0-9]+)" surface="({_ATTR})"'
@@ -592,24 +623,10 @@ def _parse_profile(line: str) -> tuple[Profile, list[Signature]] | None:
     if m is None:
         return None
     intern = sys.intern
-    sigs = []
-    body = m.group(2)
-    pos_in_body = 0
-    for sm in _CANON_SIG.finditer(body):
-        if sm.start() != pos_in_body:
-            return None
-        pos_in_body = sm.end()
-        pkey, pos_raw, surface, role_raw = sm.group(1, 2, 3, 4)
-        sigs.append(
-            Signature(
-                intern(pkey),
-                int(pos_raw),
-                intern(surface),
-                _EDITOR if role_raw else _AUTHOR,
-            )
-        )
-    if pos_in_body != len(body):
-        return None
+    sigs = [
+        Signature(intern(pkey), int(pos), intern(surface), _EDITOR if editor else _AUTHOR)
+        for pkey, pos, surface, editor in _CANON_SIG.findall(m.group(2))
+    ]
     return Profile(intern(m.group(1)), frozenset(sigs)), sigs
 
 
@@ -618,22 +635,18 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
     m = _CANON_DOC.fullmatch(line)
     if m is None:
         return None
-    pkey, year_raw, url, doc_body = m.group(1, 2, 3, 4)
-    b = _CANON_DOC_BODY.fullmatch(doc_body)
-    if b is None:
-        return None
+    pkey, year, url, title, venue_key, venue, authors, editors = m.groups()
     intern = sys.intern
-    venue_key = b.group(2)
     record = DocumentRecord(
-        document_key=intern(pkey),
-        title=b.group(1) or "",
-        year=int(year_raw) if year_raw is not None else 0,
-        venue_key=intern(venue_key) if venue_key is not None else None,
-        authors=tuple(map(intern, _CANON_NAME.findall(b.group(4)))),
-        editors=tuple(map(intern, _CANON_NAME.findall(b.group(5)))),
-        external_link=url,
+        intern(pkey),
+        title or "",
+        int(year) if year is not None else 0,
+        intern(venue_key) if venue_key is not None else None,
+        tuple(map(intern, _CANON_NAME.findall(authors))) if authors else (),
+        tuple(map(intern, _CANON_NAME.findall(editors))) if editors else (),
+        url,
     )
-    return record, b.group(3)
+    return record, venue
 
 
 class _Spans(NamedTuple):
@@ -1249,16 +1262,17 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
     reader = _Reader()
     snapshots: list[Snapshot] = []
     changes: list[frozenset[str]] = []
-    for file in files:
-        snap = reader.read(file.path, str(file.path))
-        if snap.time != file.date:
-            raise FormatError(
-                f"{file.path.name} declares date {file.date} but its header "
-                f"says {snap.time}"
-            )
-        if snapshots:
-            changes.append(reader.changed)
-        snapshots.append(snap)
+    with _collection_paused():
+        for file in files:
+            snap = reader.read(file.path, str(file.path))
+            if snap.time != file.date:
+                raise FormatError(
+                    f"{file.path.name} declares date {file.date} but its header "
+                    f"says {snap.time}"
+                )
+            if snapshots:
+                changes.append(reader.changed)
+            snapshots.append(snap)
     return History(tuple(snapshots), tuple(changes))
 
 

@@ -1,4 +1,7 @@
 import gzip
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -217,3 +220,44 @@ def test_bad_gzip_is_a_format_error(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("corrhist: error: corrupt gzip stream")
     assert "snapshot-2017-01-01.xml.gz" in err
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter; what it prints, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_extract_imports_only_the_layers_it_runs(corpus, tmp_path):
+    loaded = run_python(
+        "import json, sys\n"
+        "from corrhist.cli import main\n"
+        "assert main(['extract', '--snapshots', sys.argv[1], '--out', sys.argv[2], '--quiet']) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n",
+        corpus, tmp_path / "cases.tsv",
+    )
+    assert "corrhist.snapshot_io" in loaded and "corrhist.extract" in loaded
+    unused = ["corrhist.synth", "corrhist.casegraph", "corrhist.embedded", "corrhist.blocking",
+              "xml.etree"]
+    assert [name for name in unused if name in loaded] == []
+    assert (tmp_path / "cases.tsv").read_text().startswith("kind\t")
+
+
+def test_star_import_binds_each_name_to_its_modules_object():
+    # Every module of the package that holds a public name holds the very
+    # object ``from corrhist import *`` bound.
+    mismatched = run_python(
+        "import json, pkgutil, importlib\n"
+        "from corrhist import *\n"
+        "import corrhist\n"
+        "found = {name: globals()[name] for name in corrhist.__all__}\n"
+        "modules = [importlib.import_module(f'corrhist.{m.name}')\n"
+        "           for m in pkgutil.iter_modules(corrhist.__path__)]\n"
+        "holders = {name: [vars(m)[name] for m in modules if name in vars(m)] for name in found}\n"
+        "print(json.dumps([name for name, value in found.items()\n"
+        "                  if not holders[name] or any(v is not value for v in holders[name])]))\n"
+    )
+    assert mismatched == []

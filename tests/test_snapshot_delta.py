@@ -8,6 +8,7 @@ IntegrityError message naming the file.  The profiles the loader reports
 as changed in each interval must be the ones a comparison finds.
 """
 
+import contextlib
 import gc
 import re
 import tempfile
@@ -326,6 +327,71 @@ def test_an_expat_read_leaves_no_reference_cycle(tmp_path):
     gc.collect()
     gc.disable()
     try:
+        load_history(tmp_path)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+
+
+def gc_series(render, fault=None):
+    """Two files in ``render``'s layout; the second raises ``fault``, if
+    any: an IntegrityError a delta finds, or a markup error."""
+    lines = [doc_line("d1", ["A"]), profile_line("p1", ("d1", 0, "A"))]
+    second = {
+        None: lines,
+        IntegrityError: lines + [profile_line("p2", ("d1", 0, "A"))],
+        FormatError: lines + ["<profile>"],
+    }[fault]
+    return [render(DATES[0], lines), render(DATES[1], second)]
+
+
+def raising(fault):
+    return pytest.raises(fault) if fault is not None else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("fault", [None, IntegrityError, FormatError])
+@pytest.mark.parametrize("render", [canonical_file, foreign_file])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_read_pauses_the_collector_and_leaves_it_as_it_found_it(
+    tmp_path, monkeypatch, enabled, render, fault
+):
+    paths = write_series(tmp_path, gc_series(render, fault))
+    while_reading = []
+    read = snapshot_io._Reader.read
+
+    def reading(self, *args):
+        while_reading.append(gc.isenabled())
+        return read(self, *args)
+
+    monkeypatch.setattr(snapshot_io._Reader, "read", reading)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with raising(fault):
+            load_history(tmp_path)
+        after_load = gc.isenabled()
+        with raising(fault):
+            parse_snapshot(paths[1])
+        after_parse = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (after_load, after_parse) == (enabled, enabled)
+    assert len(while_reading) == 3 and not any(while_reading)
+
+
+@pytest.mark.parametrize("fault", [None, IntegrityError, FormatError])
+@pytest.mark.parametrize("render", [canonical_file, foreign_file])
+def test_a_load_and_its_rerun_leave_no_reference_cycle(tmp_path, render, fault):
+    write_series(tmp_path, gc_series(render, fault))
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            load_history(tmp_path)
+        except (IntegrityError, FormatError):
+            pass
+        write_series(tmp_path, gc_series(render))
         load_history(tmp_path)
         unreachable = gc.collect()
     finally:

@@ -119,6 +119,105 @@ def test_snapshot_round_trip(key, title, venue_key, venue_name, surface, pid, ur
     assert isinstance(fast, str) or contents(fast) == contents(s)
 
 
+# Values the writer leaves as they stand, so the file of a snapshot made of
+# them is canonical.
+_plain = st.text(st.sampled_from("aZ09 -./='\xe9\u4e2d"), max_size=3)
+
+
+def _two_by_two(title, venue, url, year, authors, editors, suffix):
+    """Two documents, one with every part, one with an author alone, and two
+    profiles: one with the first document's authors, one with its editors
+    and the second document's author."""
+    d0 = DocumentRecord(
+        "d0" + suffix, title=title, year=year, venue_key=None if venue is None else "v" + suffix,
+        authors=authors, editors=editors, external_link=url,
+    )
+    d1 = DocumentRecord("d1" + suffix, authors=("B" + suffix,))
+    sigs = [Signature(d0.document_key, i, a) for i, a in enumerate(authors)]
+    other = [Signature(d0.document_key, i, e, Role.EDITOR) for i, e in enumerate(editors)]
+    other.append(Signature(d1.document_key, 0, d1.authors[0]))
+    profiles = {"p0" + suffix: Profile("p0" + suffix, frozenset(sigs)),
+                "p1" + suffix: Profile("p1" + suffix, frozenset(other))}
+    profiles = {pid: prof for pid, prof in profiles.items() if prof.mentions}
+    venues = {} if venue is None else {d0.venue_key: venue}
+    return Snapshot("2017-01-01", profiles, {d.document_key: d for d in (d0, d1)}, venues)
+
+
+_surfaces = st.lists(_plain.map("S".__add__), max_size=3).map(tuple)
+_two_by_two_values = st.builds(
+    _two_by_two, _plain, st.none() | _plain, st.none() | _plain, st.integers(-3, 2020),
+    _surfaces, _surfaces, _plain,
+)
+# A record's children, and the attributes of a tag.
+_CHILD = re.compile(r"<(title|venue|author|editor)[^>]*>[^<]*</\1>|<signature [^>]*/>")
+_ATTRS = re.compile(r'( \w+="[^"]*")( \w+="[^"]*")')
+# What goes between two parts of a line, or into a value: characters at the
+# edges of the value classes, text, and markup.
+_SNIPPETS = [
+    "\t", ">", '"', "'", "&", "&amp;", "&#65;", "\r", "\x01", "\x0b", "\x0c", "\x1f",
+    "\x7f", "\x85", "\ufffe", " ", "x", "<!-- c -->", "<b/>", "<![CDATA[x]]>",
+]
+
+
+def _mutate(line, kind, n, k):
+    """``line`` with one change of ``kind``, placed by ``n``; ``k`` picks
+    what is inserted."""
+    def nth(matches):
+        matches = list(matches)
+        return matches[n % len(matches)] if matches else None
+
+    if kind == "quote":
+        m = nth(re.finditer(r'="([^"]*)"', line))
+        return line if m is None else f"{line[:m.start()]}='{m.group(1)}'{line[m.end():]}"
+    if kind == "swap":
+        m = nth(_ATTRS.finditer(line))
+        return line if m is None else line[:m.start()] + m.group(2) + m.group(1) + line[m.end():]
+    if kind == "space":
+        m = nth(re.finditer(r" |/?>", line))
+        return line[:m.start()] + [" ", "  ", "\t", "\n"][k % 4] + line[m.start():]
+    if kind in ("drop", "repeat"):
+        m = nth(_CHILD.finditer(line))
+        if m is None:
+            return line
+        return line[:m.start()] + (m.group() * 2 if kind == "repeat" else "") + line[m.end():]
+    if kind == "role":
+        m = nth(re.finditer(r"(?: role=\"editor\")?/>", line))
+        return line if m is None else line[:m.start()] + ' role="author"/>' + line[m.end():]
+    snippet = _SNIPPETS[k % len(_SNIPPETS)]
+    if kind == "between":
+        m = nth(re.finditer(r"<|(?<=>)", line))
+        at = m.start()
+    else:  # anywhere, values included
+        at = n % (len(line) + 1)
+    return line[:at] + snippet + line[at:]
+
+
+_mutation = st.tuples(
+    st.sampled_from(["quote", "swap", "space", "drop", "repeat", "role", "between", "anywhere"]),
+    st.integers(0, 3), st.integers(0, 30), st.integers(0, 40),
+)
+
+
+@given(s=_two_by_two_values, mutations=st.lists(_mutation, max_size=3))
+# A signature with its attributes in another order, or with two spaces
+# between two of them: a profile line whose signatures were checked only as
+# a whole would drop it.
+@example(s=_two_by_two("T", "V", None, 2016, ("A",), (), ""), mutations=[("swap", 3, 0, 0)])
+@example(s=_two_by_two("T", "V", None, 2016, ("A",), (), ""), mutations=[("space", 3, 4, 0)])
+@settings(max_examples=200, deadline=None)
+def test_the_canonical_line_grammar_declines_or_matches_expat(s, mutations):
+    data = write_snapshot(s)
+    assert contents(_Reader().canonical(data, None)) == contents(s)
+    lines = data.decode().split("\n")
+    for kind, i, n, k in mutations:
+        i = 2 + i % (len(lines) - 4)
+        lines[i] = _mutate(lines[i], kind, n, k)
+    data = "\n".join(lines).encode("utf-8", "surrogatepass")
+    fast = outcome(lambda: _Reader().canonical(data, None))
+    if fast is not None:
+        assert fast == outcome(lambda: _expat_builder(data, None, None)[1])
+
+
 # Unknown documents, positions past a name list, blank surfaces, and a small
 # slot space, so that profiles often claim the same slot or list one twice.
 _mention = st.builds(
