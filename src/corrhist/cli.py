@@ -9,11 +9,18 @@ hit rates over the mined name pairs, and ``stats`` summarizes snapshots.
 Each command imports only the layers it runs.  Data goes to files or
 stdout; diagnostics go to stderr.  Exit status is 0 on success, 1 on
 input or processing errors, 2 on usage errors.
+
+A command freezes the history it loads (``gc.freeze``), so no cyclic
+collection walks those records again.  ``main`` leaves the collector as it
+found it.  Run as ``python -m corrhist.cli``, the process keeps the history
+until it ends and ends without freeing it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
@@ -46,9 +53,26 @@ def _write_lines(path: str | None, lines) -> None:
 
 
 def _load(args: argparse.Namespace) -> History:
+    """Load the history named by ``--snapshots``, freeze it and hold it in
+    ``args.held``.
+
+    Collection stays off until the freeze: the load makes many records and
+    no cycle, and a collection after it would walk them all.  Nothing is
+    frozen when the caller has frozen objects: ``main`` could not unfreeze
+    this history without unfreezing those.
+    """
     from .snapshot_io import load_history
 
-    history = load_history(args.snapshots)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        history = load_history(args.snapshots)
+        if not gc.get_freeze_count():
+            gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    args.held.append(history)
     _say(args, f"loaded {len(history.snapshots)} snapshots from {args.snapshots}")
     return history
 
@@ -283,19 +307,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; its exit status.
+
+    The loaded history is freed when this returns, and the collector is as
+    it was before: on or off, with what the caller froze, and no more.
+    """
+    return _main(argv, [])
+
+
+def _main(argv: Sequence[str] | None, held: list[History]) -> int:
+    """``main``, which leaves the history it loads in ``held``."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    args.held = held
     func: Callable[[argparse.Namespace], int] = args.func
+    frozen = gc.get_freeze_count()
     try:
         return func(args)
     except (CorrhistError, ValueError, OSError) as exc:
         print(f"corrhist: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if not frozen and gc.get_freeze_count():
+            gc.unfreeze()
+
+
+def _exit(code: int) -> None:
+    """Flush stdout and stderr and end the process with ``code``, freeing
+    nothing: every output file is closed by now.  A failed flush, as when
+    the reader of stdout has gone, turns 0 into 120, the interpreter's own
+    status for that."""
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = code or 120
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The loaded history stays referenced until the process ends.
+    _held: list[History] = []
+    _exit(_main(None, _held))

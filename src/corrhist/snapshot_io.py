@@ -32,7 +32,7 @@ import gzip
 import re
 import sys
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +41,9 @@ from xml.parsers import expat
 
 from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
-from .model import DocumentRecord, Profile, Role, Signature, Snapshot, History, validate_date
+from .model import (
+    DocumentRecord, History, Profile, Role, Signature, Snapshot, _new_document, validate_date,
+)
 
 FORMAT_VERSION = "1"
 
@@ -54,6 +56,9 @@ _AUTHOR = Role.AUTHOR
 _EDITOR = Role.EDITOR
 # The values of a signature's ``role`` attribute.
 _ROLES = {"author": _AUTHOR, "editor": _EDITOR}
+# ``_new_tuple(Signature, fields)`` is ``Signature(*fields)`` without the
+# Python frame of the named tuple's ``__new__``.
+_new_tuple = tuple.__new__
 
 
 def parse_snapshot(
@@ -624,7 +629,9 @@ def _parse_profile(line: str) -> tuple[Profile, list[Signature]] | None:
         return None
     intern = sys.intern
     sigs = [
-        Signature(intern(pkey), int(pos), intern(surface), _EDITOR if editor else _AUTHOR)
+        _new_tuple(Signature, (
+            intern(pkey), int(pos), intern(surface), _EDITOR if editor else _AUTHOR
+        ))
         for pkey, pos, surface, editor in _CANON_SIG.findall(m.group(2))
     ]
     return Profile(intern(m.group(1)), frozenset(sigs)), sigs
@@ -637,7 +644,7 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
         return None
     pkey, year, url, title, venue_key, venue, authors, editors = m.groups()
     intern = sys.intern
-    record = DocumentRecord(
+    record = _new_document(
         intern(pkey),
         title or "",
         int(year) if year is not None else 0,
@@ -659,13 +666,17 @@ class _Spans(NamedTuple):
     sorted, so a bisection finds the records up to an offset, and a run of
     records moves to another file as one slice shifted by one offset.
     ``keys`` holds whether each is a profile, and its key: a document and a
-    profile may share a key.
+    profile may share a key.  ``ascending`` says whether ``keys`` is in
+    strictly ascending order, as in every file this module writes
+    (documents, then profiles, each by key), so that a bisection finds a
+    key in it.
     """
 
     data: bytes
     root: int  # offset of the root start tag; the bytes before it are the prolog
     order: list[int]
     keys: list[tuple[bool, str]]
+    ascending: bool
 
 
 _START_TAGS = {"document": b"<document", "profile": b"<profile"}
@@ -686,7 +697,9 @@ def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
     tag whose key names a record of ``last``, ``_equal_bytes`` compares the
     two files from there and from that record's start, and a bisection over
     ``last.order`` cuts the equal stretch after the last record it holds
-    whole.  A proposal proves nothing about where expat is: the bytes may
+    whole.  The record is found by bisection over ``last.keys`` where they
+    ascend, else through an index of them that only a file in another order
+    pays for.  A proposal proves nothing about where expat is: the bytes may
     lie inside a comment or a CDATA section.
 
     Once expat reports the run's first start tag at the top level at
@@ -717,15 +730,21 @@ def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
     nothing expands and the tally cannot refuse; where it declares one,
     each run is read whole.
     """
-    order = last.order
+    order, keys = last.order, last.keys
     view = memoryview(last.data)
-    index = dict(zip(last.keys, range(len(last.keys))))
+    index = None if last.ascending else dict(zip(keys, range(len(keys))))
     m = _RECORD_KEY.search(data, last.root + 1)
     while m is not None:
         q = m.start()
         key = m.group(m.lastindex).decode("utf-8", "replace")  # type: ignore[arg-type]
         # A document and a profile may share a key.
-        i = index.get((data.startswith(b"<p", q), key), -1)
+        record = (data.startswith(b"<p", q), key)
+        if index is not None:
+            i = index.get(record, -1)
+        else:
+            i = bisect_left(keys, record)
+            if i == len(keys) or keys[i] != record:
+                i = -1
         if i >= 0:
             p = order[2 * i]
             n = _equal_bytes(view, data, p, q, min(order[-1] - p, len(data) - q))
@@ -779,9 +798,11 @@ def _expat_builder(
     # ``_Builder.delta``; None in a full pass.
     prior = last.spans if last is not None else None
     fresh: list[_Parsed] | None = [] if last is not None else None
-    # The spans and keys of the top-level records, as ``_Spans`` holds them.
+    # The spans and keys of the top-level records, as ``_Spans`` holds them;
+    # the keys ascend while each one added sorts after the one before.
     order: list[int] = []
     keys: list[tuple[bool, str]] = []
+    ascending = prior is None or prior.ascending
     # Start offset of the top-level record being read.
     record_start = -1
     # Where the run fed next starts.
@@ -826,12 +847,12 @@ def _expat_builder(
         if name == "signature" and parent == "profile":
             try:
                 pos = attrs["pos"]
-                sig: Signature | None = Signature(
+                sig: Signature | None = _new_tuple(Signature, (
                     intern(attrs["pkey"]),
                     int(pos) if pos.isdigit() and pos.isascii() else parse_position(pos),
                     intern(attrs["surface"]),
                     _ROLES[attrs.get("role", "author")],
-                )
+                ))
             except (KeyError, ValueError):
                 sig = None
             if sig is None:
@@ -901,6 +922,7 @@ def _expat_builder(
         """Note the span of the top-level record whose end event this is,
         unless its start tag is not literally in ``data`` (an entity's
         replacement text, or an encoding that is not ASCII-compatible)."""
+        nonlocal ascending
         if not data.startswith(_START_TAGS[name], record_start):
             return
         end = parser.CurrentByteIndex + skipped
@@ -910,7 +932,10 @@ def _expat_builder(
         if data.startswith(_END_TAGS[name], end):
             end = data.index(b">", end) + 1
         order.extend((record_start, end))
-        keys.append((name == "profile", key))
+        record = (name == "profile", key)
+        if ascending and keys and not keys[-1] < record:
+            ascending = False
+        keys.append(record)
 
     def end(name: str) -> None:
         nonlocal prof_id, capturing, child
@@ -935,14 +960,14 @@ def _expat_builder(
                 raw_key, name_parts = doc_venue
                 venue_name = "".join(name_parts)
                 venue_key = intern(raw_key if raw_key is not None else venue_name)
-            record = DocumentRecord(
-                document_key=pkey,
-                title="".join(doc_title),
-                year=year,
-                venue_key=venue_key,
-                authors=tuple(map(intern, doc_authors)),
-                editors=tuple(map(intern, doc_editors)),
-                external_link=doc_attrs.get("url"),
+            record = _new_document(
+                pkey,
+                "".join(doc_title),
+                year,
+                venue_key,
+                tuple(map(intern, doc_authors)),
+                tuple(map(intern, doc_editors)),
+                doc_attrs.get("url"),
             )
             if fresh is None:
                 build.document(record, venue_name)  # type: ignore[union-attr]
@@ -996,6 +1021,8 @@ def _expat_builder(
                         parser.CharacterDataHandler = chars
                         shift = target - prior.order[2 * i]
                         order += map(shift.__add__, prior.order[2 * i:2 * k])
+                        if ascending and keys and not keys[-1] < prior.keys[i]:
+                            ascending = False
                         keys += prior.keys[i:k]
                         kept[i:k] = b"\1" * (k - i)
                         reused += k - i
@@ -1007,7 +1034,7 @@ def _expat_builder(
     finally:
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
-    spans = _Spans(data, root, order, keys)
+    spans = _Spans(data, root, order, keys, ascending)
     if fresh is None:
         if build is None:
             raise FormatError("no <snapshot> element found", -1, source_name)

@@ -10,6 +10,7 @@ takes several minutes; deselect with `-m "not stress"` for quick runs.
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -63,6 +64,20 @@ def tick(capfd):
                 print(f"acceptance {number} ({name}): {verdict}", flush=True)
 
     return announce
+
+
+@contextmanager
+def emptied_afterwards(directory):
+    """Delete everything in ``directory`` when the block ends, however it
+    ends, so a large corpus does not outlive its test."""
+    try:
+        yield
+    finally:
+        for path in Path(directory).iterdir():
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink()
 
 
 def tree_bytes(root):
@@ -439,7 +454,7 @@ def test_scale_budget_and_worker_invariance(tick, tmp_path):
     # outputs must not depend on the worker count or on string hash order
     # (the reruns use another PYTHONHASHSEED, so every set-based step of the
     # loader and the extractor iterates in a different order).
-    with tick(7, "scale budget and worker invariance"):
+    with tick(7, "scale budget and worker invariance"), emptied_afterwards(tmp_path):
         corpus = tmp_path / "corpus"
         run_measured([
             "generate", "--seed", "77", "--persons", "100000",

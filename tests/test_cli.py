@@ -1,14 +1,21 @@
+import gc
 import gzip
+import io
 import json
+import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from corrhist import snapshot_io
 from corrhist.casegraph import parse_case_graph
 from corrhist.cli import main
 from corrhist.errors import FormatError
 from corrhist.snapshot_io import load_history
+
+from test_acceptance import tree_bytes
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +268,108 @@ def test_star_import_binds_each_name_to_its_modules_object():
         "                  if not holders[name] or any(v is not value for v in holders[name])]))\n"
     )
     assert mismatched == []
+
+
+def run_cli(*args, **kwargs):
+    """``python -m corrhist.cli`` with ``args``; stdout and stderr as bytes,
+    unless ``kwargs`` send them elsewhere.  Its stdout is block-buffered, as
+    it is by default, so what it writes is flushed at its exit."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "corrhist.cli", *map(str, args)], env=env, timeout=120, **kwargs
+    )
+
+
+class TestProcessExit:
+    """Run as a program, corrhist ends without freeing what it loaded.  What
+    it writes, and the status it ends with, are still those of a normal
+    exit."""
+
+    def test_stdout_through_a_pipe_is_the_out_file(self, corpus, tmp_path):
+        out = tmp_path / "cases.tsv"
+        assert run_cli("extract", "--snapshots", corpus, "--quiet", "--out", out).returncode == 0
+        piped = run_cli("extract", "--snapshots", corpus, "--quiet")
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout.startswith(b"kind\t")
+        assert piped.stdout == out.read_bytes()
+
+    def test_missing_snapshot_dir(self, capsys):
+        proc = run_cli("extract", "--snapshots", "/no/such/dir")
+        assert main(["extract", "--snapshots", "/no/such/dir"]) == 1
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"corrhist: error:")
+        assert proc.stderr.decode() == capsys.readouterr().err
+
+    def test_usage_error(self):
+        proc = run_cli("extract")
+        assert proc.returncode == 2
+        assert b"usage: corrhist extract" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["extract"], ["stats"], ["blocking"]])
+    def test_a_reader_that_closed_stdout_never_sees_success(self, corpus, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli(*argv, "--snapshots", corpus, "--quiet", stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode != 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["case-collection"],
+            ["embedded", "--t1", "2015-01-01", "--t2", "2015-02-01", "--compress"],
+        ],
+        ids=["case-collection", "embedded-compress"],
+    )
+    def test_output_files_are_complete(self, corpus, tmp_path, argv):
+        argv = [*argv, "--snapshots", str(corpus), "--quiet", "--out"]
+        assert run_cli(*argv, tmp_path / "process").returncode == 0
+        assert main([*argv, str(tmp_path / "in-process")]) == 0
+        written = tree_bytes(tmp_path / "process")
+        assert written and written == tree_bytes(tmp_path / "in-process")
+        for name, data in written.items():
+            if name.endswith(".gz"):
+                snapshot_io.parse_snapshot(gzip.decompress(data))
+
+
+@pytest.mark.parametrize("state", ["on", "off", "frozen"])
+def test_main_leaves_the_collector_as_it_found_it(corpus, tmp_path, monkeypatch, state):
+    """In process, ``main`` freezes the history it loads, and unfreezes and
+    frees it before it returns; a caller that froze objects itself keeps
+    them frozen."""
+    loaded = []
+
+    def load(source):
+        history = load_history(source)
+        loaded.append(weakref.ref(history))
+        return history
+
+    monkeypatch.setattr(snapshot_io, "load_history", load)
+    # pytest's capture of stderr would free objects the caller froze.
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    clean = ["extract", "--snapshots", str(corpus), "--quiet", "--out", str(tmp_path / "c.tsv")]
+    runs = [
+        (clean, 0),
+        # Fails after the load, and during it.
+        (["embedded", "--snapshots", str(corpus), "--t1", "1999-01-01", "--t2", "2015-02-01",
+          "--quiet", "--out", str(tmp_path / "e")], 1),
+        (["stats", "--snapshots", str(tmp_path / "none"), "--quiet"], 1),
+    ]
+    was = gc.isenabled()
+    (gc.disable if state == "off" else gc.enable)()
+    if state == "frozen":
+        gc.freeze()
+    try:
+        before = (gc.isenabled(), gc.get_freeze_count())
+        for argv, code in runs + [(clean, 0)] * 10:
+            assert main(argv) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+            assert [ref() for ref in loaded] == [None] * len(loaded)
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+    assert len(loaded) == 12

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from corrhist import snapshot_io
 from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import raw_groups_between
-from corrhist.model import DocumentRecord, History, Profile
+from corrhist.model import History, Profile, _new_document
 from corrhist.snapshot_io import load_history, parse_snapshot, snapshot_filename
 
 DATES = ("2017-01-01", "2017-02-01", "2017-03-01", "2017-04-01", "2017-05-01")
@@ -185,7 +185,7 @@ def test_one_changed_profile_constructs_only_its_record(tmp_path, monkeypatch, r
         return make
 
     monkeypatch.setattr(snapshot_io, "Profile", counting(Profile))
-    monkeypatch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord))
+    monkeypatch.setattr(snapshot_io, "_new_document", counting(_new_document))
     history = load_history(tmp_path)
     # The ten records of the first file, then p2 once per later file.
     assert len(made) == 12
@@ -512,7 +512,7 @@ def read_each_way(tmp_path, monkeypatch, files):
     reader, series, runs, deltas = snapshot_io._Reader(), [], [], []
     with monkeypatch.context() as patch:
         patch.setattr(snapshot_io, "Profile", counting(Profile, "profile_id"))
-        patch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord, "document_key"))
+        patch.setattr(snapshot_io, "_new_document", counting(_new_document, "document_key"))
         for path in paths[:len(alone)]:
             spans = reader.build.spans if reader.build is not None else None
             if spans is not None:
@@ -759,6 +759,69 @@ def test_a_document_and_a_profile_with_one_key(tmp_path, monkeypatch):
     assert built[1] == ["y"]
 
 
+_D9 = doc_line("d9", ["N9"])
+
+
+@pytest.mark.parametrize("first, second, expected, built_later, ascending", [
+    (
+        _DOCS + _PROFS,
+        _DOCS[:3] + [_D9, _PROFS[0], _P1_EDITED, _PROFS[2]],
+        [["d0", "d1", "d2"], ["p0"], ["p2"]],
+        ["d9", "p1"],
+        True,
+    ),
+    (
+        _PROFS[::-1] + _DOCS[::-1],
+        [_PROFS[2], _P1_EDITED, _PROFS[0], _D9] + _DOCS[2::-1],
+        [["p2"], ["p0"], ["d2", "d1", "d0"]],
+        ["p1", "d9"],
+        False,
+    ),
+], ids=["writer-order", "reversed"])
+def test_runs_are_found_by_key_in_any_file_order(
+    tmp_path, monkeypatch, first, second, expected, built_later, ascending
+):
+    # Targets the lookup by key: the keys of a file in writer order ascend
+    # and are searched by bisection, those of any other file through an
+    # index, and both find every run; a record gone, one changed and one
+    # added sit between the runs.
+    files = [body_file(DATES[0], "\n".join(first)), body_file(DATES[1], "\n".join(second))]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == _DELTA
+    assert runs == [expected]
+    assert built[1] == built_later
+    reader = snapshot_io._Reader()
+    reader.read(files[0], None)
+    spans = reader.build.spans
+    assert spans.ascending is ascending
+    if ascending:
+        indexed = spans._replace(ascending=False)
+        assert list(snapshot_io._runs(files[1], spans)) == list(snapshot_io._runs(files[1], indexed))
+    reader.read(files[1], None)
+    assert reader.build.spans.ascending is ascending
+
+
+_REVERSED = _PROFS[::-1] + _DOCS[::-1]
+_SWAPPED = [_PROFS[2], _PROFS[3], *_DOCS, _PROFS[0], _PROFS[1]]
+
+
+@pytest.mark.parametrize("first, later, expected", [
+    (_DOCS + _PROFS, _SWAPPED, [["p2", "p3"], ["d0", "d1", "d2", "d3", "p0", "p1"]]),
+    (_REVERSED, _REVERSED, [["p3", "p2", "p1", "p0", "d3", "d2", "d1", "d0"]]),
+], ids=["runs-swapped", "reversed"])
+def test_the_order_of_a_record_deltas_keys(tmp_path, monkeypatch, first, later, expected):
+    # Targets the order a record delta notes for its keys, though it parses
+    # no record: whether two runs of a file in writer order come back
+    # swapped, or every run of a file in another order is reused whole, the
+    # keys do not ascend, and the third file's runs are found by index.
+    files = [body_file(date, "\n".join(lines))
+             for date, lines in zip(DATES, [first, later, later])]
+    paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
+    assert paths == ["full expat pass", "expat record delta", "expat record delta"]
+    assert built[1:] == [[], []]
+    assert runs == [expected, [sum(expected, [])]]
+
+
 class CountingParser:
     """An expat parser that notes every chunk handed to ``Parse``."""
 
@@ -969,7 +1032,7 @@ def test_a_later_line_that_starts_unlike_a_record_declines_before_any_record_is_
         return make
 
     monkeypatch.setattr(snapshot_io, "Profile", counting(Profile))
-    monkeypatch.setattr(snapshot_io, "DocumentRecord", counting(DocumentRecord))
+    monkeypatch.setattr(snapshot_io, "_new_document", counting(_new_document))
     data = canonical_file(DATES[1], _LINES[:-1] + ["  " + _LINES[-1]])
     assert reader.canonical(data, None, reader.build) == "line 10 not a canonical record"
     assert made == []

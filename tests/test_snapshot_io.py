@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import io
 import re
@@ -537,3 +538,56 @@ def test_memoized_load_rejects_duplicated_lines(tmp_path):
     )
     with pytest.raises(IntegrityError):
         load_history(tmp_path)
+
+
+def assert_built_as_constructed(built, ref):
+    """``built``, which a reader made without the public constructor, is
+    exactly the record ``ref``, which the constructor made."""
+    assert type(built) is type(ref)
+    assert built == ref and hash(built) == hash(ref) and repr(built) == repr(ref)
+    if isinstance(ref, Signature):
+        assert built._asdict() == ref._asdict()
+        assert built._replace(surface="X") == ref._replace(surface="X")
+        with pytest.raises(AttributeError):
+            built.surface = "X"
+        return
+    names = [f.name for f in dataclasses.fields(DocumentRecord)]
+    assert list(vars(built)) == list(vars(ref)) == names
+    assert dataclasses.fields(built) == dataclasses.fields(ref)
+    assert dataclasses.asdict(built) == dataclasses.asdict(ref)
+    assert dataclasses.replace(built, title="X") == dataclasses.replace(ref, title="X")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.title = "X"
+
+
+@pytest.mark.parametrize(
+    "render, paths",
+    [
+        (lambda data: data, ["full canonical pass", "line delta"]),
+        (indented, ["full expat pass", "expat record delta"]),
+    ],
+    ids=["canonical", "expat"],
+)
+def test_read_records_are_those_the_constructors_make(render, paths):
+    first = plain_snapshot("2017-08-01")
+    docs = dict(first.documents)
+    docs["conf/y/2"] = dataclasses.replace(docs["conf/y/2"], title="Revised", year=2016)
+    docs["conf/y/4"] = DocumentRecord("conf/y/4", authors=("Ann Lee",), external_link="u")
+    profiles = dict(first.profiles)
+    profiles["p-ann"] = Profile("p-ann", frozenset({sig("conf/y/4", 0, "Ann Lee")}))
+    profiles["p-wei"] = Profile("p-wei", frozenset({sig("conf/y/1", 1, "Wei Wang 0050")}))
+    second = Snapshot("2017-09-01", profiles, docs, first.venues)
+    second.validate()
+    reader = _Reader()
+    for want in (first, second):
+        got = reader.read(render(write_snapshot(want)), None)
+        assert got.documents.keys() == want.documents.keys()
+        for key, doc in got.documents.items():
+            assert_built_as_constructed(doc, want.documents[key])
+        assert got.profiles.keys() == want.profiles.keys()
+        for pid, prof in got.profiles.items():
+            wanted = {m.key: m for m in want.profiles[pid].mentions}
+            assert len(prof.mentions) == len(wanted)
+            for mention in prof.mentions:
+                assert_built_as_constructed(mention, wanted[mention.key])
+    assert [path for path, _reason in reader.paths] == paths
