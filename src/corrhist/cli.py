@@ -10,10 +10,12 @@ Each command imports only the layers it runs.  Data goes to files or
 stdout; diagnostics go to stderr.  Exit status is 0 on success, 1 on
 input or processing errors, 2 on usage errors.
 
-A command freezes the history it loads (``gc.freeze``), so no cyclic
-collection walks those records again.  ``main`` leaves the collector as it
-found it.  Run as ``python -m corrhist.cli``, the process keeps the history
-until it ends and ends without freeing it.
+A command makes many objects and no reference cycle, so no automatic
+cyclic collection runs while it does.  The program, ``run``, the entry of
+both ``python -m corrhist.cli`` and the ``corrhist`` script, turns the
+collector off for good, keeps the history until the process ends and ends
+without freeing it.  ``main``, the in-process entry, pauses the collector
+and turns it back on, if it was on, only once the history is freed.
 """
 
 from __future__ import annotations
@@ -53,25 +55,11 @@ def _write_lines(path: str | None, lines) -> None:
 
 
 def _load(args: argparse.Namespace) -> History:
-    """Load the history named by ``--snapshots``, freeze it and hold it in
-    ``args.held``.
-
-    Collection stays off until the freeze: the load makes many records and
-    no cycle, and a collection after it would walk them all.  Nothing is
-    frozen when the caller has frozen objects: ``main`` could not unfreeze
-    this history without unfreezing those.
-    """
+    """Load the history named by ``--snapshots`` and hold it in
+    ``args.held``."""
     from .snapshot_io import load_history
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        history = load_history(args.snapshots)
-        if not gc.get_freeze_count():
-            gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
+    history = load_history(args.snapshots)
     args.held.append(history)
     _say(args, f"loaded {len(history.snapshots)} snapshots from {args.snapshots}")
     return history
@@ -307,12 +295,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; its exit status.
+    """Run one command in this process; its exit status.
 
-    The loaded history is freed when this returns, and the collector is as
-    it was before: on or off, with what the caller froze, and no more.
+    Automatic collection is paused while the command runs, and the loaded
+    history is freed before it is turned back on, if it was on, so no
+    collection walks the history.  The collector's state and what the
+    caller froze are as they were.
     """
-    return _main(argv, [])
+    from .snapshot_io import _collection_paused
+
+    with _collection_paused():
+        return _main(argv, [])
 
 
 def _main(argv: Sequence[str] | None, held: list[History]) -> int:
@@ -325,15 +318,11 @@ def _main(argv: Sequence[str] | None, held: list[History]) -> int:
         return code if isinstance(code, int) else 2
     args.held = held
     func: Callable[[argparse.Namespace], int] = args.func
-    frozen = gc.get_freeze_count()
     try:
         return func(args)
     except (CorrhistError, ValueError, OSError) as exc:
         print(f"corrhist: error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if not frozen and gc.get_freeze_count():
-            gc.unfreeze()
 
 
 def _exit(code: int) -> None:
@@ -349,7 +338,18 @@ def _exit(code: int) -> None:
     os._exit(code)
 
 
+def run() -> None:
+    """The program: run the command named by ``sys.argv`` and end the
+    process with its exit status.
+
+    The collector goes off first and never comes back on, and the loaded
+    history stays referenced until the process ends: turned on while the
+    history lives, the collector would walk every object the command made.
+    """
+    gc.disable()
+    held: list[History] = []
+    _exit(_main(None, held))
+
+
 if __name__ == "__main__":
-    # The loaded history stays referenced until the process ends.
-    _held: list[History] = []
-    _exit(_main(None, _held))
+    run()

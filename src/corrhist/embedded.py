@@ -311,7 +311,7 @@ def build_embedded_collection(
     ]
 
     snapshot_name = snapshot_filename(t1, compress=compress)
-    write_snapshot_to(s1, out / snapshot_name, compress=compress)
+    write_snapshot_to(s1, out / snapshot_name)
     annotations_name = "annotations.xml"
     write_annotations_file(annotations, t1, t2, out / annotations_name)
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import IntegrityError
 from .model import History, Role, Signature, Snapshot
 
 MentionKey = tuple[str, int, Role]
+_Node = TypeVar("_Node", bound=Hashable)
 
 
 class CorrectionKind(enum.Enum):
@@ -176,6 +177,31 @@ def is_consistent_predecessor(
     return _keys(s1, p1) <= _keys(s2, p2)
 
 
+def _components(nodes: Iterable[_Node], links: Iterable[tuple[_Node, _Node]]) -> list[list[_Node]]:
+    """The connected components of the graph whose edges are ``links``,
+    over ``nodes`` and every node a link names.  Each lists its members in
+    the order they were first met, ``nodes`` first, and the components come
+    in the order of their first members."""
+    parent = {n: n for n in nodes}
+
+    def find(x: _Node) -> _Node:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    components: dict[_Node, list[_Node]] = {}
+    for n in parent:
+        components.setdefault(find(n), []).append(n)
+    return list(components.values())
+
+
 def raw_groups_between(
     s1: Snapshot, s2: Snapshot, changed: Collection[str] | None = None
 ) -> list[RawGroup]:
@@ -248,45 +274,26 @@ def raw_groups_between(
     # A component is a correction only if at least two of its profiles are
     # nonempty on each side; one-to-one handovers that empty the donor are
     # profile renames, not mention corrections.
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    moved = False
-    for k, donor in owner1.items():
-        taker = owner2.get(k)
-        if taker is not None and taker != donor and (k, donor, taker) not in explained:
-            union(donor, taker)
-            moved = True
-    if moved:
-        components: dict[str, set[str]] = {}
-        for pid in parent:
-            components.setdefault(find(pid), set()).add(pid)
-        for root in sorted(components, key=lambda r: min(components[r])):
-            members = components[root]
-            at1 = {q for q in members if s1.mentions_of(q)}
-            at2 = {q for q in members if s2.mentions_of(q)}
-            if len(at1) >= 2 and len(at2) >= 2:
-                groups.append(
-                    RawGroup(
-                        CorrectionKind.DISTRIBUTE,
-                        s1.time,
-                        s2.time,
-                        frozenset(at1),
-                        frozenset(at2),
-                    )
+    moves = (
+        (donor, taker)
+        for k, donor in owner1.items()
+        if (taker := owner2.get(k)) is not None
+        and taker != donor
+        and (k, donor, taker) not in explained
+    )
+    for members in sorted(_components((), moves), key=min):
+        at1 = {q for q in members if s1.mentions_of(q)}
+        at2 = {q for q in members if s2.mentions_of(q)}
+        if len(at1) >= 2 and len(at2) >= 2:
+            groups.append(
+                RawGroup(
+                    CorrectionKind.DISTRIBUTE,
+                    s1.time,
+                    s2.time,
+                    frozenset(at1),
+                    frozenset(at2),
                 )
+            )
 
     groups.sort(key=RawGroup.sort_key)
     return groups
@@ -324,39 +331,21 @@ def chain_corrections(history: History, groups: Iterable[RawGroup]) -> list[Corr
     snap_at = {s.time: s for s in history.snapshots}
     owned_at: dict[str, set[MentionKey]] = {}
     pool = sorted(groups, key=RawGroup.sort_key)
-    parent = list(range(len(pool)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
     by_start: dict[str, dict[str, list[int]]] = {}
     for i, g in enumerate(pool):
         bucket = by_start.setdefault(g.t_before, {})
         for q in g.profiles:
             bucket.setdefault(q, []).append(i)
-    for i, g in enumerate(pool):
-        follow = by_start.get(g.t_after)
-        if not follow:
-            continue
-        for q in g.profiles:
-            for j in follow.get(q, ()):
-                union(i, j)
-
-    components: dict[int, list[RawGroup]] = {}
-    for i, g in enumerate(pool):
-        components.setdefault(find(i), []).append(g)
-
-    cases = []
-    for member_groups in components.values():
-        cases.append(_materialize(snap_at, owned_at, member_groups))
+    links = (
+        (i, j)
+        for i, g in enumerate(pool)
+        for q in g.profiles
+        for j in by_start.get(g.t_after, {}).get(q, ())
+    )
+    cases = [
+        _materialize(snap_at, owned_at, [pool[i] for i in members])
+        for members in _components(range(len(pool)), links)
+    ]
     cases.sort(key=CorrectionCase.sort_key)
     return cases
 

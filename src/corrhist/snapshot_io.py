@@ -32,7 +32,7 @@ import gzip
 import re
 import sys
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,13 +123,12 @@ class _Reader:
     shared again.
     """
 
-    def __init__(self, prev: Snapshot | None = None) -> None:
-        self.prev = prev
-        # The builder of ``prev``'s file: the state the next delta starts from.
+    def __init__(self) -> None:
+        # The snapshot read last, and the builder of its file: the state the
+        # next delta starts from.
+        self.prev: Snapshot | None = None
         self.build: _Builder | None = None
         self.retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] = {}
-        # Ids of the profiles the last file read changed against ``prev``.
-        self.changed: frozenset[str] = frozenset()
         self.paths: list[tuple[str, str | None]] = []
 
     def read(self, source: bytes | str | Path | BinaryIO, source_name: str | None) -> Snapshot:
@@ -235,7 +234,6 @@ class _Reader:
 
     def took(self, path: str, build: _Builder, reason: str | None = None) -> None:
         self.build = build
-        self.changed = build.changed
         self.paths.append((path, reason))
 
 
@@ -666,17 +664,13 @@ class _Spans(NamedTuple):
     sorted, so a bisection finds the records up to an offset, and a run of
     records moves to another file as one slice shifted by one offset.
     ``keys`` holds whether each is a profile, and its key: a document and a
-    profile may share a key.  ``ascending`` says whether ``keys`` is in
-    strictly ascending order, as in every file this module writes
-    (documents, then profiles, each by key), so that a bisection finds a
-    key in it.
+    profile may share a key.
     """
 
     data: bytes
     root: int  # offset of the root start tag; the bytes before it are the prolog
     order: list[int]
     keys: list[tuple[bool, str]]
-    ascending: bool
 
 
 _START_TAGS = {"document": b"<document", "profile": b"<profile"}
@@ -697,9 +691,7 @@ def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
     tag whose key names a record of ``last``, ``_equal_bytes`` compares the
     two files from there and from that record's start, and a bisection over
     ``last.order`` cuts the equal stretch after the last record it holds
-    whole.  The record is found by bisection over ``last.keys`` where they
-    ascend, else through an index of them that only a file in another order
-    pays for.  A proposal proves nothing about where expat is: the bytes may
+    whole.  A proposal proves nothing about where expat is: the bytes may
     lie inside a comment or a CDATA section.
 
     Once expat reports the run's first start tag at the top level at
@@ -730,21 +722,15 @@ def _runs(data: bytes, last: _Spans) -> Iterator[tuple[int, int, int, int]]:
     nothing expands and the tally cannot refuse; where it declares one,
     each run is read whole.
     """
-    order, keys = last.order, last.keys
+    order = last.order
     view = memoryview(last.data)
-    index = None if last.ascending else dict(zip(keys, range(len(keys))))
+    index = dict(zip(last.keys, range(len(last.keys))))
     m = _RECORD_KEY.search(data, last.root + 1)
     while m is not None:
         q = m.start()
         key = m.group(m.lastindex).decode("utf-8", "replace")  # type: ignore[arg-type]
         # A document and a profile may share a key.
-        record = (data.startswith(b"<p", q), key)
-        if index is not None:
-            i = index.get(record, -1)
-        else:
-            i = bisect_left(keys, record)
-            if i == len(keys) or keys[i] != record:
-                i = -1
+        i = index.get((data.startswith(b"<p", q), key), -1)
         if i >= 0:
             p = order[2 * i]
             n = _equal_bytes(view, data, p, q, min(order[-1] - p, len(data) - q))
@@ -798,11 +784,9 @@ def _expat_builder(
     # ``_Builder.delta``; None in a full pass.
     prior = last.spans if last is not None else None
     fresh: list[_Parsed] | None = [] if last is not None else None
-    # The spans and keys of the top-level records, as ``_Spans`` holds them;
-    # the keys ascend while each one added sorts after the one before.
+    # The spans and keys of the top-level records, as ``_Spans`` holds them.
     order: list[int] = []
     keys: list[tuple[bool, str]] = []
-    ascending = prior is None or prior.ascending
     # Start offset of the top-level record being read.
     record_start = -1
     # Where the run fed next starts.
@@ -922,7 +906,6 @@ def _expat_builder(
         """Note the span of the top-level record whose end event this is,
         unless its start tag is not literally in ``data`` (an entity's
         replacement text, or an encoding that is not ASCII-compatible)."""
-        nonlocal ascending
         if not data.startswith(_START_TAGS[name], record_start):
             return
         end = parser.CurrentByteIndex + skipped
@@ -932,10 +915,7 @@ def _expat_builder(
         if data.startswith(_END_TAGS[name], end):
             end = data.index(b">", end) + 1
         order.extend((record_start, end))
-        record = (name == "profile", key)
-        if ascending and keys and not keys[-1] < record:
-            ascending = False
-        keys.append(record)
+        keys.append((name == "profile", key))
 
     def end(name: str) -> None:
         nonlocal prof_id, capturing, child
@@ -1021,8 +1001,6 @@ def _expat_builder(
                         parser.CharacterDataHandler = chars
                         shift = target - prior.order[2 * i]
                         order += map(shift.__add__, prior.order[2 * i:2 * k])
-                        if ascending and keys and not keys[-1] < prior.keys[i]:
-                            ascending = False
                         keys += prior.keys[i:k]
                         kept[i:k] = b"\1" * (k - i)
                         reused += k - i
@@ -1034,7 +1012,7 @@ def _expat_builder(
     finally:
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
-    spans = _Spans(data, root, order, keys, ascending)
+    spans = _Spans(data, root, order, keys)
     if fresh is None:
         if build is None:
             raise FormatError("no <snapshot> element found", -1, source_name)
@@ -1180,10 +1158,9 @@ def write_snapshot_to(
     snapshot: Snapshot,
     path: str | Path,
     *,
-    compress: bool | None = None,
     series: _Series | None = None,
 ) -> Path:
-    """Write a snapshot file; gzip when ``compress`` (default: .gz suffix).
+    """Write a snapshot file, gzipped when its name ends in ``.gz``.
 
     Gzip output pins mtime and leaves the name field empty, so identical
     snapshots give identical files whatever they are called.
@@ -1197,13 +1174,11 @@ def write_snapshot_to(
     way.  Without it, every record is rendered.
     """
     path = Path(path)
-    if compress is None:
-        compress = path.suffix == ".gz"
     raw = open(path, "wb")
     try:
         with raw, (
             gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
-            if compress else nullcontext(raw)
+            if path.suffix == ".gz" else nullcontext(raw)
         ) as sink:
             if series is not None:
                 lines = series.lines(snapshot)
@@ -1298,7 +1273,7 @@ def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
                     f"says {snap.time}"
                 )
             if snapshots:
-                changes.append(reader.changed)
+                changes.append(reader.build.changed)  # type: ignore[union-attr]
             snapshots.append(snap)
     return History(tuple(snapshots), tuple(changes))
 
@@ -1332,6 +1307,6 @@ def write_history(history: History, directory: str | Path, *, compress: bool = F
     directory.mkdir(parents=True, exist_ok=True)
     series = _Series()
     return [
-        write_snapshot_to(snap, directory / name, compress=compress, series=series)
+        write_snapshot_to(snap, directory / name, series=series)
         for snap, name in zip(history.snapshots, names)
     ]

@@ -39,6 +39,11 @@ from .model import (
 )
 from .snapshot_io import write_history
 
+# The share of surfaces that abbreviate the first name, and of persons who
+# have a middle initial.
+_ABBREVIATION_PROBABILITY = 0.35
+_MIDDLE_NAME_PROBABILITY = 0.25
+
 _FIRST_NAMES = (
     "Alice", "Anton", "Bao", "Bettina", "Carl", "Carmen", "Chen", "Daniel",
     "Diana", "Elena", "Emil", "Fatima", "Felix", "Gao", "Greta", "Hannah",
@@ -167,8 +172,6 @@ class GeneratorConfig:
     distributes: int = 1
     renames: int = 1
     new_publications: int = 2
-    abbreviation_probability: float = 0.35
-    middle_name_probability: float = 0.25
     exclusive_profiles: bool = True
 
     def check(self) -> None:
@@ -186,10 +189,6 @@ class GeneratorConfig:
         for name in ("merges", "splits", "distributes", "renames", "new_publications"):
             if getattr(self, name) < 0:
                 raise PlanError(f"{name} must be non-negative")
-        for name in ("abbreviation_probability", "middle_name_probability"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise PlanError(f"{name} must be in [0, 1]")
 
     @property
     def intervals(self) -> int:
@@ -338,7 +337,7 @@ class _Generator:
 
     def _surface(self, person: _Person, suffix: str) -> str:
         rng = self.rng
-        if rng.random() < self.config.abbreviation_probability:
+        if rng.random() < _ABBREVIATION_PROBABILITY:
             parts = [f"{person.first[0]}."]
         else:
             parts = [person.first]
@@ -365,7 +364,7 @@ class _Generator:
                 first=rng.choice(_FIRST_NAMES),
                 middle=(
                     rng.choice("ABCDEFGHJKLMP")
-                    if rng.random() < config.middle_name_probability
+                    if rng.random() < _MIDDLE_NAME_PROBABILITY
                     else None
                 ),
                 last=rng.choice(_LAST_NAMES),

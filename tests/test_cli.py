@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from corrhist import snapshot_io
 from corrhist.casegraph import parse_case_graph
 from corrhist.cli import main
 from corrhist.errors import FormatError
+from corrhist.extract import extract_corrections
 from corrhist.snapshot_io import load_history
 
 from test_acceptance import tree_bytes
@@ -270,24 +272,45 @@ def test_star_import_binds_each_name_to_its_modules_object():
     assert mismatched == []
 
 
-def run_cli(*args, **kwargs):
-    """``python -m corrhist.cli`` with ``args``; stdout and stderr as bytes,
-    unless ``kwargs`` send them elsewhere.  Its stdout is block-buffered, as
-    it is by default, so what it writes is flushed at its exit."""
-    kwargs.setdefault("stdout", subprocess.PIPE)
-    kwargs.setdefault("stderr", subprocess.PIPE)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run(
-        [sys.executable, "-m", "corrhist.cli", *map(str, args)], env=env, timeout=120, **kwargs
-    )
+# The two ways the program starts: ``python -m corrhist.cli``, and what the
+# installed ``corrhist`` script runs.
+LAUNCHERS = {
+    "module": ["-m", "corrhist.cli"],
+    "script": ["-c", "from corrhist.cli import run; run()"],
+}
+
+
+@pytest.fixture(params=list(LAUNCHERS.values()), ids=list(LAUNCHERS))
+def run_cli(request):
+    """Runs the program with ``args`` through one launcher; stdout and
+    stderr as bytes, unless ``kwargs`` send them elsewhere.  Its stdout is
+    block-buffered, as it is by default, so what it writes is flushed at its
+    exit."""
+
+    def run(*args, **kwargs):
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        kwargs.setdefault("stderr", subprocess.PIPE)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, *request.param, *map(str, args)], env=env, timeout=120, **kwargs
+        )
+
+    return run
+
+
+def test_the_corrhist_script_is_the_program():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["corrhist"] == "corrhist.cli:run"
 
 
 class TestProcessExit:
-    """Run as a program, corrhist ends without freeing what it loaded.  What
-    it writes, and the status it ends with, are still those of a normal
-    exit."""
+    """Run as a program, by either launcher, corrhist ends without freeing
+    what it loaded.  What it writes, and the status it ends with, are still
+    those of a normal exit."""
 
-    def test_stdout_through_a_pipe_is_the_out_file(self, corpus, tmp_path):
+    def test_stdout_through_a_pipe_is_the_out_file(self, corpus, tmp_path, run_cli):
         out = tmp_path / "cases.tsv"
         assert run_cli("extract", "--snapshots", corpus, "--quiet", "--out", out).returncode == 0
         piped = run_cli("extract", "--snapshots", corpus, "--quiet")
@@ -295,20 +318,20 @@ class TestProcessExit:
         assert piped.stdout.startswith(b"kind\t")
         assert piped.stdout == out.read_bytes()
 
-    def test_missing_snapshot_dir(self, capsys):
+    def test_missing_snapshot_dir(self, capsys, run_cli):
         proc = run_cli("extract", "--snapshots", "/no/such/dir")
         assert main(["extract", "--snapshots", "/no/such/dir"]) == 1
         assert proc.returncode == 1
         assert proc.stderr.startswith(b"corrhist: error:")
         assert proc.stderr.decode() == capsys.readouterr().err
 
-    def test_usage_error(self):
+    def test_usage_error(self, run_cli):
         proc = run_cli("extract")
         assert proc.returncode == 2
         assert b"usage: corrhist extract" in proc.stderr
 
     @pytest.mark.parametrize("argv", [["extract"], ["stats"], ["blocking"]])
-    def test_a_reader_that_closed_stdout_never_sees_success(self, corpus, argv):
+    def test_a_reader_that_closed_stdout_never_sees_success(self, corpus, argv, run_cli):
         read, write = os.pipe()
         os.close(read)
         try:
@@ -325,7 +348,7 @@ class TestProcessExit:
         ],
         ids=["case-collection", "embedded-compress"],
     )
-    def test_output_files_are_complete(self, corpus, tmp_path, argv):
+    def test_output_files_are_complete(self, corpus, tmp_path, argv, run_cli):
         argv = [*argv, "--snapshots", str(corpus), "--quiet", "--out"]
         assert run_cli(*argv, tmp_path / "process").returncode == 0
         assert main([*argv, str(tmp_path / "in-process")]) == 0
@@ -338,17 +361,23 @@ class TestProcessExit:
 
 @pytest.mark.parametrize("state", ["on", "off", "frozen"])
 def test_main_leaves_the_collector_as_it_found_it(corpus, tmp_path, monkeypatch, state):
-    """In process, ``main`` freezes the history it loads, and unfreezes and
-    frees it before it returns; a caller that froze objects itself keeps
-    them frozen."""
-    loaded = []
+    """In process, ``main`` keeps automatic collection off while the command
+    runs, after the load too, and frees the history before it returns the
+    collector to its state; a caller that froze objects itself keeps them
+    frozen."""
+    loaded, collecting = [], []
 
     def load(source):
         history = load_history(source)
         loaded.append(weakref.ref(history))
         return history
 
+    def extract(history, **kwargs):
+        collecting.append(gc.isenabled())
+        return extract_corrections(history, **kwargs)
+
     monkeypatch.setattr(snapshot_io, "load_history", load)
+    monkeypatch.setattr("corrhist.extract.extract_corrections", extract)
     # pytest's capture of stderr would free objects the caller froze.
     monkeypatch.setattr(sys, "stderr", io.StringIO())
     clean = ["extract", "--snapshots", str(corpus), "--quiet", "--out", str(tmp_path / "c.tsv")]
@@ -373,3 +402,4 @@ def test_main_leaves_the_collector_as_it_found_it(corpus, tmp_path, monkeypatch,
         gc.unfreeze()
         (gc.enable if was else gc.disable)()
     assert len(loaded) == 12
+    assert collecting == [False] * 11

@@ -762,43 +762,31 @@ def test_a_document_and_a_profile_with_one_key(tmp_path, monkeypatch):
 _D9 = doc_line("d9", ["N9"])
 
 
-@pytest.mark.parametrize("first, second, expected, built_later, ascending", [
+@pytest.mark.parametrize("first, second, expected, built_later", [
     (
         _DOCS + _PROFS,
         _DOCS[:3] + [_D9, _PROFS[0], _P1_EDITED, _PROFS[2]],
         [["d0", "d1", "d2"], ["p0"], ["p2"]],
         ["d9", "p1"],
-        True,
     ),
     (
         _PROFS[::-1] + _DOCS[::-1],
         [_PROFS[2], _P1_EDITED, _PROFS[0], _D9] + _DOCS[2::-1],
         [["p2"], ["p0"], ["d2", "d1", "d0"]],
         ["p1", "d9"],
-        False,
     ),
 ], ids=["writer-order", "reversed"])
 def test_runs_are_found_by_key_in_any_file_order(
-    tmp_path, monkeypatch, first, second, expected, built_later, ascending
+    tmp_path, monkeypatch, first, second, expected, built_later
 ):
-    # Targets the lookup by key: the keys of a file in writer order ascend
-    # and are searched by bisection, those of any other file through an
-    # index, and both find every run; a record gone, one changed and one
-    # added sit between the runs.
+    # Targets the lookup by key: the index of the previous file's keys finds
+    # every run, whether that file is in writer order or not; a record gone,
+    # one changed and one added sit between the runs.
     files = [body_file(DATES[0], "\n".join(first)), body_file(DATES[1], "\n".join(second))]
     paths, built, runs = read_each_way(tmp_path, monkeypatch, files)
     assert paths == _DELTA
     assert runs == [expected]
     assert built[1] == built_later
-    reader = snapshot_io._Reader()
-    reader.read(files[0], None)
-    spans = reader.build.spans
-    assert spans.ascending is ascending
-    if ascending:
-        indexed = spans._replace(ascending=False)
-        assert list(snapshot_io._runs(files[1], spans)) == list(snapshot_io._runs(files[1], indexed))
-    reader.read(files[1], None)
-    assert reader.build.spans.ascending is ascending
 
 
 _REVERSED = _PROFS[::-1] + _DOCS[::-1]
@@ -810,10 +798,10 @@ _SWAPPED = [_PROFS[2], _PROFS[3], *_DOCS, _PROFS[0], _PROFS[1]]
     (_REVERSED, _REVERSED, [["p3", "p2", "p1", "p0", "d3", "d2", "d1", "d0"]]),
 ], ids=["runs-swapped", "reversed"])
 def test_the_order_of_a_record_deltas_keys(tmp_path, monkeypatch, first, later, expected):
-    # Targets the order a record delta notes for its keys, though it parses
-    # no record: whether two runs of a file in writer order come back
-    # swapped, or every run of a file in another order is reused whole, the
-    # keys do not ascend, and the third file's runs are found by index.
+    # Targets the keys a record delta notes, though it parses no record:
+    # whether two runs of a file in writer order come back swapped, or every
+    # run of a file in another order is reused whole, the delta's keys are
+    # in its own file order, and the third file's runs are found by them.
     files = [body_file(date, "\n".join(lines))
              for date, lines in zip(DATES, [first, later, later])]
     paths, built, runs = read_each_way(tmp_path, monkeypatch, files)

@@ -194,10 +194,6 @@ class TestConfig:
         with pytest.raises(PlanError, match="merges"):
             GeneratorConfig(merges=-1).check()
 
-    def test_rejects_bad_probability(self):
-        with pytest.raises(PlanError, match="abbreviation_probability"):
-            GeneratorConfig(abbreviation_probability=1.5).check()
-
     def test_intervals(self):
         assert GeneratorConfig(observation_dates=default_dates(4)).intervals == 3
 
