@@ -60,7 +60,7 @@ class EdgeType(enum.Enum):
 
 _DOCUMENT, _PERSON, _VENUE = NodeLabel.DOCUMENT, NodeLabel.PERSON, NodeLabel.VENUE
 _CREATED, _CONTRIBUTED = EdgeType.CREATED, EdgeType.CONTRIBUTED
-_AUTHOR, _EDITOR = Role.AUTHOR, Role.EDITOR
+_AUTHOR = Role.AUTHOR
 
 # What each edge type connects: (weighted, target label, endpoints ordered).
 # Every edge runs from a person.
@@ -210,7 +210,7 @@ def _owners_at(
         if time not in index_of:
             history.at(time)  # raises UnknownTimeError naming the observed dates
     wanted_at = sorted(index_of[time] for time in wanted)
-    slots: dict[str, dict[tuple[int, bool], _OwnerEntry]] = {
+    slots: dict[str, dict[tuple[int, Role], _OwnerEntry]] = {
         doc: {} for docs in wanted.values() for doc in docs
     }
 
@@ -218,7 +218,7 @@ def _owners_at(
         for doc, pos, surface, role in mentions:
             bucket = slots.get(doc)
             if bucket is not None:
-                bucket[pos, role is _EDITOR] = (pos, role, pid, surface)
+                bucket[pos, role] = (pos, role, pid, surface)
 
     for pid, prof in snapshots[wanted_at[0]].profiles.items():
         place(pid, prof.mentions)
@@ -231,7 +231,7 @@ def _owners_at(
                 for doc, pos, _surface, role in before.mentions_of(pid):
                     bucket = slots.get(doc)
                     if bucket is not None:
-                        del bucket[pos, role is _EDITOR]
+                        del bucket[pos, role]
             for pid in changed:
                 place(pid, after.mentions_of(pid))
         time = snapshots[i].time

@@ -22,11 +22,10 @@ from .errors import FormatError, IntegrityError
 from .extract import (
     CorrectionCase,
     CorrectionKind,
-    MentionKey,
     assign_case_ids,
     extract_corrections,
 )
-from .model import History, Role, Signature, Snapshot
+from .model import History, MentionKey, Role, Signature, Snapshot
 from .snapshot_io import snapshot_filename, write_snapshot_to
 
 

@@ -12,13 +12,12 @@ single real-world correction may straddle an observation boundary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import IntegrityError
-from .model import History, Role, Signature, Snapshot
+from .model import History, MentionKey, Signature, Snapshot
 
-MentionKey = tuple[str, int, Role]
 _Node = TypeVar("_Node", bound=Hashable)
 
 

@@ -58,6 +58,10 @@ class Role(enum.Enum):
     __hash__ = object.__hash__
 
 
+# A mention slot: document key, position and role.
+MentionKey = tuple[str, int, Role]
+
+
 class Signature(NamedTuple):
     """One author/editor mention. Identity is (document_key, position, role);
     the surface string is mutable payload that corrections may rewrite."""
@@ -68,7 +72,7 @@ class Signature(NamedTuple):
     role: Role = Role.AUTHOR
 
     @property
-    def key(self) -> tuple[str, int, Role]:
+    def key(self) -> MentionKey:
         """The identity triple, without the surface."""
         return (self.document_key, self.position, self.role)
 

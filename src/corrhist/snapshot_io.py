@@ -36,13 +36,14 @@ from bisect import bisect_right
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 from xml.parsers import expat
 
 from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
 from .model import (
-    DocumentRecord, History, Profile, Role, Signature, Snapshot, _new_document, validate_date,
+    DocumentRecord, History, MentionKey, Profile, Role, Signature, Snapshot, _new_document,
+    validate_date,
 )
 
 FORMAT_VERSION = "1"
@@ -51,7 +52,6 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 _FILENAME_RE = re.compile(r"snapshot-([0-9]{4}-[0-9]{2}-[0-9]{2})\.xml(?:\.gz)?")
 
-# Hot loops test roles by identity; owner-index keys hold ``role is _EDITOR``.
 _AUTHOR = Role.AUTHOR
 _EDITOR = Role.EDITOR
 # The values of a signature's ``role`` attribute.
@@ -117,10 +117,10 @@ class _Reader:
     - any other file is a full expat pass.
 
     ``paths`` notes the path of each file read, with the first reason the
-    canonical path declined it, if it did.  Every full pass shares every
-    record equal to the previous snapshot's.  ``retired`` holds the records
-    that deltas dropped, so a record that comes back in a later file is
-    shared again.
+    canonical path declined it, if it did.  Whatever the path, a record
+    equal to the previous snapshot's record under its key is that record's
+    object, and no other record is shared: one that comes back after an
+    absence is built anew.
     """
 
     def __init__(self) -> None:
@@ -128,7 +128,6 @@ class _Reader:
         # next delta starts from.
         self.prev: Snapshot | None = None
         self.build: _Builder | None = None
-        self.retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] = {}
         self.paths: list[tuple[str, str | None]] = []
 
     def read(self, source: bytes | str | Path | BinaryIO, source_name: str | None) -> Snapshot:
@@ -193,7 +192,7 @@ class _Reader:
         if bad is not None:
             return _not_canonical(data, bad.end())
         lines = data.split(b"\n")[2:-2]
-        build = _Builder(date, self.prev, source_name, self.retired)
+        build = _Builder(date, self.prev, source_name)
         if not build.add(_parse_lines(lines)):
             # Each line before the first one not in canonical form added one
             # record, or the pass would have raised.
@@ -222,13 +221,13 @@ class _Reader:
         ):
             last = None
         try:
-            build, snapshot = _expat_builder(data, self.prev, source_name, self.retired, last)
+            build, snapshot = _expat_builder(data, self.prev, source_name, last)
         except (IntegrityError, FormatError):
             if last is None:
                 raise
             # A delta checks records out of file order; a pass without reuse
             # reports the error a single parse would.
-            build, snapshot = _expat_builder(data, self.prev, source_name, self.retired)
+            build, snapshot = _expat_builder(data, self.prev, source_name)
         self.took("expat record delta" if build is last else "full expat pass", build, reason)
         return snapshot
 
@@ -245,36 +244,30 @@ class _Builder:
     bound to two names, and mentions of unknown documents or positions.
     ``Snapshot.validate`` feeds a value's records through a builder without
     ``prev`` or a file name, so these rules have no other copy.  A record
-    equal to the previous snapshot's record under the same key, or to a
-    record in ``retired``, is replaced by that earlier object, so a series
-    shares storage for everything unchanged.  ``prev`` must itself have
-    come out of a builder.  ``snapshot`` records in ``changed`` the ids of
-    the profiles whose record differs from ``prev``'s.  A builder keeps the
-    owner index and the venue counts, and ``delta`` turns it into the
-    builder of the next file of its series.  The builder of a canonical
-    file keeps its bytes, ``data``, for the walk of the next one, and no
-    map of its lines: a record the walk finds gone is looked up by key.
-    That of an expat-read file keeps its ``spans``, from which
-    ``_expat_builder`` reads the next one as a record delta.
+    equal to the previous snapshot's record under the same key is replaced
+    by that object, and by no other, so a series shares storage for
+    everything unchanged from one snapshot to the next.  ``prev`` must
+    itself have come out of a builder.  ``snapshot`` records in ``changed``
+    the ids of the profiles whose record differs from ``prev``'s.  A
+    builder keeps the owner index, keyed by mention slot, and the venue
+    counts, and ``delta`` turns it into the builder of the next file of its
+    series.  The builder of a canonical file keeps its bytes, ``data``, for
+    the walk of the next one, and no map of its lines: a record the walk
+    finds gone is looked up by key.  That of an expat-read file keeps its
+    ``spans``, from which ``_expat_builder`` reads the next one as a record
+    delta.
     """
 
-    def __init__(
-        self,
-        date: str,
-        prev: Snapshot | None,
-        source_name: str | None,
-        retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] | None = None,
-    ):
+    def __init__(self, date: str, prev: Snapshot | None, source_name: str | None):
         self.date = date
         self.source_name = source_name
         self.prev_profiles = prev.profiles if prev is not None else {}
         self.prev_documents = prev.documents if prev is not None else {}
-        self.retired = retired if retired is not None else {}
         self.profiles: dict[str, Profile] = {}
         self.documents: dict[str, DocumentRecord] = {}
         self.venues: dict[str, str] = {}
         self.venue_docs: dict[str, int] = {}  # documents bound to each venue key
-        self.owners: dict[tuple[str, int, bool], str] = {}
+        self.owners: dict[MentionKey, str] = {}
         # Profiles carried over from ``prev`` were checked against its
         # documents; the others still need their references checked.
         self.fresh: list[Profile] = []
@@ -301,10 +294,8 @@ class _Builder:
                 )
             self.venue_docs[venue_key] = self.venue_docs.get(venue_key, 0) + 1
         old = self.prev_documents.get(key)
-        if old is not None and (old is record or old == record):
+        if old is not None and old == record:
             record = old
-        elif self.retired:
-            record = self.retired.get(record, record)  # type: ignore[assignment]
         self.documents[key] = record
         return record
 
@@ -325,7 +316,7 @@ class _Builder:
         for doc, pos, surface, role in sigs:
             if not surface or surface.isspace():
                 raise self.error(f"profile {pid}: blank surface on {doc} pos {pos}")
-            k = (doc, pos, role is _EDITOR)
+            k = (doc, pos, role)
             other = owners.get(k)
             if other is not None:
                 if other == pid:
@@ -336,12 +327,10 @@ class _Builder:
                 )
             owners[k] = pid
         old = self.prev_profiles.get(pid)
-        if old is not None and (old is record or old == record):
+        if old is not None and old == record:
             record = old
         else:
             self.fresh.append(record)
-            if self.retired:
-                record = self.retired.get(record, record)  # type: ignore[assignment]
         self.profiles[pid] = record
         return record
 
@@ -373,8 +362,9 @@ class _Builder:
         ``records``, in file order.
 
         The new record maps start as copies of the previous ones.  The gone
-        records leave them, the owner index and the venue counts, and go
-        into ``retired``; then ``records`` are checked and added.  The maps
+        records leave them, the owner index and the venue counts; then
+        ``records`` are checked and added, each shared with the gone record
+        under its key if equal to it, and with no other.  The maps
         are not in file order: writers sort, and nothing reads a snapshot's
         records in order.  A carried profile is rechecked only if a document
         vanished or lost names under it.  An IntegrityError leaves the
@@ -390,19 +380,15 @@ class _Builder:
         self.documents = documents = dict(self.documents)
         self.venues = venues = dict(self.venues)
         self.fresh = []
-        retired = self.retired
         venue_docs = self.venue_docs
         owners = self.owners
         replaced = []
         for is_profile, key in gone:
             if is_profile:
-                prof = profiles.pop(key)
-                retired[prof] = prof
-                for doc_key, pos, _surface, role in prof.mentions:
-                    del owners[doc_key, pos, role is _EDITOR]
+                for doc_key, pos, _surface, role in profiles.pop(key).mentions:
+                    del owners[doc_key, pos, role]
                 continue
             doc = documents.pop(key)
-            retired[doc] = doc
             replaced.append(doc)
             if doc.venue_key is not None:
                 venue_docs[doc.venue_key] -= 1
@@ -475,17 +461,15 @@ def _bad_reference(
     return None
 
 
-def _lost_mentions(
-    old: DocumentRecord, new: DocumentRecord | None
-) -> Iterator[tuple[str, int, bool]]:
+def _lost_mentions(old: DocumentRecord, new: DocumentRecord | None) -> Iterator[MentionKey]:
     """Owner-index keys of the positions ``old`` has and ``new``, the record
     now under its key, does not."""
     key = old.document_key
     authors, editors = (len(new.authors), len(new.editors)) if new is not None else (0, 0)
     for pos in range(authors, len(old.authors)):
-        yield key, pos, False
+        yield key, pos, _AUTHOR
     for pos in range(editors, len(old.editors)):
-        yield key, pos, True
+        yield key, pos, _EDITOR
 
 
 # Canonical output is line-oriented with a closed escape inventory, so a
@@ -749,7 +733,6 @@ def _expat_builder(
     data: bytes,
     prev: Snapshot | None,
     source_name: str | None,
-    retired: dict[Profile | DocumentRecord, Profile | DocumentRecord] | None = None,
     last: _Builder | None = None,
 ) -> tuple[_Builder, Snapshot]:
     """Read ``data`` with expat; the builder holding its records and their
@@ -878,7 +861,7 @@ def _expat_builder(
                 raise fail(str(exc)) from None
             root = parser.CurrentByteIndex
             if fresh is None:
-                build = _Builder(date, prev, source_name, retired)
+                build = _Builder(date, prev, source_name)
         elif parent == "snapshot":
             record_start = parser.CurrentByteIndex + skipped
             if record_start == target and fresh is not None:
@@ -1224,37 +1207,35 @@ def snapshot_filename(date: str, *, compress: bool = False) -> str:
 
 
 def discover_snapshot_files(directory: str | Path) -> list[SnapshotFile]:
-    """All snapshot files in a directory, ordered by declared date."""
+    """All snapshot files in a directory, ordered by declared date, and
+    files of one date by name."""
     found = [
         SnapshotFile.from_path(p)
         for p in Path(directory).iterdir()
         if _FILENAME_RE.fullmatch(p.name)
     ]
-    return sorted(found, key=lambda f: f.date)
+    return sorted(found, key=lambda f: (f.date, f.path.name))
 
 
-def load_history(source: str | Path | Sequence[SnapshotFile]) -> History:
-    """Load an ordered snapshot sequence into a History.
+def load_history(directory: str | Path) -> History:
+    """Load the canonically named snapshot files in ``directory`` into a
+    History.
 
-    ``source`` is a directory (scanned for canonically named files) or an
-    explicit SnapshotFile sequence.  Declared dates must strictly increase,
-    and each file's header date must match its declared date.  The files
-    are read in order by one reader, so each snapshot shares every record
-    equal to the previous snapshot's, and each file after the first is read
-    as a delta of the one before, by one of the paths ``_Reader`` lists: a
-    canonical file by walking its bytes against the previous file's.  Only
-    the records that changed are built and checked.  The ids of the
-    profiles each file changed against the one before, which the reader
-    knows from that work, go into the history's ``profile_changes``.
+    Declared dates must strictly increase, so two files of one date (such
+    as ``snapshot-D.xml`` beside ``snapshot-D.xml.gz``) raise IntegrityError
+    naming both, and each file's header date must match its declared date.
+    The files are read in date order by one reader, so each snapshot shares
+    every record equal to the previous snapshot's record under its key, and
+    each file after the first is read as a delta of the one before, by one
+    of the paths ``_Reader`` lists: a canonical file by walking its bytes
+    against the previous file's.  Only the records that changed are built
+    and checked.  The ids of the profiles each file changed against the one
+    before, which the reader knows from that work, go into the history's
+    ``profile_changes``.
     """
-    if isinstance(source, (str, Path)):
-        files: Sequence[SnapshotFile] = discover_snapshot_files(source)
-        if not files:
-            raise FormatError(f"no snapshot files found in {source}")
-    else:
-        files = list(source)
-        if not files:
-            raise ValueError("load_history needs at least one snapshot file")
+    files = discover_snapshot_files(directory)
+    if not files:
+        raise FormatError(f"no snapshot files found in {directory}")
     for before, after in zip(files, files[1:]):
         if after.date <= before.date:
             raise IntegrityError(

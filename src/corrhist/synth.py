@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import PlanError
-from .extract import MentionKey
 from .model import (
     DocumentRecord,
     History,
+    MentionKey,
     Profile,
     Role,
     Signature,

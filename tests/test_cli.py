@@ -13,7 +13,7 @@ import pytest
 from corrhist import snapshot_io
 from corrhist.casegraph import parse_case_graph
 from corrhist.cli import main
-from corrhist.errors import FormatError
+from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import extract_corrections
 from corrhist.snapshot_io import load_history
 
@@ -229,6 +229,24 @@ def test_bad_gzip_is_a_format_error(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("corrhist: error: corrupt gzip stream")
     assert "snapshot-2017-01-01.xml.gz" in err
+
+
+def test_two_files_of_one_date_are_refused_by_name(tmp_path, capsys):
+    data = b'<snapshot date="2017-01-01" version="1"/>'
+    (tmp_path / "snapshot-2017-01-01.xml.gz").write_bytes(gzip.compress(data, mtime=0))
+    (tmp_path / "snapshot-2017-01-01.xml").write_bytes(data)
+    assert [f.path.name for f in snapshot_io.discover_snapshot_files(tmp_path)] == [
+        "snapshot-2017-01-01.xml", "snapshot-2017-01-01.xml.gz"
+    ]
+    message = (
+        "snapshot dates must strictly increase: snapshot-2017-01-01.xml "
+        "then snapshot-2017-01-01.xml.gz"
+    )
+    with pytest.raises(IntegrityError) as err:
+        load_history(tmp_path)
+    assert str(err.value) == message
+    assert main(["extract", "--snapshots", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"corrhist: error: {message}\n"
 
 
 def run_python(code, *args):

@@ -970,15 +970,15 @@ def test_a_file_that_only_appends(tmp_path, monkeypatch):
 
 def test_a_file_with_no_records_in_between(tmp_path, monkeypatch):
     # Targets empty record sections on either side of the walk; the records
-    # that come back are shared with their earlier copies.
+    # that come back are rebuilt equal to their earlier copies.
     paths, built, _runs = read_each_way(tmp_path, monkeypatch, [_LINES, [], _LINES])
     assert paths == ["full canonical pass", "line delta", "line delta"]
     assert built[1] == []
     assert sorted(built[2]) == sorted(built[0])
     first, empty, third = load_history(tmp_path).snapshots
     assert not empty.documents and not empty.profiles
-    assert third.profiles["p0"] is first.profiles["p0"]
-    assert third.documents["d0"] is first.documents["d0"]
+    assert third.profiles["p0"] == first.profiles["p0"]
+    assert third.documents["d0"] == first.documents["d0"]
 
 
 @pytest.mark.parametrize("before, after, reason", [

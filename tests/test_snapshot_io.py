@@ -462,28 +462,10 @@ def indented(data):
 
 
 @pytest.mark.parametrize("render", [lambda data: data, indented], ids=["canonical", "indented"])
-def test_load_history_shares_across_nonadjacent_files(tmp_path, render):
-    split = {"p1": [("d1", 0, "A")], "p2": [("d1", 1, "B")]}
-    merged = {"p1": [("d1", 0, "A"), ("d1", 1, "B")]}
-    for time, assign in [
-        ("2017-01-01", split),
-        ("2017-02-01", merged),
-        ("2017-03-01", split),
-    ]:
-        (tmp_path / snapshot_filename(time)).write_bytes(render(write_snapshot(snap(time, assign))))
-    s1, s2, s3 = load_history(tmp_path).snapshots
-    assert "p2" not in s2.profiles
-    # The middle file has no p2 and another p1, so pairwise dedup cannot
-    # carry these over; only the records the middle file's delta retired can.
-    assert s3.profiles["p2"] is s1.profiles["p2"]
-    assert s3.profiles["p1"] is s1.profiles["p1"]
-    assert s3.documents["d1"] is s1.documents["d1"]
-
-
-def test_memoized_reuse_is_rechecked_against_changed_documents(tmp_path):
+def test_memoized_reuse_is_rechecked_against_changed_documents(tmp_path, render):
     # p2's record line reverts to its first-file bytes while d1 has shrunk
-    # underneath it, so blindly reusing the retired record would admit a
-    # dangling position.
+    # underneath it, so the third file must recheck p2 against the new d1
+    # even though its line equals one the reader has seen before.
     p1 = Profile("p1", frozenset({sig("d1", 0, "A")}))
     p2 = Profile("p2", frozenset({sig("d1", 1, "B")}))
     wide = {"d1": DocumentRecord("d1", authors=("A", "B"))}
@@ -503,7 +485,7 @@ def test_memoized_reuse_is_rechecked_against_changed_documents(tmp_path):
         {},
     )
     for s in (s1, s2, bad):
-        write_snapshot_to(s, tmp_path / snapshot_filename(s.time))
+        (tmp_path / snapshot_filename(s.time)).write_bytes(render(write_snapshot(s)))
     with pytest.raises(IntegrityError, match="out of range"):
         load_history(tmp_path)
 
