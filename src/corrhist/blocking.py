@@ -63,9 +63,7 @@ def blocking_key(
     surface: str, variant: BlockingVariant, *, strip_suffix: bool = True
 ) -> str:
     """The blocking key of a name under the given variant."""
-    if strip_suffix:
-        surface = strip_homonym_suffix(surface)
-    tokens = surface.split()
+    tokens = (strip_homonym_suffix(surface) if strip_suffix else surface).split()
     if not tokens:
         raise ValueError(f"no name tokens left to key in {surface!r}")
     if variant.scheme is KeyScheme.LAST_ONLY:

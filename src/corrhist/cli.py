@@ -141,13 +141,9 @@ def _cmd_blocking(args: argparse.Namespace) -> int:
 
     history = _load(args)
     cases = extract_corrections(history)
-    merge_cases = [c for c in cases if c.kind is CorrectionKind.MERGE]
-    distribute_cases = [c for c in cases if c.kind is CorrectionKind.DISTRIBUTE]
-    rows = [
-        ("merge", name_pairs(merge_cases)),
-        ("distribute", name_pairs(distribute_cases)),
-        ("all", name_pairs(cases)),
-    ]
+    merge = name_pairs([c for c in cases if c.kind is CorrectionKind.MERGE])
+    distribute = name_pairs([c for c in cases if c.kind is CorrectionKind.DISTRIBUTE])
+    rows = [("merge", merge), ("distribute", distribute), ("all", merge + distribute)]
     _write_lines(
         args.out,
         blocking_report_lines(rows, strip_suffix=not args.keep_suffix),

@@ -22,6 +22,7 @@ from .errors import FormatError, IntegrityError
 from .extract import (
     CorrectionCase,
     CorrectionKind,
+    _ordered_pair,
     assign_case_ids,
     extract_corrections,
 )
@@ -295,10 +296,7 @@ def build_embedded_collection(
     not consulted), and writes one annotation per correction case.  Returns
     correction counts by kind plus their total under ``"all"``.
     """
-    s1 = history.at(t1)
-    s2 = history.at(t2)
-    if not t1 < t2:
-        raise ValueError(f"need t1 < t2, got {t1} and {t2}")
+    s1, s2 = _ordered_pair(history, t1, t2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1018,7 +1018,8 @@ def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
     One line per record, documents before profiles, everything sorted, so
     output bytes are a pure function of the snapshot value.  Each record
     line comes from ``_document_line`` or ``_profile_line``, the renderers
-    a series write uses too.
+    ``_Series.lines`` uses too, so this is the reference for every file
+    ``write_snapshot_to`` writes.
     """
     yield _HEAD
     yield _root(snapshot.time)
@@ -1150,11 +1151,12 @@ def write_snapshot_to(
     If writing fails (a value the format cannot carry raises FormatError),
     the error propagates and no file is left.
 
-    ``series`` is the state ``write_history`` keeps between the files of
-    one series: the snapshot written before this one and its lines.  Each
-    record that is the very object of that snapshot's record reuses its
-    line, and only the others are rendered; the bytes are the same either
-    way.  Without it, every record is rendered.
+    The lines come from ``_Series.lines``.  ``series`` is the state
+    ``write_history`` keeps between the files of one series: the snapshot
+    written before this one and its lines.  Each record that is the very
+    object of that snapshot's record reuses its line, and only the others
+    are rendered.  Without it, a fresh ``_Series`` has no earlier lines to
+    reuse.  The bytes are those of ``write_snapshot`` either way.
     """
     path = Path(path)
     raw = open(path, "wb")
@@ -1163,19 +1165,9 @@ def write_snapshot_to(
             gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
             if path.suffix == ".gz" else nullcontext(raw)
         ) as sink:
-            if series is not None:
-                lines = series.lines(snapshot)
-                for i in range(0, len(lines), 4096):
-                    sink.write(b"".join(lines[i:i + 4096]))
-            else:
-                buffer: list[str] = []
-                for fragment in iter_snapshot_xml(snapshot):
-                    buffer.append(fragment)
-                    if len(buffer) >= 4096:
-                        sink.write("".join(buffer).encode("utf-8"))
-                        buffer.clear()
-                if buffer:
-                    sink.write("".join(buffer).encode("utf-8"))
+            lines = (series or _Series()).lines(snapshot)
+            for i in range(0, len(lines), 4096):
+                sink.write(b"".join(lines[i:i + 4096]))
     except BaseException:
         path.unlink()
         raise

@@ -51,6 +51,9 @@ class TestKeys:
     def test_empty_surface_rejected(self):
         with pytest.raises(ValueError):
             blocking_key("   ", LO_CONSIDER)
+        # The message quotes the surface as given, not what stripping left.
+        with pytest.raises(ValueError, match=r"no name tokens left to key in ' 0050'$"):
+            blocking_key(" 0050", LO_CONSIDER)
 
     def test_variant_labels(self):
         assert [v.label for v in ALL_VARIANTS] == [

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from corrhist import snapshot_io
+from corrhist.blocking import blocking_report_lines, name_pairs
 from corrhist.casegraph import parse_case_graph
 from corrhist.cli import main
 from corrhist.errors import FormatError, IntegrityError
-from corrhist.extract import extract_corrections
+from corrhist.extract import CorrectionKind, extract_corrections
 from corrhist.snapshot_io import load_history
 
 from test_acceptance import tree_bytes
@@ -177,6 +178,17 @@ class TestBlocking:
         merge_pairs = int(lines[1].split("\t")[1])
         all_pairs = int(lines[3].split("\t")[1])
         assert 0 < merge_pairs <= all_pairs
+
+    @pytest.mark.parametrize("keep_suffix", [False, True])
+    def test_report_is_the_library_report(self, corpus, capsys, keep_suffix):
+        cases = extract_corrections(load_history(corpus))
+        merge = name_pairs([c for c in cases if c.kind is CorrectionKind.MERGE])
+        distribute = name_pairs([c for c in cases if c.kind is CorrectionKind.DISTRIBUTE])
+        rows = [("merge", merge), ("distribute", distribute), ("all", name_pairs(cases))]
+        expected = blocking_report_lines(rows, strip_suffix=not keep_suffix)
+        argv = ["blocking", "--snapshots", str(corpus), "--quiet"]
+        assert main(argv + ["--keep-suffix"] * keep_suffix) == 0
+        assert capsys.readouterr().out.splitlines() == list(expected)
 
 
 class TestCollections:

@@ -1,8 +1,9 @@
-"""Every top-level import in the package is used.
+"""Every top-level import in the package is used, and every module is.
 
 A name counts as used if the module reads it anywhere: in code, in an
 annotation, or inside a string annotation such as ``-> "SnapshotFile"`` or
-``tuple[bool, "Profile"]``.
+``tuple[bool, "Profile"]``.  A module counts as used if another module of
+the package imports it, at any depth, or ``__init__._EXPORTS`` names it.
 """
 
 import ast
@@ -48,6 +49,42 @@ def _annotations(node: ast.AST) -> list[ast.expr]:
     if isinstance(node, ast.Subscript):
         return [node.slice]
     return []
+
+
+def unimported_modules(sources: dict[str, str]) -> list[str]:
+    """The modules of a package, given as ``{name: source}``, that no other
+    module imports and ``__init__._EXPORTS`` does not name.  ``__init__``
+    and ``cli``, the entry point, are exempt."""
+    used = {"__init__", "cli"}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found = [node.module] if node.module else [a.name for a in node.names]
+                used |= set(found) - {name}
+            elif (
+                name == "__init__" and isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+            ):
+                used |= set(ast.literal_eval(node.value))
+    return sorted(set(sources) - used)
+
+
+def test_every_module_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unimported_modules(sources) == []
+
+
+def test_the_check_finds_unused_modules():
+    sources = {
+        "__init__": "_EXPORTS = {'a': ('f',)}\n",
+        "cli": "from . import __version__\ndef main():\n    from .b import g\n",
+        "a": "",
+        "b": "from . import c\n",
+        "c": "",
+        "d": "from .d import x\n",
+        "e": "import os\n",
+    }
+    assert unimported_modules(sources) == ["d", "e"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -103,6 +103,8 @@ def test_each_file_is_its_snapshot_written_alone(snapshots, compress):
                 assert data == alone.read_bytes()
             else:
                 assert data == write_snapshot(snapshot)
+                alone = write_snapshot_to(snapshot, Path(tmp) / "alone.xml")
+                assert alone.read_bytes() == write_snapshot(snapshot)
 
 
 def test_a_later_file_renders_only_what_changed(tmp_path, monkeypatch):

@@ -353,8 +353,8 @@ def test_writer_refusal_names_the_value(tmp_path):
 
 @pytest.mark.parametrize("name", ["s.xml", "s.xml.gz"])
 def test_failed_write_leaves_no_file(tmp_path, name):
-    # The last document's venue does not resolve, so writing fails after
-    # the writer has flushed its first 4,096 fragments to the file.
+    # The last document's venue does not resolve, so rendering fails after
+    # the writer has opened the file.
     documents = {
         f"d{i:05}": DocumentRecord(f"d{i:05}", title="T", authors=("A",)) for i in range(4999)
     }
