@@ -91,10 +91,6 @@ class Edge(NamedTuple):
     to_id: str
     weight: int | None = None
 
-    def sort_key(self) -> tuple[str, str, str]:
-        # ``_value_`` skips the Python-level ``value`` property.
-        return (self.edge_type._value_, self.from_id, self.to_id)
-
 
 @dataclass(frozen=True)
 class CaseGraph:
@@ -103,37 +99,51 @@ class CaseGraph:
     primary_ids: frozenset[str]
 
     def validate(self) -> None:
-        labels: dict[str, NodeLabel] = {}
+        # A node id is unique within its label only: a document key, a
+        # profile id and a venue key may be equal.  Each edge type fixes its
+        # endpoints' labels, so each endpoint is looked up under its own.
+        ids: dict[NodeLabel, set[str]] = {_DOCUMENT: set(), _PERSON: set(), _VENUE: set()}
         for label, node_id, properties in self.nodes:
             if not node_id:
                 raise IntegrityError("node with empty id")
-            if node_id in labels:
+            members = ids[label]
+            if node_id in members:
                 raise IntegrityError(f"duplicate node id {node_id!r}")
             if len(properties) > 1 and len({k for k, _ in properties}) != len(properties):
                 raise IntegrityError(f"node {node_id}: duplicate property keys")
-            labels[node_id] = label
+            members.add(node_id)
+
+        def label_of(node_id: str) -> NodeLabel | None:
+            """A label of ``node_id``, for an id missing under the one expected."""
+            return next((label for label, members in ids.items() if node_id in members), None)
+
+        persons = ids[_PERSON]
+        # Each edge type's rule, with the ids of its target label.
+        rules = {
+            edge_type: (weighted, target, ids[target], ordered)
+            for edge_type, (weighted, target, ordered) in _EDGE_RULES.items()
+        }
         for pid in self.primary_ids:
-            label = labels.get(pid)
-            if label is None:
-                raise IntegrityError(f"primary id {pid!r} has no node")
-            if label is not _PERSON:
+            if pid not in persons:
+                if label_of(pid) is None:
+                    raise IntegrityError(f"primary id {pid!r} has no node")
                 raise IntegrityError(f"primary node {pid!r} is not a person")
         seen: set[tuple[EdgeType, str, str]] = set()
         for edge_type, from_id, to_id, weight in self.edges:
             name = edge_type._value_
-            a = labels.get(from_id)
-            b = labels.get(to_id)
+            weighted, target, targets, ordered = rules[edge_type]
+            a = _PERSON if from_id in persons else label_of(from_id)
+            b = target if to_id in targets else label_of(to_id)
             if a is None or b is None:
                 raise IntegrityError(
                     f"edge {name} {from_id}->{to_id} has a dangling endpoint"
                 )
-            if from_id == to_id:
+            if from_id == to_id and a is b:
                 raise IntegrityError(f"self-loop on {from_id}")
             key = (edge_type, from_id, to_id)
             if key in seen:
                 raise IntegrityError(f"duplicate edge {name} {from_id}->{to_id}")
             seen.add(key)
-            weighted, target, ordered = _EDGE_RULES[edge_type]
             if not weighted:
                 if weight is not None:
                     raise IntegrityError(f"{name} edges carry no weight")
@@ -387,11 +397,12 @@ def serialize_case_graph(graph: CaseGraph) -> bytes:
     primary_ids = graph.primary_ids
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n<graph>\n']
     append = out.append
+    person = _PERSON._value_
     for label, node_id, properties in sorted(
         [(label._value_, node_id, properties) for label, node_id, properties in graph.nodes]
     ):
         opening = f'<node label="{label}" id="{ids[node_id]}"'
-        if node_id in primary_ids:
+        if node_id in primary_ids and label == person:
             opening += ' primary="true"'
         if not properties:
             append(opening + "/>\n")
@@ -432,6 +443,7 @@ def parse_case_graph(data: bytes) -> CaseGraph:
     nodes: list[Node] = []
     edges: list[Edge] = []
     primaries: set[str] = set()
+    strays: list[str] = []  # ids of non-person nodes marked primary
     for child in root:
         if child.tag == "node":
             label_raw = child.get("label")
@@ -453,6 +465,8 @@ def parse_case_graph(data: bytes) -> CaseGraph:
                 props.append((key, value))
             if child.get("primary") == "true":
                 primaries.add(node_id)
+                if label is not _PERSON:
+                    strays.append(node_id)
             nodes.append(Node(label, node_id, tuple(props)))
         elif child.tag == "edge":
             type_raw = child.get("type")
@@ -476,6 +490,9 @@ def parse_case_graph(data: bytes) -> CaseGraph:
             raise FormatError(f"unexpected element <{child.tag}> under <graph>")
     graph = CaseGraph(frozenset(nodes), frozenset(edges), frozenset(primaries))
     graph.validate()
+    if strays:
+        # Each shares its id with a person, or validation would have failed.
+        raise IntegrityError(f"primary node {strays[0]!r} is not a person")
     return graph
 
 

@@ -81,8 +81,7 @@ class Signature(NamedTuple):
         return (self.document_key, self.position, self.role is Role.EDITOR)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """A profile and the mentions assigned to it at one observation.
 
     May be empty: empty profiles occur transiently around corrections, but
@@ -93,8 +92,7 @@ class Profile:
     mentions: frozenset[Signature] = frozenset()
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
     """Bibliographic metadata of one document.
 
     ``external_link`` is carried as an inert property; it is never resolved.
@@ -110,41 +108,6 @@ class DocumentRecord:
 
     def names(self, role: Role) -> tuple[str, ...]:
         return self.authors if role is Role.AUTHOR else self.editors
-
-
-_new_object = object.__new__
-
-
-def _new_document(
-    document_key: str,
-    title: str,
-    year: int,
-    venue_key: str | None,
-    authors: tuple[str, ...],
-    editors: tuple[str, ...],
-    external_link: str | None,
-) -> DocumentRecord:
-    """``DocumentRecord(document_key, title, ...)``, for the snapshot readers,
-    built without the generated ``__init__``, which sets each field through
-    ``object.__setattr__``: the same type, fields, equality, hash and repr,
-    and as frozen.
-
-    The fields go into the instance dict in field order.  That dict shares
-    its key table with every other record's, so it adds one dict object (64
-    bytes on 64-bit CPython 3.11) to the record; a dict literal set as
-    ``__dict__`` would add a key table of its own too, three times as much,
-    and builds more slowly.
-    """
-    record = _new_object(DocumentRecord)
-    fields = record.__dict__
-    fields["document_key"] = document_key
-    fields["title"] = title
-    fields["year"] = year
-    fields["venue_key"] = venue_key
-    fields["authors"] = authors
-    fields["editors"] = editors
-    fields["external_link"] = external_link
-    return record
 
 
 @dataclass(frozen=True, eq=True)

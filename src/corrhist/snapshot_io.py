@@ -42,8 +42,7 @@ from xml.parsers import expat
 from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
 from .model import (
-    DocumentRecord, History, MentionKey, Profile, Role, Signature, Snapshot, _new_document,
-    validate_date,
+    DocumentRecord, History, MentionKey, Profile, Role, Signature, Snapshot, validate_date,
 )
 
 FORMAT_VERSION = "1"
@@ -56,8 +55,8 @@ _AUTHOR = Role.AUTHOR
 _EDITOR = Role.EDITOR
 # The values of a signature's ``role`` attribute.
 _ROLES = {"author": _AUTHOR, "editor": _EDITOR}
-# ``_new_tuple(Signature, fields)`` is ``Signature(*fields)`` without the
-# Python frame of the named tuple's ``__new__``.
+# Every record class is a named tuple: ``_new_tuple(cls, fields)`` is
+# ``cls(*fields)`` without the Python frame of the named tuple's ``__new__``.
 _new_tuple = tuple.__new__
 
 
@@ -616,7 +615,7 @@ def _parse_profile(line: str) -> tuple[Profile, list[Signature]] | None:
         ))
         for pkey, pos, surface, editor in _CANON_SIG.findall(m.group(2))
     ]
-    return Profile(intern(m.group(1)), frozenset(sigs)), sigs
+    return _new_tuple(Profile, (intern(m.group(1)), frozenset(sigs))), sigs
 
 
 def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
@@ -626,7 +625,7 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
         return None
     pkey, year, url, title, venue_key, venue, authors, editors = m.groups()
     intern = sys.intern
-    record = _new_document(
+    record = _new_tuple(DocumentRecord, (
         intern(pkey),
         title or "",
         int(year) if year is not None else 0,
@@ -634,7 +633,7 @@ def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
         tuple(map(intern, _CANON_NAME.findall(authors))) if authors else (),
         tuple(map(intern, _CANON_NAME.findall(editors))) if editors else (),
         url,
-    )
+    ))
     return record, venue
 
 
@@ -923,7 +922,7 @@ def _expat_builder(
                 raw_key, name_parts = doc_venue
                 venue_name = "".join(name_parts)
                 venue_key = intern(raw_key if raw_key is not None else venue_name)
-            record = _new_document(
+            record = _new_tuple(DocumentRecord, (
                 pkey,
                 "".join(doc_title),
                 year,
@@ -931,7 +930,7 @@ def _expat_builder(
                 tuple(map(intern, doc_authors)),
                 tuple(map(intern, doc_editors)),
                 doc_attrs.get("url"),
-            )
+            ))
             if fresh is None:
                 build.document(record, venue_name)  # type: ignore[union-attr]
             else:
@@ -940,7 +939,7 @@ def _expat_builder(
         elif name == "profile":
             assert prof_id is not None
             pid = intern(prof_id)
-            prof = Profile(pid, frozenset(prof_sigs))
+            prof = _new_tuple(Profile, (pid, frozenset(prof_sigs)))
             if fresh is None:
                 build.profile(prof, prof_sigs)  # type: ignore[union-attr]
             else:

@@ -150,14 +150,15 @@ def ground_truth_lines(log: GroundTruthLog) -> Iterator[str]:
 
 
 def default_dates(count: int, start: str = "2015-01-01") -> tuple[str, ...]:
-    """``count`` monthly observation dates starting at ``start``."""
+    """``count`` monthly observation dates starting at ``start``, on its day
+    of the month; ValueError names the first such date that does not exist."""
     validate_date(start)
     year, month = int(start[:4]), int(start[5:7])
     day = start[8:10]
     out = []
     for i in range(count):
         total = (month - 1) + i
-        out.append(f"{year + total // 12:04d}-{total % 12 + 1:02d}-{day}")
+        out.append(validate_date(f"{year + total // 12:04d}-{total % 12 + 1:02d}-{day}"))
     return tuple(out)
 
 

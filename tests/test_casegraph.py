@@ -337,13 +337,44 @@ class TestValidate:
     def test_duplicate_node_id(self):
         g = CaseGraph(
             nodes=frozenset(
-                {self.person("a"), Node(NodeLabel.DOCUMENT, "a", ())}
+                {self.person("a"), Node(NodeLabel.PERSON, "a", ())}
             ),
             edges=frozenset(),
             primary_ids=frozenset(),
         )
         with pytest.raises(IntegrityError, match="^duplicate node id 'a'$"):
             g.validate()
+
+    def test_an_id_may_name_one_node_of_each_label(self):
+        # A document key, a profile id and a venue key may be equal.
+        g = CaseGraph(
+            nodes=frozenset({
+                self.person("a"), self.person("b"),
+                Node(NodeLabel.DOCUMENT, "a", ()), Node(NodeLabel.VENUE, "a", ()),
+            }),
+            edges=frozenset({
+                Edge(EdgeType.CREATED, "a", "a"), Edge(EdgeType.CREATED, "b", "a"),
+                Edge(EdgeType.CO_CREATED, "a", "b", 1), Edge(EdgeType.CREATED_AT, "a", "a", 1),
+            }),
+            primary_ids=frozenset({"a"}),
+        )
+        g.validate()
+        data = serialize_case_graph(g)
+        assert data.count(b' primary="true"') == 1
+        assert b'<node label="PERSON" id="a" primary="true">' in data
+        assert parse_case_graph(data) == g
+
+    def test_only_a_person_node_may_be_marked_primary(self):
+        g = CaseGraph(
+            nodes=frozenset({self.person("a"), Node(NodeLabel.DOCUMENT, "a", ())}),
+            edges=frozenset(),
+            primary_ids=frozenset({"a"}),
+        )
+        data = serialize_case_graph(g).replace(
+            b'<node label="DOCUMENT" id="a"', b'<node label="DOCUMENT" id="a" primary="true"'
+        )
+        with pytest.raises(IntegrityError, match="^primary node 'a' is not a person$"):
+            parse_case_graph(data)
 
     def test_primary_must_be_person(self):
         g = CaseGraph(

@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -12,12 +13,14 @@ import pytest
 
 from corrhist import snapshot_io
 from corrhist.blocking import blocking_report_lines, name_pairs
-from corrhist.casegraph import parse_case_graph
+from corrhist.casegraph import parse_case_graph, serialize_case_graph
 from corrhist.cli import main
 from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import CorrectionKind, extract_corrections
-from corrhist.snapshot_io import load_history
+from corrhist.model import DocumentRecord
+from corrhist.snapshot_io import load_history, snapshot_filename, write_snapshot_to
 
+from conftest import snap
 from test_acceptance import tree_bytes
 
 
@@ -208,6 +211,27 @@ class TestCollections:
         graph = parse_case_graph((out / first[4]).read_bytes())
         graph.validate()
 
+    def test_a_document_key_may_equal_a_profile_id(self, tmp_path):
+        # Profile p2 merges into profile a, which holds a mention of document a.
+        series = tmp_path / "series"
+        series.mkdir()
+        docs = {key: DocumentRecord(key, authors=("Ann",)) for key in ("a", "b")}
+        for time, profiles in [
+            ("2015-01-01", {"a": [("a", 0, "Ann")], "p2": [("b", 0, "Ann")]}),
+            ("2015-02-01", {"a": [("a", 0, "Ann"), ("b", 0, "Ann")]}),
+        ]:
+            write_snapshot_to(snap(time, profiles, docs), series / snapshot_filename(time))
+        out = tmp_path / "col"
+        argv = ["case-collection", "--snapshots", str(series), "--quiet", "--out", str(out)]
+        assert main(argv) == 0
+        primaries = []
+        for name in ("merge-2015-01-01-1-before.xml", "merge-2015-01-01-1-after.xml"):
+            data = (out / name).read_bytes()
+            assert b'<node label="DOCUMENT" id="a"/>' in data
+            primaries.append(re.findall(rb'<node label="(\w+)" id="(\w+)" primary="true"', data))
+            assert serialize_case_graph(parse_case_graph(data)) == data
+        assert primaries == [[(b"PERSON", b"a"), (b"PERSON", b"p2")], [(b"PERSON", b"a")]]
+
     def test_embedded_layout(self, corpus, tmp_path, capsys):
         out = tmp_path / "emb"
         code = main(
@@ -283,6 +307,24 @@ def test_extract_imports_only_the_layers_it_runs(corpus, tmp_path):
               "xml.etree"]
     assert [name for name in unused if name in loaded] == []
     assert (tmp_path / "cases.tsv").read_text().startswith("kind\t")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["blocking"], ["blocking", "--keep-suffix"], ["stats"]],
+    ids=["blocking", "blocking-keep-suffix", "stats"],
+)
+def test_output_does_not_depend_on_the_hash_seed(corpus, argv):
+    # Set and dict orders of strings change with the hash seed.
+    outputs = []
+    for seed in ("0", "42"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrhist.cli", *argv, "--snapshots", str(corpus), "--quiet"],
+            env=dict(os.environ, PYTHONHASHSEED=seed), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 1
 
 
 def test_star_import_binds_each_name_to_its_modules_object():

@@ -6,7 +6,6 @@ document, under an unchanged venue name too).  Every file must still hold
 exactly the bytes of its snapshot written alone, plain and gzip.
 """
 
-import dataclasses
 import gzip
 import tempfile
 from pathlib import Path
@@ -71,7 +70,7 @@ def _series(draw):
             )
             key = draw(st.sampled_from(keys))
             if op == "copy" and key in records:
-                records[key] = dataclasses.replace(records[key])
+                records[key] = records[key]._replace()
             elif op == "change":
                 records[key] = draw(make(key))
             elif op == "rename":

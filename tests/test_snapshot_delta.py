@@ -21,8 +21,11 @@ from hypothesis import strategies as st
 from corrhist import snapshot_io
 from corrhist.errors import FormatError, IntegrityError
 from corrhist.extract import raw_groups_between
-from corrhist.model import History, Profile, _new_document
+from corrhist.model import History, Profile, Signature
 from corrhist.snapshot_io import load_history, parse_snapshot, snapshot_filename
+
+# The record constructor both readers call, unpatched.
+_new_tuple = snapshot_io._new_tuple
 
 DATES = ("2017-01-01", "2017-02-01", "2017-03-01", "2017-04-01", "2017-05-01")
 
@@ -178,14 +181,13 @@ def test_one_changed_profile_constructs_only_its_record(tmp_path, monkeypatch, r
     ])
     made = []
 
-    def counting(cls):
-        def make(*args, **kwargs):
-            made.append(cls(*args, **kwargs))
-            return made[-1]
-        return make
+    def counting(cls, fields):
+        record = _new_tuple(cls, fields)
+        if cls is not Signature:
+            made.append(record)
+        return record
 
-    monkeypatch.setattr(snapshot_io, "Profile", counting(Profile))
-    monkeypatch.setattr(snapshot_io, "_new_document", counting(_new_document))
+    monkeypatch.setattr(snapshot_io, "_new_tuple", counting)
     history = load_history(tmp_path)
     # The ten records of the first file, then p2 once per later file.
     assert len(made) == 12
@@ -502,17 +504,15 @@ def read_each_way(tmp_path, monkeypatch, files):
             break
     built: list[list[str]] = []
 
-    def counting(cls, key):
-        def make(*args, **kwargs):
-            record = cls(*args, **kwargs)
-            built[-1].append(getattr(record, key))
-            return record
-        return make
+    def counting(cls, fields):
+        record = _new_tuple(cls, fields)
+        if cls is not Signature:
+            built[-1].append(record[0])  # the document key or profile id
+        return record
 
     reader, series, runs, deltas = snapshot_io._Reader(), [], [], []
     with monkeypatch.context() as patch:
-        patch.setattr(snapshot_io, "Profile", counting(Profile, "profile_id"))
-        patch.setattr(snapshot_io, "_new_document", counting(_new_document, "document_key"))
+        patch.setattr(snapshot_io, "_new_tuple", counting)
         for path in paths[:len(alone)]:
             spans = reader.build.spans if reader.build is not None else None
             if spans is not None:
@@ -1013,14 +1013,13 @@ def test_a_later_line_that_starts_unlike_a_record_declines_before_any_record_is_
         reader.read(canonical_file(DATES[0], _DOCS[:1]), None)
     made = []
 
-    def counting(cls):
-        def make(*args, **kwargs):
-            made.append(cls(*args, **kwargs))
-            return made[-1]
-        return make
+    def counting(cls, fields):
+        record = _new_tuple(cls, fields)
+        if cls is not Signature:
+            made.append(record)
+        return record
 
-    monkeypatch.setattr(snapshot_io, "Profile", counting(Profile))
-    monkeypatch.setattr(snapshot_io, "_new_document", counting(_new_document))
+    monkeypatch.setattr(snapshot_io, "_new_tuple", counting)
     data = canonical_file(DATES[1], _LINES[:-1] + ["  " + _LINES[-1]])
     assert reader.canonical(data, None, reader.build) == "line 10 not a canonical record"
     assert made == []

@@ -1,4 +1,3 @@
-import dataclasses
 import gzip
 import io
 import re
@@ -527,19 +526,12 @@ def assert_built_as_constructed(built, ref):
     exactly the record ``ref``, which the constructor made."""
     assert type(built) is type(ref)
     assert built == ref and hash(built) == hash(ref) and repr(built) == repr(ref)
-    if isinstance(ref, Signature):
-        assert built._asdict() == ref._asdict()
-        assert built._replace(surface="X") == ref._replace(surface="X")
-        with pytest.raises(AttributeError):
-            built.surface = "X"
-        return
-    names = [f.name for f in dataclasses.fields(DocumentRecord)]
-    assert list(vars(built)) == list(vars(ref)) == names
-    assert dataclasses.fields(built) == dataclasses.fields(ref)
-    assert dataclasses.asdict(built) == dataclasses.asdict(ref)
-    assert dataclasses.replace(built, title="X") == dataclasses.replace(ref, title="X")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        built.title = "X"
+    assert built._asdict() == ref._asdict()
+    key = ref._fields[0]
+    assert built._replace(**{key: "X"}) == ref._replace(**{key: "X"})
+    with pytest.raises(AttributeError):
+        setattr(built, key, "X")
+    assert not hasattr(built, "__dict__")
 
 
 @pytest.mark.parametrize(
@@ -553,7 +545,7 @@ def assert_built_as_constructed(built, ref):
 def test_read_records_are_those_the_constructors_make(render, paths):
     first = plain_snapshot("2017-08-01")
     docs = dict(first.documents)
-    docs["conf/y/2"] = dataclasses.replace(docs["conf/y/2"], title="Revised", year=2016)
+    docs["conf/y/2"] = docs["conf/y/2"]._replace(title="Revised", year=2016)
     docs["conf/y/4"] = DocumentRecord("conf/y/4", authors=("Ann Lee",), external_link="u")
     profiles = dict(first.profiles)
     profiles["p-ann"] = Profile("p-ann", frozenset({sig("conf/y/4", 0, "Ann Lee")}))

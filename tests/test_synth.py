@@ -201,6 +201,10 @@ class TestConfig:
         dates = default_dates(4, start="2015-11-15")
         assert dates == ("2015-11-15", "2015-12-15", "2016-01-15", "2016-02-15")
 
+    def test_default_dates_refuse_a_day_a_month_lacks(self):
+        with pytest.raises(ValueError, match="^impossible calendar date: '2015-02-31'$"):
+            default_dates(3, start="2015-01-31")
+
 
 class TestGenerate:
     def test_same_seed_reproduces_bytes(self):
