@@ -178,7 +178,8 @@ def _add_parallel_arg(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="accepted for compatibility; has no effect (detection runs serially)",
+        help="accepted for compatibility; has no effect (detection runs serially,"
+        " case-collection builds graphs on up to two usable CPUs)",
     )
 
 

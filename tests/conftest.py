@@ -7,6 +7,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import pytest
+
 from corrhist.model import (
     DocumentRecord,
     History,
@@ -23,6 +25,19 @@ MentionSpec = tuple  # (doc, pos, surface) or (doc, pos, surface, role)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process behind, running or ended
+    and not waited for."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    left = "a running child" if pid == 0 else f"child {pid} unreaped (status {status})"
+    pytest.fail(f"the test left {left}")
 
 
 def sig(doc: str, pos: int, surface: str, role: Role = Role.AUTHOR) -> Signature:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from corrhist import casegraph
 from corrhist.blocking import (
     ALL_VARIANTS,
     BlockingVariant,
@@ -286,13 +287,14 @@ def test_round_trips_and_byte_determinism(tick, tmp_path):
             assert serialize_annotation(parse_annotation(data)) == data
 
         # Bytes must not depend on the interpreter run or the worker count:
-        # drive the CLI in fresh processes under different hash seeds.
+        # drive the CLI in fresh processes under different hash seeds, and
+        # build the case collection on every usable CPU and on one.
         env_a = dict(os.environ, PYTHONHASHSEED="0")
         env_b = dict(os.environ, PYTHONHASHSEED="42")
 
-        def cli(env, *args):
+        def cli(env, *args, one_cpu=False):
             result = subprocess.run(
-                [sys.executable, "-m", "corrhist.cli", *map(str, args)],
+                [sys.executable, *launcher(one_cpu), *map(str, args)],
                 env=env,
                 capture_output=True,
             )
@@ -308,9 +310,9 @@ def test_round_trips_and_byte_determinism(tick, tmp_path):
 
         col_a, col_b = tmp_path / "col-a", tmp_path / "col-b"
         cli(env_a, "case-collection", "--snapshots", corpus_a,
-            "--parallel", "1", "--quiet", "--out", col_a)
+            "--quiet", "--out", col_a)
         cli(env_b, "case-collection", "--snapshots", corpus_a,
-            "--parallel", "3", "--quiet", "--out", col_b)
+            "--quiet", "--out", col_b, one_cpu=True)
         assert tree_bytes(col_a) == tree_bytes(col_b)
 
         first, last = default_dates(4)[0], default_dates(4)[-1]
@@ -411,13 +413,49 @@ def test_case_graph_recount_from_raw_snapshots(tick):
                 recount_venue_nodes(graph, history)
 
 
+# The CLI's program.  With ``one_cpu`` it runs on one of the CPUs this
+# process may use, so that a case collection builds every graph in one
+# process.  With a ``worker_log`` path, each forked case graph worker appends
+# the KiB it holds privately (the Private_* lines of its smaps_rollup) just
+# before it exits: ru_maxrss is a per-process peak and counts none of them.
+_CLI = """\
+import os
+if {one_cpu} and hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+if {worker_log!r}:
+    _exit, command = os._exit, os.getpid()
+
+    def logged_exit(status):
+        try:
+            if os.getpid() != command:
+                with open("/proc/self/smaps_rollup") as f:
+                    kib = sum(int(line.split()[1])
+                              for line in f if line.startswith("Private_"))
+                with open({worker_log!r}, "a") as log:
+                    log.write("%d\\n" % kib)
+        finally:
+            _exit(status)
+
+    os._exit = logged_exit
+from corrhist.cli import run
+run()
+"""
+
+
+def launcher(one_cpu=False, worker_log=None):
+    """Interpreter arguments that run the CLI, on one CPU or on all."""
+    if worker_log is not None:
+        worker_log = str(worker_log)
+    return ["-c", _CLI.format(one_cpu=one_cpu, worker_log=worker_log)]
+
+
 _DRIVER = """\
 import json, resource, subprocess, sys, time
 spec = json.load(sys.stdin)
 sink = open(spec["stdout"], "wb") if spec["stdout"] else subprocess.DEVNULL
 started = time.monotonic()
 proc = subprocess.run(
-    [sys.executable, "-m", "corrhist.cli", *spec["args"]],
+    [sys.executable, *spec["launcher"], *spec["args"]],
     stdout=sink, stderr=subprocess.DEVNULL,
 )
 elapsed = time.monotonic() - started
@@ -427,10 +465,11 @@ json.dump({"returncode": proc.returncode, "seconds": elapsed,
 """
 
 
-def run_measured(args, stdout=None, hash_seed="0"):
+def run_measured(args, stdout=None, hash_seed="0", one_cpu=False, worker_log=None):
     """One CLI command in a dedicated interpreter whose only child it is,
     so RUSAGE_CHILDREN reports that command's peak RSS alone."""
     request = json.dumps({
+        "launcher": launcher(one_cpu, worker_log),
         "args": [str(a) for a in args],
         "stdout": str(stdout) if stdout else None,
     })
@@ -453,7 +492,8 @@ def test_scale_budget_and_worker_invariance(tick, tmp_path):
     # case-collection building must finish inside 300 s and 4 GiB, and the
     # outputs must not depend on the worker count or on string hash order
     # (the reruns use another PYTHONHASHSEED, so every set-based step of the
-    # loader and the extractor iterates in a different order).
+    # loader and the extractor iterates in a different order, and the
+    # case-collection rerun runs on one CPU, so in one process).
     with tick(7, "scale budget and worker invariance"), emptied_afterwards(tmp_path):
         corpus = tmp_path / "corpus"
         run_measured([
@@ -469,13 +509,22 @@ def test_scale_budget_and_worker_invariance(tick, tmp_path):
             "extract", "--snapshots", corpus, "--parallel", "1",
             "--quiet", "--out", cases_single,
         ])
+        worker_log = tmp_path / "worker-private-kib.txt"
         collection = run_measured([
-            "case-collection", "--snapshots", corpus, "--parallel", "1",
-            "--quiet", "--out", tmp_path / "collection-single",
-        ])
+            "case-collection", "--snapshots", corpus,
+            "--quiet", "--out", tmp_path / "collection-all-cpus",
+        ], worker_log=worker_log)
+        # The forked case graph workers hold pages of their own beside the
+        # command's peak; the budget covers them all.
+        workers_kib = [int(kib) for kib in worker_log.read_text().split()] \
+            if worker_log.exists() else []
+        if hasattr(os, "sched_getaffinity"):
+            assert len(workers_kib) == min(
+                len(os.sched_getaffinity(0)), casegraph._MAX_WORKERS
+            ) - 1
         assert extract["seconds"] + collection["seconds"] < 300.0
         assert extract["maxrss_kib"] < 4 * 1024 * 1024
-        assert collection["maxrss_kib"] < 4 * 1024 * 1024
+        assert collection["maxrss_kib"] + sum(workers_kib) < 4 * 1024 * 1024
 
         cases_pooled = tmp_path / "cases-pooled.tsv"
         run_measured([
@@ -484,8 +533,8 @@ def test_scale_budget_and_worker_invariance(tick, tmp_path):
         ], hash_seed="42")
         assert cases_single.read_bytes() == cases_pooled.read_bytes()
         run_measured([
-            "case-collection", "--snapshots", corpus, "--parallel", "4",
-            "--quiet", "--out", tmp_path / "collection-pooled",
-        ], hash_seed="42")
-        assert tree_bytes(tmp_path / "collection-single") \
-            == tree_bytes(tmp_path / "collection-pooled")
+            "case-collection", "--snapshots", corpus,
+            "--quiet", "--out", tmp_path / "collection-one-cpu",
+        ], hash_seed="42", one_cpu=True)
+        assert tree_bytes(tmp_path / "collection-all-cpus") \
+            == tree_bytes(tmp_path / "collection-one-cpu")

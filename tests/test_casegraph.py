@@ -1,8 +1,13 @@
+import dataclasses
 import hashlib
+import os
+import signal
+import threading
 from itertools import combinations
 
 import pytest
 
+from corrhist import casegraph
 from corrhist.casegraph import (
     CaseGraph,
     Edge,
@@ -17,7 +22,7 @@ from corrhist.casegraph import (
     serialize_case_graph,
 )
 from corrhist.errors import FormatError, IntegrityError, UnknownTimeError
-from corrhist.extract import extract_corrections
+from corrhist.extract import CorrectionCase, extract_corrections
 from corrhist.model import DocumentRecord, Role
 from corrhist.snapshot_io import load_history
 from corrhist.synth import GeneratorConfig, generate, write_generated
@@ -500,14 +505,95 @@ class TestCollection:
                 graph = parse_case_graph((tmp_path / name).read_bytes())
                 graph.validate()
 
-    def test_collection_bytes_are_pinned(self, tmp_path):
+    # Usable CPUs, the worker cap (None for the package's own), and forks.
+    @pytest.mark.parametrize("cpus, cap, forks", [
+        (1, None, 0), (2, None, 1), (8, None, 1), (3, 3, 2),
+    ])
+    def test_collection_bytes_are_pinned(self, cpus, cap, forks, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, cpus, cap)
+        forked = counted_forks(monkeypatch)
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
         build_case_collection(extract_corrections(history), history, tmp_path)
-        got = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(tmp_path.iterdir())
-        }
-        assert got == PINNED_COLLECTION_SHA256
+        assert len(forked) == forks
+        assert collection_digests(tmp_path) == PINNED_COLLECTION_SHA256
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_cases_give_a_header_only_manifest(self, workers, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, workers)
+        forks = counted_forks(monkeypatch)
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        manifest = build_case_collection([], history, tmp_path)
+        assert manifest.read_text() == (
+            "case_id\tkind\tt_before\tt_after\tbefore_file\tafter_file\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["cases.tsv"]
+        assert not forks
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 3, cap=3)
+
+        def refuse():
+            raise AssertionError("forked while another thread runs")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            build_case_collection(extract_corrections(history), history, tmp_path)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert collection_digests(tmp_path) == PINNED_COLLECTION_SHA256
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("tampered", [(1, 2), (0, 1), (0,), (1,)])
+    def test_the_earliest_failing_case_decides_the_error(
+        self, tampered, workers, tmp_path, monkeypatch
+    ):
+        # Some cases of the ordered list list a mention set their observation
+        # does not hold.  Worker k takes cases k, k + W, ..., and this
+        # process is worker 0: with cases 1 and 2 and two workers, the
+        # earlier fails in the child and the later here; with cases 0 and 1,
+        # the other way round; a single case fails here or in a child alone.
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        ordered = sorted(extract_corrections(history), key=CorrectionCase.sort_key)
+        for i in tampered:
+            pid, sigs = min(ordered[i].source_profiles.items())
+            ordered[i] = dataclasses.replace(
+                ordered[i],
+                source_profiles={**ordered[i].source_profiles, pid: sigs - {min(sigs)}},
+            )
+        first = min(tampered)
+        use_cpus(monkeypatch, workers, cap=workers)
+        with pytest.raises(IntegrityError) as raised:
+            build_case_collection(ordered, history, tmp_path)
+        pid = min(ordered[first].source_profiles)
+        assert str(raised.value) == (
+            f"case lists profile {pid} with a different mention set than "
+            f"the observation at {ordered[first].t_before}"
+        )
+        assert not (tmp_path / "cases.tsv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_killed_by_a_signal_is_an_error(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        build = casegraph._case_graphs
+
+        def die_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return build(*args)
+
+        monkeypatch.setattr(casegraph, "_case_graphs", die_in_a_child)
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        with pytest.raises(ChildProcessError, match=r"killed by signal 9$"):
+            build_case_collection(extract_corrections(history), history, tmp_path)
+        assert not (tmp_path / "cases.tsv").exists()
 
     def test_brute_force_weight_recount(self):
         history, _log = generate(GeneratorConfig(seed=13, n_persons=150, n_documents=700))
@@ -517,6 +603,34 @@ class TestCollection:
             before, after = build_case_graphs(case, history)
             for graph, primaries in ((before, case.source_profiles), (after, case.target_profiles)):
                 recount_side(graph, case, history, primaries)
+
+
+def use_cpus(monkeypatch, cpus, cap=None):
+    """Let the case collection see ``cpus`` usable CPUs, and use up to
+    ``cap`` workers instead of its own limit."""
+    monkeypatch.setattr(casegraph, "_usable_cpus", lambda: cpus)
+    if cap is not None:
+        monkeypatch.setattr(casegraph, "_MAX_WORKERS", cap)
+
+
+def counted_forks(monkeypatch):
+    """Note each ``os.fork`` call of this process in the returned list."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def collection_digests(directory):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(directory.iterdir())
+    }
 
 
 # ---------------------------------------------------------------------------
