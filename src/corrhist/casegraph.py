@@ -188,11 +188,8 @@ class _DocResolver:
                 props.append(("title", record.title))
             if record.external_link is not None:
                 props.append(("url", record.external_link))
-            venue_key = record.venue_key
             hit = (
-                Node(_DOCUMENT, document_key, tuple(props)),
-                venue_key,
-                snap.venues.get(venue_key) if venue_key is not None else None,
+                Node(_DOCUMENT, document_key, tuple(props)), record.venue_key, record.venue_name
             )
             self._cache[document_key] = hit
         return hit

@@ -93,15 +93,18 @@ class Profile(NamedTuple):
 
 
 class DocumentRecord(NamedTuple):
-    """Bibliographic metadata of one document.
+    """Bibliographic metadata of one document: what its record line holds.
 
-    ``external_link`` is carried as an inert property; it is never resolved.
+    ``venue_key`` and ``venue_name`` are both None or both set, as a
+    ``<venue>`` element carries them.  ``external_link`` is carried as an
+    inert property; it is never resolved.
     """
 
     document_key: str
     title: str = ""
     year: int = 0
     venue_key: str | None = None
+    venue_name: str | None = None
     authors: tuple[str, ...] = ()
     editors: tuple[str, ...] = ()
     external_link: str | None = None
@@ -112,7 +115,8 @@ class DocumentRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=True)
 class Snapshot:
-    """The collection's state at one observation date.
+    """The collection's state at one observation date: its profiles and
+    its documents, each document with the venue its record line names.
 
     Maps are treated as immutable after construction.  ``validate`` checks
     the model invariants with the rules the snapshot reader applies to a
@@ -123,7 +127,6 @@ class Snapshot:
     time: str
     profiles: dict[str, Profile] = field(default_factory=dict)
     documents: dict[str, DocumentRecord] = field(default_factory=dict)
-    venues: dict[str, str] = field(default_factory=dict)
 
     def mentions_of(self, profile_id: str) -> frozenset[Signature]:
         """Mention set of a profile; empty if the profile is absent."""
@@ -134,18 +137,17 @@ class Snapshot:
         """Raise IntegrityError on any invariant violation.
 
         Checks here only what a value can break and a file cannot: the date,
-        each map key against its record's id, venue key resolution, a venue
-        no document uses, negative positions, and characters XML 1.0 forbids
-        (no writer could write them).  The records go through the reader's
-        record builder in the order the writer puts them in a file, so every
-        other rule is checked by the same code, with the same message, as
-        when the written file is read back.
+        each map key against its record's id, a venue key without a name or
+        a name without a key, negative positions, and characters XML 1.0
+        forbids (no writer could write them).  The records go through the
+        reader's record builder in the order the writer puts them in a file,
+        so every other rule is checked by the same code, with the same
+        message, as when the written file is read back.
         """
         # ``snapshot_io`` imports this module, so the builder is imported here.
         from .snapshot_io import _Builder
 
         validate_date(self.time)
-        _check_writable(*self.venues, *self.venues.values())
         build = _Builder(self.time, None, None)
         for key in sorted(self.documents):
             doc = self.documents[key]
@@ -153,16 +155,17 @@ class Snapshot:
                 raise IntegrityError(
                     f"document map key {key!r} != record key {doc.document_key!r}"
                 )
-            if doc.venue_key is not None and doc.venue_key not in self.venues:
+            if (doc.venue_key is None) != (doc.venue_name is None):
+                # A key alone cannot be written; a name alone would be lost.
                 raise IntegrityError(
-                    f"document {key}: unresolved venue key {doc.venue_key!r}"
+                    f"document {key}: venue key {doc.venue_key!r} and venue name "
+                    f"{doc.venue_name!r}: both or neither must be set"
                 )
-            _check_writable(key, doc.title, *doc.authors, *doc.editors, doc.external_link or "")
-            build.document(doc, self.venues.get(doc.venue_key))  # type: ignore[arg-type]
-        unused = self.venues.keys() - build.venues.keys()
-        if unused:
-            # A file names venues only inside documents; it would read back without it.
-            raise IntegrityError(f"venue key {min(unused)!r} is used by no document")
+            _check_writable(
+                key, doc.title, doc.venue_key or "", doc.venue_name or "",
+                *doc.authors, *doc.editors, doc.external_link or "",
+            )
+            build.document(doc)
         for pid in sorted(self.profiles):
             prof = self.profiles[pid]
             if pid != prof.profile_id:

@@ -68,9 +68,10 @@ def parse_snapshot(
     The result satisfies ``Snapshot.validate``, which runs the same record
     builder: integrity violations in the input (a mention claimed by two
     profiles, a dangling document key, a position past the end of the name
-    list, an empty profile id) raise IntegrityError naming the offending
-    records and the file.  Malformed markup raises FormatError with the byte
-    offset into the decompressed stream.
+    list, an empty profile id, document key or venue key) raise
+    IntegrityError naming the offending records and the file.  Malformed
+    markup raises FormatError with the byte offset into the decompressed
+    stream.
     """
     if source_name is None and isinstance(source, (str, Path)):
         source_name = str(source)
@@ -239,8 +240,9 @@ class _Builder:
     """Collects one snapshot's records; the one place integrity is enforced.
 
     It rejects a duplicate document key or profile id, an empty profile id,
-    an empty profile, a blank surface, a mention claimed twice, a venue key
-    bound to two names, and mentions of unknown documents or positions.
+    document key or venue key, an empty profile, a blank surface, a mention
+    claimed twice, a venue key bound to two names, and mentions of unknown
+    documents or positions.
     ``Snapshot.validate`` feeds a value's records through a builder without
     ``prev`` or a file name, so these rules have no other copy.  A record
     equal to the previous snapshot's record under the same key is replaced
@@ -248,8 +250,9 @@ class _Builder:
     everything unchanged from one snapshot to the next.  ``prev`` must
     itself have come out of a builder.  ``snapshot`` records in ``changed``
     the ids of the profiles whose record differs from ``prev``'s.  A
-    builder keeps the owner index, keyed by mention slot, and the venue
-    counts, and ``delta`` turns it into the builder of the next file of its
+    builder keeps the owner index, keyed by mention slot, and the name and
+    document count of each venue key its documents use, which no snapshot
+    holds, and ``delta`` turns it into the builder of the next file of its
     series.  The builder of a canonical file keeps its bytes, ``data``, for
     the walk of the next one, and no map of its lines: a record the walk
     finds gone is looked up by key.  That of an expat-read file keeps its
@@ -264,8 +267,9 @@ class _Builder:
         self.prev_documents = prev.documents if prev is not None else {}
         self.profiles: dict[str, Profile] = {}
         self.documents: dict[str, DocumentRecord] = {}
+        # The name each venue key is bound to, and how many documents use it.
         self.venues: dict[str, str] = {}
-        self.venue_docs: dict[str, int] = {}  # documents bound to each venue key
+        self.venue_docs: dict[str, int] = {}
         self.owners: dict[MentionKey, str] = {}
         # Profiles carried over from ``prev`` were checked against its
         # documents; the others still need their references checked.
@@ -279,12 +283,17 @@ class _Builder:
     def error(self, message: str) -> IntegrityError:
         return IntegrityError(message + (f" ({self.source_name})" if self.source_name else ""))
 
-    def document(self, record: DocumentRecord, venue_name: str | None) -> DocumentRecord:
+    def document(self, record: DocumentRecord) -> DocumentRecord:
         key = record.document_key
+        if not key:
+            raise self.error("document key must be non-empty")
         if key in self.documents:
             raise self.error(f"duplicate document key {key!r}")
         venue_key = record.venue_key
         if venue_key is not None:
+            if not venue_key:
+                raise self.error(f"document {key}: venue key must be non-empty")
+            venue_name = record.venue_name
             known = self.venues.setdefault(venue_key, venue_name)  # type: ignore[arg-type]
             if known != venue_name:
                 raise self.error(
@@ -344,7 +353,7 @@ class _Builder:
             if is_profile:
                 add_profile(*parsed)  # type: ignore[arg-type]
             else:
-                add_document(*parsed)  # type: ignore[arg-type]
+                add_document(parsed)  # type: ignore[arg-type]
         return True
 
     def delta(
@@ -361,7 +370,8 @@ class _Builder:
         ``records``, in file order.
 
         The new record maps start as copies of the previous ones.  The gone
-        records leave them, the owner index and the venue counts; then
+        records leave them, the owner index and the venue bindings, which
+        change in place; then
         ``records`` are checked and added, each shared with the gone record
         under its key if equal to it, and with no other.  The maps
         are not in file order: writers sort, and nothing reads a snapshot's
@@ -377,9 +387,8 @@ class _Builder:
         self.prev_documents = self.documents
         self.profiles = profiles = dict(self.profiles)
         self.documents = documents = dict(self.documents)
-        self.venues = venues = dict(self.venues)
         self.fresh = []
-        venue_docs = self.venue_docs
+        venues, venue_docs = self.venues, self.venue_docs
         owners = self.owners
         replaced = []
         for is_profile, key in gone:
@@ -439,7 +448,7 @@ class _Builder:
             if _bad_reference(documents, prof.mentions) is not None:
                 problem = _bad_reference(documents, sorted(prof.mentions, key=Signature.sort_key))
                 raise self.error(f"profile {prof.profile_id}: {problem}")
-        return Snapshot(self.date, self.profiles, self.documents, self.venues)
+        return Snapshot(self.date, self.profiles, self.documents)
 
 
 def _bad_reference(
@@ -585,8 +594,8 @@ def _not_canonical(data: bytes, start: int) -> str:
 
 
 # Whether a record is a profile, and what a parser made of it: a profile
-# and its mentions as listed, or a document and its venue name.
-_Parsed = tuple[bool, "tuple[Profile, list[Signature]] | tuple[DocumentRecord, str | None]"]
+# and its mentions as listed, or a document.
+_Parsed = tuple[bool, "tuple[Profile, list[Signature]] | DocumentRecord"]
 
 
 def _parse_lines(lines: Iterable[bytes]) -> Iterator[_Parsed | None]:
@@ -618,23 +627,23 @@ def _parse_profile(line: str) -> tuple[Profile, list[Signature]] | None:
     return _new_tuple(Profile, (intern(m.group(1)), frozenset(sigs))), sigs
 
 
-def _parse_document(line: str) -> tuple[DocumentRecord, str | None] | None:
-    """A canonical document line's record and its venue name."""
+def _parse_document(line: str) -> DocumentRecord | None:
+    """A canonical document line's record."""
     m = _CANON_DOC.fullmatch(line)
     if m is None:
         return None
     pkey, year, url, title, venue_key, venue, authors, editors = m.groups()
     intern = sys.intern
-    record = _new_tuple(DocumentRecord, (
+    return _new_tuple(DocumentRecord, (
         intern(pkey),
         title or "",
         int(year) if year is not None else 0,
         intern(venue_key) if venue_key is not None else None,
+        intern(venue) if venue is not None else None,
         tuple(map(intern, _CANON_NAME.findall(authors))) if authors else (),
         tuple(map(intern, _CANON_NAME.findall(editors))) if editors else (),
         url,
     ))
-    return record, venue
 
 
 class _Spans(NamedTuple):
@@ -837,10 +846,14 @@ def _expat_builder(
             if name == "author":
                 capturing = doc_authors
             elif name == "title":
+                if doc_title:
+                    raise fail("second <title> in one <document>")
                 capturing = doc_title
             elif name == "editor":
                 capturing = doc_editors
             elif name == "venue":
+                if doc_venue is not None:
+                    raise fail("second <venue> in one <document>")
                 doc_venue = (attrs.get("key"), [])
                 capturing = doc_venue[1]
             else:
@@ -920,21 +933,22 @@ def _expat_builder(
             venue_name: str | None = None
             if doc_venue is not None:
                 raw_key, name_parts = doc_venue
-                venue_name = "".join(name_parts)
-                venue_key = intern(raw_key if raw_key is not None else venue_name)
+                venue_name = intern("".join(name_parts))
+                venue_key = intern(raw_key) if raw_key is not None else venue_name
             record = _new_tuple(DocumentRecord, (
                 pkey,
                 "".join(doc_title),
                 year,
                 venue_key,
+                venue_name,
                 tuple(map(intern, doc_authors)),
                 tuple(map(intern, doc_editors)),
                 doc_attrs.get("url"),
             ))
             if fresh is None:
-                build.document(record, venue_name)  # type: ignore[union-attr]
+                build.document(record)  # type: ignore[union-attr]
             else:
-                fresh.append((False, (record, venue_name)))
+                fresh.append((False, record))
             note_span(name, pkey)
         elif name == "profile":
             assert prof_id is not None
@@ -1022,9 +1036,9 @@ def iter_snapshot_xml(snapshot: Snapshot) -> Iterator[str]:
     """
     yield _HEAD
     yield _root(snapshot.time)
-    documents, venues = snapshot.documents, snapshot.venues
+    documents = snapshot.documents
     for key in sorted(documents):
-        yield _document_line(documents[key], venues)
+        yield _document_line(documents[key])
     profiles = snapshot.profiles
     for pid in sorted(profiles):
         yield _profile_line(pid, profiles[pid])
@@ -1039,8 +1053,8 @@ def _root(date: str) -> str:
     return f'<snapshot date="{date}" version="{FORMAT_VERSION}">\n'
 
 
-def _document_line(d: DocumentRecord, venues: dict[str, str]) -> str:
-    """A document's record line, newline included; ``venues`` names its venue."""
+def _document_line(d: DocumentRecord) -> str:
+    """A document's record line, newline included."""
     parts = [f'<document pkey="{escape_attr(d.document_key)}"']
     if d.year:
         parts.append(f' year="{d.year}"')
@@ -1052,7 +1066,7 @@ def _document_line(d: DocumentRecord, venues: dict[str, str]) -> str:
     if d.venue_key is not None:
         parts.append(
             f'<venue key="{escape_attr(d.venue_key)}">'
-            f"{escape_text(venues[d.venue_key])}</venue>"
+            f"{escape_text(d.venue_name)}</venue>"  # type: ignore[arg-type]
         )
     for a in d.authors:
         parts.append(f"<author>{escape_text(a)}</author>")
@@ -1083,9 +1097,8 @@ class _Series:
 
     ``lines`` renders the next snapshot of the series and makes it the last
     one.  A record that is the very object (``is``) of the last snapshot's
-    record under the same key reuses that record's line; a document only if
-    the name of its venue is unchanged too.  Equal records that are other
-    objects are rendered again.  Only the last snapshot's lines are held:
+    record under the same key reuses that record's line.  Equal records
+    that are other objects are rendered again.  Only the last snapshot's lines are held:
     each is popped as it is reused or replaced, and the lines left over,
     those of dropped records, go when ``lines`` returns.
     """
@@ -1106,17 +1119,13 @@ class _Series:
         last = self.snapshot
         last_documents = last.documents if last is not None else {}
         last_profiles = last.profiles if last is not None else {}
-        venues = snapshot.venues
-        renamed: set[str] = set()
-        if last is not None and last.venues is not venues:
-            renamed = {k for k, name in last.venues.items() if venues.get(k) != name}
         out = [_HEAD.encode(), _root(snapshot.time).encode()]
         old, documents = self.documents, {}
         for key in sorted(snapshot.documents):
             doc = snapshot.documents[key]
             line = old.pop(key, None)
-            if line is None or doc is not last_documents[key] or doc.venue_key in renamed:
-                line = _document_line(doc, venues).encode()
+            if line is None or doc is not last_documents[key]:
+                line = _document_line(doc).encode()
             documents[key] = line
             out.append(line)
         old, profiles = self.profiles, {}

@@ -102,7 +102,6 @@ class EditRecord:
     moves: tuple[tuple[MentionKey, str, str], ...] = ()
     surface_changes: tuple[tuple[MentionKey, str], ...] = ()
     new_document: DocumentRecord | None = None
-    new_venue: tuple[str, str] | None = None
     new_assignments: tuple[tuple[MentionKey, str], ...] = ()
 
     def mention_keys(self) -> tuple[MentionKey, ...]:
@@ -208,7 +207,6 @@ def apply_edit(snapshot: Snapshot, edit: EditRecord) -> Snapshot:
     """
     profiles = dict(snapshot.profiles)
     documents = snapshot.documents
-    venues = snapshot.venues
 
     if edit.kind in (EditKind.MERGE, EditKind.SPLIT, EditKind.DISTRIBUTE):
         if not edit.moves:
@@ -277,14 +275,6 @@ def apply_edit(snapshot: Snapshot, edit: EditRecord) -> Snapshot:
             raise PlanError(f"document {doc.document_key} already exists")
         documents = dict(snapshot.documents)
         documents[doc.document_key] = doc
-        if doc.venue_key is not None and doc.venue_key not in venues:
-            if edit.new_venue is None or edit.new_venue[0] != doc.venue_key:
-                raise PlanError(
-                    f"document venue {doc.venue_key!r} is neither known nor "
-                    f"introduced by the edit"
-                )
-            venues = dict(snapshot.venues)
-            venues[edit.new_venue[0]] = edit.new_venue[1]
         added: dict[str, set[Signature]] = {}
         for (dkey, pos, role), pid in edit.new_assignments:
             if dkey != doc.document_key:
@@ -306,7 +296,7 @@ def apply_edit(snapshot: Snapshot, edit: EditRecord) -> Snapshot:
     else:  # pragma: no cover - enum is closed
         raise PlanError(f"unknown edit kind {edit.kind}")
 
-    return Snapshot(snapshot.time, profiles, documents, venues)
+    return Snapshot(snapshot.time, profiles, documents)
 
 
 @dataclass
@@ -470,11 +460,14 @@ class _Generator:
                 profile_mentions[profile].add(sig)
                 self._mention_person[sig.key] = person.index
                 cursor += 1
+            # Arguments are evaluated, and so drawn, in order: title, year,
+            # venue, then link.
             documents[key] = DocumentRecord(
                 document_key=key,
                 title=f"{rng.choice(_TITLE_HEADS)} {rng.choice(_TITLE_TAILS)}",
                 year=rng.randint(1995, 2024),
-                venue_key=rng.choice(venue_keys) if rng.random() < 0.9 else None,
+                venue_key=(venue := rng.choice(venue_keys) if rng.random() < 0.9 else None),
+                venue_name=venues[venue] if venue is not None else None,
                 authors=tuple(authors),
                 editors=tuple(editors),
                 external_link=(
@@ -482,14 +475,10 @@ class _Generator:
                 ),
             )
 
-        # A snapshot holds only the venues its documents use; a new
-        # publication brings in any other one (``EditRecord.new_venue``).
-        used = {doc.venue_key for doc in documents.values()}
         snapshot = Snapshot(
             config.observation_dates[0],
             {pid: Profile(pid, frozenset(ms)) for pid, ms in profile_mentions.items()},
             documents,
-            {key: name for key, name in venues.items() if key in used},
         )
         snapshots = [snapshot]
         records: list[LoggedEdit] = []
@@ -627,7 +616,8 @@ class _Generator:
                     document_key=key,
                     title=f"{rng.choice(_TITLE_HEADS)} {rng.choice(_TITLE_TAILS)}",
                     year=rng.randint(2015, 2024),
-                    venue_key=rng.choice(venue_keys),
+                    venue_key=(venue := rng.choice(venue_keys)),
+                    venue_name=venues[venue],
                     authors=tuple(authors),
                     editors=(),
                 )
@@ -636,10 +626,6 @@ class _Generator:
                         EditKind.NEW_PUBLICATION,
                         tuple(sorted(set(recipients))),
                         new_document=doc,
-                        new_venue=(
-                            None if doc.venue_key in state.venues
-                            else (doc.venue_key, venues[doc.venue_key])
-                        ),
                         new_assignments=tuple(assignments),
                     )
                 )
@@ -649,10 +635,7 @@ class _Generator:
                 records.append(LoggedEdit(interval, edit))
 
             snapshot = Snapshot(
-                config.observation_dates[interval + 1],
-                state.profiles,
-                state.documents,
-                state.venues,
+                config.observation_dates[interval + 1], state.profiles, state.documents
             )
             snapshots.append(snapshot)
             touched_prev = touched_now

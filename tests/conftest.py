@@ -89,13 +89,20 @@ def snap(
     docs: Mapping[str, DocumentRecord] | None = None,
     venues: Mapping[str, str] | None = None,
 ) -> Snapshot:
+    """A validated snapshot; ``venues`` names the venue of each document
+    that has a venue key and no venue name."""
     built = {
         pid: Profile(pid, frozenset(_as_signature(s) for s in specs))
         for pid, specs in profiles.items()
     }
-    snapshot = Snapshot(
-        time, built, auto_documents(profiles, docs), dict(venues or {})
-    )
+    documents = auto_documents(profiles, docs)
+    if venues:
+        documents = {
+            key: doc._replace(venue_name=venues[doc.venue_key])
+            if doc.venue_key in venues and doc.venue_name is None else doc
+            for key, doc in documents.items()
+        }
+    snapshot = Snapshot(time, built, documents)
     snapshot.validate()
     return snapshot
 

@@ -274,8 +274,8 @@ def test_round_trips_and_byte_determinism(tick, tmp_path):
         for s in snapshots[:100]:
             data = write_snapshot(s)
             parsed = parse_snapshot(data)
-            assert (parsed.time, parsed.profiles, parsed.documents, parsed.venues) \
-                == (s.time, s.profiles, s.documents, s.venues)
+            assert (parsed.time, parsed.profiles, parsed.documents) \
+                == (s.time, s.profiles, s.documents)
             assert write_snapshot(parsed) == data
         for g in graphs[:100]:
             data = serialize_case_graph(g)

@@ -285,6 +285,25 @@ def test_two_files_of_one_date_are_refused_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == f"corrhist: error: {message}\n"
 
 
+def test_an_empty_document_or_venue_key_stops_extract_with_the_file_name(tmp_path, capsys):
+    # Refused where the file is read, by name, not first by the case graphs.
+    docs = ['<document pkey=""><author>A</author></document>',
+            '<document pkey="d1"><venue key="">X</venue><author>B</author></document>']
+    for date, profiles in [
+        ("2017-01-01", '<profile authorid="p1"><signature pkey="" pos="0" surface="A"/></profile>\n'
+                       '<profile authorid="p2"><signature pkey="d1" pos="0" surface="B"/></profile>'),
+        ("2017-02-01", '<profile authorid="p1"><signature pkey="" pos="0" surface="A"/>'
+                       '<signature pkey="d1" pos="0" surface="B"/></profile>'),
+    ]:
+        (tmp_path / snapshot_filename(date)).write_text(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<snapshot date="{date}" version="1">\n' + "\n".join(docs) + f"\n{profiles}\n</snapshot>\n"
+        )
+    assert main(["extract", "--snapshots", str(tmp_path), "--quiet"]) == 1
+    first = tmp_path / snapshot_filename("2017-01-01")
+    assert capsys.readouterr().err == f"corrhist: error: document key must be non-empty ({first})\n"
+
+
 def run_python(code, *args):
     """Run ``code`` in a fresh interpreter; what it prints, as JSON."""
     proc = subprocess.run(

@@ -177,7 +177,7 @@ class TestValidation:
         # The annotation itself matches the snapshot; another profile does not.
         s0 = split_history().snapshots[0]
         ghost = Profile("p9", frozenset({Signature("ghost", 0, "X. Ghost")}))
-        broken = Snapshot(s0.time, {**s0.profiles, "p9": ghost}, s0.documents, s0.venues)
+        broken = Snapshot(s0.time, {**s0.profiles, "p9": ghost}, s0.documents)
         with pytest.raises(IntegrityError, match="ghost"):
             validate_annotations(broken, [split_annotation()])
 

@@ -73,18 +73,8 @@ def test_snapshot_rejects_bad_profile(profile, message):
         "2020-01-01",
         {profile.profile_id: profile},
         {"d1": DocumentRecord("d1", authors=("A",))},
-        {},
     )
     with pytest.raises(IntegrityError, match=message):
-        s.validate()
-
-
-def test_snapshot_rejects_a_venue_no_document_uses():
-    # The writer names venues only inside documents, so the file would read
-    # back without it.
-    s = Snapshot("2017-01-01", {}, {"d1": DocumentRecord("d1")}, {"v0": "V"})
-    assert parse_snapshot(write_snapshot(s)).venues == {}
-    with pytest.raises(IntegrityError, match="venue key 'v0' is used by no document"):
         s.validate()
 
 
@@ -96,7 +86,6 @@ def test_snapshot_rejects_shared_mention_across_profiles():
             "p2": Profile("p2", frozenset({sig("d1", 0, "A v2")})),
         },
         {"d1": DocumentRecord("d1", authors=("A",))},
-        {},
     )
     with pytest.raises(IntegrityError) as err:
         s.validate()
@@ -108,7 +97,6 @@ def test_snapshot_rejects_unknown_document():
         "2020-01-01",
         {"p1": Profile("p1", frozenset({sig("dX", 0, "A")}))},
         {},
-        {},
     )
     with pytest.raises(IntegrityError):
         s.validate()
@@ -119,21 +107,38 @@ def test_snapshot_rejects_position_out_of_range():
         "2020-01-01",
         {"p1": Profile("p1", frozenset({sig("d1", 3, "A")}))},
         {"d1": DocumentRecord("d1", authors=("A",))},
-        {},
     )
     with pytest.raises(IntegrityError):
         s.validate()
 
 
-def test_snapshot_rejects_unknown_venue():
-    s = Snapshot(
-        "2020-01-01",
-        {},
-        {"d1": DocumentRecord("d1", venue_key="vX")},
-        {},
-    )
-    with pytest.raises(IntegrityError):
+@pytest.mark.parametrize(
+    "record",
+    [DocumentRecord("d1", venue_key="vX"), DocumentRecord("d1", venue_name="Venue X")],
+    ids=["key-without-name", "name-without-key"],
+)
+def test_snapshot_rejects_a_venue_key_and_name_apart(record):
+    # A key alone cannot be written, and a name alone would be lost.
+    s = Snapshot("2020-01-01", {}, {"d1": record})
+    with pytest.raises(IntegrityError, match="document d1: venue key .* both or neither"):
         s.validate()
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (DocumentRecord(""), "document key must be non-empty"),
+        (DocumentRecord("d1", venue_key="", venue_name="X"), "document d1: venue key must be non-empty"),
+    ],
+    ids=["empty-document-key", "empty-venue-key"],
+)
+def test_snapshot_rejects_an_empty_key(record, message):
+    s = Snapshot("2020-01-01", {}, {record.document_key: record})
+    with pytest.raises(IntegrityError, match=message):
+        s.validate()
+    # The reader refuses the written file with the same message.
+    with pytest.raises(IntegrityError, match=message):
+        parse_snapshot(write_snapshot(s))
 
 
 def test_snapshot_rejects_mismatched_map_keys():
@@ -141,7 +146,6 @@ def test_snapshot_rejects_mismatched_map_keys():
         "2020-01-01",
         {"wrong": Profile("p1", frozenset({sig("d1", 0, "A")}))},
         {"d1": DocumentRecord("d1", authors=("A",))},
-        {},
     )
     with pytest.raises(IntegrityError):
         s.validate()

@@ -81,7 +81,7 @@ def write_series(directory, files):
 
 
 def contents(s):
-    return (s.time, s.profiles, s.documents, s.venues)
+    return (s.time, s.profiles, s.documents)
 
 
 def assert_delta_error_as_single_parse(tmp_path, first, second, message):
@@ -148,7 +148,7 @@ def test_renaming_every_document_of_a_venue_is_accepted(tmp_path):
          *profiles],
     ])
     first, second = load_history(tmp_path).snapshots
-    assert second.venues == {"v": "New"}
+    assert {d.venue_name for d in second.documents.values()} == {"New"}
     assert contents(second) == contents(parse_snapshot(paths[1]))
     assert second.profiles["p1"] is first.profiles["p1"]
 
@@ -161,10 +161,11 @@ def test_venue_of_a_vanished_last_document_drops_out(tmp_path):
         [d1, p1],
         [d1, doc_line("d3", ["C"], venue=("u", "Back")), p1, profile_line("p3", ("d3", 0, "C"))],
     ])
-    first, second, third = load_history(tmp_path).snapshots
-    assert first.venues == {"v": "Kept", "u": "Gone"}
-    assert second.venues == {"v": "Kept"}
-    assert third.venues == {"v": "Kept", "u": "Back"}
+    # With d2 gone, no document binds ``u``, so the third file may bind it
+    # to another name.
+    first, _second, third = load_history(tmp_path).snapshots
+    assert first.documents["d2"].venue_name == "Gone"
+    assert third.documents["d3"].venue_name == "Back"
 
 
 @pytest.mark.parametrize("render", [canonical_file, foreign_file])
@@ -650,6 +651,24 @@ def test_an_unchanged_record_listed_twice(tmp_path, monkeypatch):
     assert paths == _DELTA[:1]
     with pytest.raises(IntegrityError, match="duplicate profile id 'p1'"):
         load_history(tmp_path)
+
+
+@pytest.mark.parametrize("child, twice", [
+    ("title", "<title>Alpha</title><title>Beta</title>"),
+    ("venue", '<venue key="v1">One</venue><venue key="v2">Two</venue>'),
+])
+def test_a_second_title_or_venue_in_a_changed_record(tmp_path, monkeypatch, child, twice):
+    changed = f'<document pkey="d1">{twice}<author>N1</author></document>'
+    second = body_file(DATES[1], "\n  ".join([_DOCS[0], changed, *_DOCS[2:], *_PROFS]))
+    paths, _built, _runs = read_each_way(tmp_path, monkeypatch, [_INDENTED, second])
+    assert paths == _DELTA[:1]
+    # The record delta itself refuses the record, at the second element.
+    reader = snapshot_io._Reader()
+    first = reader.read(_INDENTED, None)
+    with pytest.raises(FormatError, match=f"second <{child}> in one <document>") as err:
+        snapshot_io._expat_builder(second, first, None, reader.build)
+    tag = f"<{child}".encode()
+    assert err.value.byte_offset == second.index(tag, second.index(tag) + 1)
 
 
 @pytest.mark.parametrize("conflict", [False, True])

@@ -28,6 +28,7 @@ def rich_snapshot(time="2017-08-01"):
             title="Graphs & Trees <insights>",
             year=2016,
             venue_key="vx",
+            venue_name="Example Conf <X&Y>",
             authors=("Ann \"A.\" Lee", "Bo Chen"),
             editors=("Else Editor",),
             external_link="https://example.org/x1?a=1&b=2",
@@ -50,7 +51,7 @@ def rich_snapshot(time="2017-08-01"):
             "p-else", frozenset({sig("conf/x/1", 0, "Else Editor", Role.EDITOR)})
         ),
     }
-    s = Snapshot(time, profiles, docs, {"vx": "Example Conf <X&Y>"})
+    s = Snapshot(time, profiles, docs)
     s.validate()
     return s
 
@@ -59,7 +60,6 @@ def assert_snapshots_equal(a, b):
     assert a.time == b.time
     assert a.profiles == b.profiles
     assert a.documents == b.documents
-    assert a.venues == b.venues
 
 
 def test_round_trip_with_escaping():
@@ -177,7 +177,7 @@ def test_document_year_must_be_ascii_digits(year):
 
 
 def test_negative_year_reads_on_both_paths():
-    s = Snapshot("2017-01-01", {}, {"d1": DocumentRecord("d1", year=-5)}, {})
+    s = Snapshot("2017-01-01", {}, {"d1": DocumentRecord("d1", year=-5)})
     data = write_snapshot(s)
     assert parse_snapshot(data).documents["d1"].year == -5
     assert parse_snapshot(data.replace(b"<document", b" <document")).documents["d1"].year == -5
@@ -322,6 +322,7 @@ def plain_snapshot(time="2017-08-01"):
             title="Optimal Trees",
             year=2015,
             venue_key="vy",
+            venue_name="Symposium on Y",
             authors=("José Müller", "Wei Wang 0050"),
             editors=("Ed One",),
             external_link="https://example.org/y1",
@@ -343,7 +344,7 @@ def plain_snapshot(time="2017-08-01"):
             "p-ed", frozenset({sig("conf/y/1", 0, "Ed One", Role.EDITOR)})
         ),
     }
-    s = Snapshot(time, profiles, docs, {"vy": "Symposium on Y"})
+    s = Snapshot(time, profiles, docs)
     s.validate()
     return s
 
@@ -428,13 +429,18 @@ def test_canonical_looking_but_invalid_input_still_diagnosed():
             '<profile authorid=""><signature pkey="d1" pos="0" surface="A"/></profile>',
             "profile id must be non-empty",
         ),
+        ('<document pkey=""><author>A</author></document>', "document key must be non-empty"),
+        (
+            '<document pkey="d2"><venue key="">X</venue></document>',
+            "document d2: venue key must be non-empty",
+        ),
     ]
-    for profile_block, message in cases:
+    for record, message in cases:
         with pytest.raises(IntegrityError, match=message) as canonical:
-            parse_snapshot(canonical_lines(doc, profile_block))
+            parse_snapshot(canonical_lines(doc, record))
         # Indented record lines miss the canonical form and go to expat.
         with pytest.raises(IntegrityError) as general:
-            parse_snapshot(canonical_lines("  " + doc, "  " + profile_block))
+            parse_snapshot(canonical_lines("  " + doc, "  " + record))
         assert str(general.value) == str(canonical.value)
 
 
@@ -444,7 +450,7 @@ def test_reference_error_names_the_first_bad_mention_in_file_order():
     sigs = [sig(f"d{i:02}", 0, "A") for i in range(30)]
     listed = "".join(f'<signature pkey="{m.document_key}" pos="0" surface="A"/>' for m in sigs)
     for mentions in (sigs, sigs[::-1]):
-        s = Snapshot("2017-01-01", {"p1": Profile("p1", frozenset(mentions))}, {}, {})
+        s = Snapshot("2017-01-01", {"p1": Profile("p1", frozenset(mentions))}, {})
         for check in (
             s.validate,
             lambda: parse_snapshot(write_snapshot(s)),
@@ -460,6 +466,30 @@ def indented(data):
     return re.sub(rb"(?m)^(?=<(?:document|profile))", b"  ", data)
 
 
+@pytest.mark.parametrize("venue", ["<venue/>", "<venue></venue>"])
+def test_a_venue_without_a_key_is_keyed_by_its_name_which_must_not_be_empty(venue):
+    # Only expat reads a venue without a key attribute.
+    data = make_xml("", f'<document pkey="d1">{venue}</document>')
+    with pytest.raises(IntegrityError, match="document d1: venue key must be non-empty"):
+        parse_snapshot(data)
+    named = parse_snapshot(make_xml("", '<document pkey="d1"><venue>X</venue></document>'))
+    doc = named.documents["d1"]
+    assert (doc.venue_key, doc.venue_name) == ("X", "X")
+
+
+@pytest.mark.parametrize("render", [lambda data: data, indented], ids=["unindented", "indented"])
+@pytest.mark.parametrize("child, twice", [
+    ("title", "<title>Alpha</title><title>Beta</title>"),
+    ("venue", '<venue key="v1">One</venue><venue key="v2">Two</venue>'),
+])
+def test_expat_refuses_a_second_title_or_venue(render, child, twice):
+    # The canonical grammar allows one of each, so expat reads the file.
+    data = render(canonical_lines(f'<document pkey="d1">{twice}<author>A</author></document>'))
+    with pytest.raises(FormatError, match=f"second <{child}> in one <document>") as err:
+        parse_snapshot(data)
+    assert err.value.byte_offset == data.index(f"<{child}".encode(), data.index(f"<{child}".encode()) + 1)
+
+
 @pytest.mark.parametrize("render", [lambda data: data, indented], ids=["canonical", "indented"])
 def test_memoized_reuse_is_rechecked_against_changed_documents(tmp_path, render):
     # p2's record line reverts to its first-file bytes while d1 has shrunk
@@ -468,20 +498,18 @@ def test_memoized_reuse_is_rechecked_against_changed_documents(tmp_path, render)
     p1 = Profile("p1", frozenset({sig("d1", 0, "A")}))
     p2 = Profile("p2", frozenset({sig("d1", 1, "B")}))
     wide = {"d1": DocumentRecord("d1", authors=("A", "B"))}
-    s1 = Snapshot("2017-01-01", {"p1": p1, "p2": p2}, wide, {})
+    s1 = Snapshot("2017-01-01", {"p1": p1, "p2": p2}, wide)
     s1.validate()
     s2 = Snapshot(
         "2017-02-01",
         {"p1": Profile("p1", frozenset({sig("d1", 0, "A"), sig("d1", 1, "B")}))},
         wide,
-        {},
     )
     s2.validate()
     bad = Snapshot(
         "2017-03-01",
         {"p1": p1, "p2": p2},
         {"d1": DocumentRecord("d1", authors=("A",))},
-        {},
     )
     for s in (s1, s2, bad):
         (tmp_path / snapshot_filename(s.time)).write_bytes(render(write_snapshot(s)))
@@ -550,7 +578,7 @@ def test_read_records_are_those_the_constructors_make(render, paths):
     profiles = dict(first.profiles)
     profiles["p-ann"] = Profile("p-ann", frozenset({sig("conf/y/4", 0, "Ann Lee")}))
     profiles["p-wei"] = Profile("p-wei", frozenset({sig("conf/y/1", 1, "Wei Wang 0050")}))
-    second = Snapshot("2017-09-01", profiles, docs, first.venues)
+    second = Snapshot("2017-09-01", profiles, docs)
     second.validate()
     reader = _Reader()
     for want in (first, second):

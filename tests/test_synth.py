@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -132,19 +133,18 @@ class TestApplyEdit:
 
     def test_new_publication_adds_document_and_venue(self):
         doc = DocumentRecord(
-            "d9", title="Fresh", year=2020, venue_key="v9",
+            "d9", title="Fresh", year=2020, venue_key="v9", venue_name="Venue Nine",
             authors=("Ann Lee", "New Guy"),
         )
         edit = EditRecord(
             EditKind.NEW_PUBLICATION,
             ("A", "N"),
             new_document=doc,
-            new_venue=("v9", "Venue Nine"),
             new_assignments=((("d9", 0, A), "A"), (("d9", 1, A), "N")),
         )
         after = apply_edit(self.base(), edit)
         after.validate()
-        assert after.venues["v9"] == "Venue Nine"
+        assert after.documents["d9"].venue_name == "Venue Nine"
         assert ("d9", 1, A) in {m.key for m in after.mentions_of("N")}
         sig = next(m for m in after.mentions_of("N"))
         assert sig.surface == "New Guy"
@@ -156,17 +156,6 @@ class TestApplyEdit:
             new_assignments=((("d1", 0, A), "A"),),
         )
         with pytest.raises(PlanError, match="already exists"):
-            apply_edit(self.base(), edit)
-
-    def test_unknown_venue_rejected(self):
-        doc = DocumentRecord(
-            "d9", title="Fresh", year=2020, venue_key="v404", authors=("X",)
-        )
-        edit = EditRecord(
-            EditKind.NEW_PUBLICATION, ("A",), new_document=doc,
-            new_assignments=((("d9", 0, A), "A"),),
-        )
-        with pytest.raises(PlanError, match="neither known nor introduced"):
             apply_edit(self.base(), edit)
 
     def test_assignment_position_out_of_range_rejected(self):
@@ -307,7 +296,6 @@ class TestGenerate:
         for later in history.snapshots[1:]:
             assert later.profiles == first.profiles
             assert later.documents == first.documents
-            assert later.venues == first.venues
 
     def test_non_exclusive_plan_still_generates(self):
         history, log = generate(
@@ -355,6 +343,17 @@ class TestGroundTruthFile:
         for disk, memory in zip(loaded.snapshots, history.snapshots):
             assert write_snapshot(disk) == write_snapshot(memory)
 
+    def test_generated_bytes_are_pinned(self, tmp_path):
+        # The config ``test_collection_bytes_are_pinned`` generates from; its
+        # plan adds two new publications per interval.  One draw of the
+        # generator out of place shifts every corpus, and these digests with it.
+        history, log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        write_generated(history, log, tmp_path)
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+        }
+        assert digests == PINNED_GENERATED_SHA256
+
     def test_write_generated_compressed(self, tmp_path):
         history, log = generate(small_config(observation_dates=default_dates(2)))
         write_generated(history, log, tmp_path, compress=True)
@@ -362,3 +361,12 @@ class TestGroundTruthFile:
         assert len(gz) == 2
         loaded = load_history(tmp_path)
         assert loaded.times() == history.times()
+
+
+PINNED_GENERATED_SHA256 = {
+    "ground-truth.tsv": "227df10645cb375c436cca1c7c80b39dafe5a93e1fd5b1a4c9131527afeb086d",
+    "snapshot-2015-01-01.xml": "563d62bca484805abc41ba1d52219f1b1fbaad2d014d732a0ec0028371ffb5cc",
+    "snapshot-2015-02-01.xml": "840e6ee9fac200745e5a6f748a951b0ece1a7f7bcdd7d73079685e4b33739c78",
+    "snapshot-2015-03-01.xml": "7ad6597411bd25cc676ba5f9b4722272be402c14df8a8639830f9c68878abbd8",
+    "snapshot-2015-04-01.xml": "01d10e4ab2f5cfb95b8e2139bbb164de8b8e854dbb120e09b7467486e11a72cf",
+}
