@@ -36,8 +36,7 @@ _EXPORTS = {
     ),
     "extract": (
         "CorrectionCase", "CorrectionKind", "RawGroup", "assign_case_ids",
-        "case_summary_lines", "chain_corrections", "detect_distributes",
-        "detect_merge_groups", "detect_split_groups", "extract_corrections",
+        "case_summary_lines", "chain_corrections", "extract_corrections",
         "is_consistent_predecessor", "raw_groups_between", "reference_predecessors",
         "reference_successors",
     ),

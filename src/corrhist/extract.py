@@ -2,11 +2,18 @@
 
 Given two observations of the same collection, a profile's *reference
 predecessors* are the profiles that held any of its current mentions at the
-earlier time (mention identity, not surfaces).  Merge and split groups are
-read directly off that relation; distributes are connected components over
-the remaining mention movements.  Raw groups from consecutive observation
-pairs that share a profile are chained into one correction case, since a
-single real-world correction may straddle an observation boundary.
+earlier time (mention identity, not surfaces); its *reference successors*
+are the same relation with time reversed.  A merge gathers a profile's
+predecessors and a split scatters its successors, so one rule read forward
+finds merges and read backward finds splits.  Distributes are connected
+components over the remaining mention movements.  Raw groups from
+consecutive observation pairs that share a profile are chained into one
+correction case, since a single real-world correction may straddle an
+observation boundary.
+
+Extraction reads only the profiles the history records as changed in each
+interval: the groups come from those profiles' mentions, and so do the
+mentions a case finds new.
 """
 
 from __future__ import annotations
@@ -142,30 +149,27 @@ def _ordered_pair(history: History, t1: str, t2: str) -> tuple[Snapshot, Snapsho
     return s1, s2
 
 
+def _holders(snapshot: Snapshot, keys: set[MentionKey]) -> set[str]:
+    """Profiles of ``snapshot`` holding any of ``keys``."""
+    if not keys:
+        return set()
+    return {
+        qid for qid, prof in snapshot.profiles.items()
+        if any(m.key in keys for m in prof.mentions)
+    }
+
+
 def reference_predecessors(history: History, pid: str, t1: str, t2: str) -> set[str]:
     """Profiles at ``t1`` holding any mention that ``pid`` holds at ``t2``."""
     s1, s2 = _ordered_pair(history, t1, t2)
-    wanted = _keys(s2, pid)
-    if not wanted:
-        return set()
-    out = set()
-    for qid, prof in s1.profiles.items():
-        if any(m.key in wanted for m in prof.mentions):
-            out.add(qid)
-    return out
+    return _holders(s1, _keys(s2, pid))
 
 
 def reference_successors(history: History, pid: str, t1: str, t2: str) -> set[str]:
-    """Profiles at ``t2`` holding any mention that ``pid`` held at ``t1``."""
+    """Profiles at ``t2`` holding any mention that ``pid`` held at ``t1``:
+    the reference predecessors with time reversed."""
     s1, s2 = _ordered_pair(history, t1, t2)
-    held = _keys(s1, pid)
-    if not held:
-        return set()
-    out = set()
-    for qid, prof in s2.profiles.items():
-        if any(m.key in held for m in prof.mentions):
-            out.add(qid)
-    return out
+    return _holders(s2, _keys(s1, pid))
 
 
 def is_consistent_predecessor(
@@ -226,48 +230,32 @@ def raw_groups_between(
 
     groups: list[RawGroup] = []
 
-    # Merge: a profile holds mentions previously spread over several
-    # profiles, and every emptied-out predecessor really emptied.
+    # Merge: the mentions ``pid`` holds at s2 were held at s1 by at least
+    # two profiles, and every one of them but ``pid`` is empty at s2.  A
+    # split is the same rule with time reversed: read at s1 against the
+    # holders at s2.  ``explained`` holds the (mention, donor, taker)
+    # movements a merge or split accounts for.
     explained: set[tuple[MentionKey, str, str]] = set()
     for pid in sorted(changed):
-        after = _keys(s2, pid)
-        if after:
-            preds = {owner1[k] for k in after if k in owner1}
-            if len(preds) > 1 and all(
-                q == pid or not s2.mentions_of(q) for q in preds
-            ):
-                groups.append(
-                    RawGroup(
-                        CorrectionKind.MERGE,
-                        s1.time,
-                        s2.time,
-                        frozenset(preds),
-                        frozenset({pid}),
-                    )
-                )
-                for k in after:
-                    q = owner1.get(k)
-                    if q is not None and q != pid:
-                        explained.add((k, q, pid))
-        before = _keys(s1, pid)
-        if before:
-            succs = {owner2[k] for k in before if k in owner2}
-            if len(succs) > 1 and all(
-                q == pid or not s1.mentions_of(q) for q in succs
-            ):
-                groups.append(
-                    RawGroup(
-                        CorrectionKind.SPLIT,
-                        s1.time,
-                        s2.time,
-                        frozenset({pid}),
-                        frozenset(succs),
-                    )
-                )
-                for k in before:
-                    q = owner2.get(k)
-                    if q is not None and q != pid:
-                        explained.add((k, pid, q))
+        for kind, near, far_owner in (
+            (CorrectionKind.MERGE, s2, owner1),
+            (CorrectionKind.SPLIT, s1, owner2),
+        ):
+            other = {
+                k: q
+                for k in _keys(near, pid)
+                if (q := far_owner.get(k)) is not None
+            }
+            fan = frozenset(other.values())
+            if len(fan) < 2 or any(q != pid and near.mentions_of(q) for q in fan):
+                continue
+            pivot = frozenset({pid})
+            if kind is CorrectionKind.MERGE:
+                groups.append(RawGroup(kind, s1.time, s2.time, fan, pivot))
+                explained.update((k, q, pid) for k, q in other.items() if q != pid)
+            else:
+                groups.append(RawGroup(kind, s1.time, s2.time, pivot, fan))
+                explained.update((k, pid, q) for k, q in other.items() if q != pid)
 
     # Distribute: remaining movements, grouped into connected components.
     # A component is a correction only if at least two of its profiles are
@@ -298,26 +286,6 @@ def raw_groups_between(
     return groups
 
 
-def detect_merge_groups(history: History, t1: str, t2: str) -> list[RawGroup]:
-    """Merge groups between the observations at t1 and t2."""
-    s1, s2 = _ordered_pair(history, t1, t2)
-    return [g for g in raw_groups_between(s1, s2) if g.kind is CorrectionKind.MERGE]
-
-
-def detect_split_groups(history: History, t1: str, t2: str) -> list[RawGroup]:
-    """Split groups between the observations at t1 and t2."""
-    s1, s2 = _ordered_pair(history, t1, t2)
-    return [g for g in raw_groups_between(s1, s2) if g.kind is CorrectionKind.SPLIT]
-
-
-def detect_distributes(history: History, t1: str, t2: str) -> list[RawGroup]:
-    """Distribute groups between the observations at t1 and t2."""
-    s1, s2 = _ordered_pair(history, t1, t2)
-    return [
-        g for g in raw_groups_between(s1, s2) if g.kind is CorrectionKind.DISTRIBUTE
-    ]
-
-
 def chain_corrections(history: History, groups: Iterable[RawGroup]) -> list[CorrectionCase]:
     """Join raw groups from directly successive intervals that share a
     profile, and materialize each resulting component as one case.
@@ -327,8 +295,7 @@ def chain_corrections(history: History, groups: Iterable[RawGroup]) -> list[Corr
     a split fans out of one); anything else is a distribute, the most
     general rearrangement.
     """
-    snap_at = {s.time: s for s in history.snapshots}
-    owned_at: dict[str, set[MentionKey]] = {}
+    index = {s.time: i for i, s in enumerate(history.snapshots)}
     pool = sorted(groups, key=RawGroup.sort_key)
     by_start: dict[str, dict[str, list[int]]] = {}
     for i, g in enumerate(pool):
@@ -342,7 +309,7 @@ def chain_corrections(history: History, groups: Iterable[RawGroup]) -> list[Corr
         for j in by_start.get(g.t_after, {}).get(q, ())
     )
     cases = [
-        _materialize(snap_at, owned_at, [pool[i] for i in members])
+        _materialize(history, index, [pool[i] for i in members])
         for members in _components(range(len(pool)), links)
     ]
     cases.sort(key=CorrectionCase.sort_key)
@@ -350,17 +317,16 @@ def chain_corrections(history: History, groups: Iterable[RawGroup]) -> list[Corr
 
 
 def _materialize(
-    snap_at: dict[str, Snapshot],
-    owned_at: dict[str, set[MentionKey]],
-    groups: list[RawGroup],
+    history: History, index: dict[str, int], groups: list[RawGroup]
 ) -> CorrectionCase:
     t_before = min(g.t_before for g in groups)
     t_after = max(g.t_after for g in groups)
     involved: set[str] = set()
     for g in groups:
         involved |= g.profiles
-    before = snap_at[t_before]
-    after = snap_at[t_after]
+    first, last = index[t_before], index[t_after]
+    before = history.snapshots[first]
+    after = history.snapshots[last]
     source_profiles = {
         pid: before.mentions_of(pid)
         for pid in sorted(involved)
@@ -382,10 +348,12 @@ def _materialize(
     else:
         kind = CorrectionKind.DISTRIBUTE
 
-    # A target mention not owned by anyone at t_before entered the
-    # collection during the case.  Checking the case's own sources first
-    # keeps the full ownership index (built once per date, shared across
-    # cases) off the common path.
+    # A target mention that no profile held at t_before entered the
+    # collection during the case.  A profile that did hold it then is
+    # either its holder at t_after, so a source of the case, or it lost
+    # the mention, so its record changed in one of the case's intervals.
+    # Only the case's sources and the profiles the history records as
+    # changed there need be read.
     in_sources = {m.key for sigs in source_profiles.values() for m in sigs}
     leftovers = [
         m.key
@@ -395,15 +363,9 @@ def _materialize(
     ]
     new_keys: frozenset[MentionKey] = frozenset()
     if leftovers:
-        owned = owned_at.get(t_before)
-        if owned is None:
-            owned = {
-                m.key
-                for prof in before.profiles.values()
-                for m in prof.mentions
-            }
-            owned_at[t_before] = owned
-        new_keys = frozenset(k for k in leftovers if k not in owned)
+        changed = set().union(*map(history.changed_profiles, range(first, last)))
+        held = {m.key for pid in changed for m in before.mentions_of(pid)}
+        new_keys = frozenset(k for k in leftovers if k not in held)
     return CorrectionCase(
         kind=kind,
         t_before=t_before,
@@ -418,7 +380,7 @@ def _materialize(
 def extract_corrections(history: History, *, max_workers: int = 1) -> list[CorrectionCase]:
     """Detect all corrections in a history and chain them into cases.
 
-    Runs the detectors over every consecutive observation pair in order,
+    Finds the raw groups of every consecutive observation pair in order,
     on the profiles the history records as changed there, then chains.  A
     history with fewer than two observations has no intervals to compare,
     which is an error rather than an empty answer.

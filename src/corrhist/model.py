@@ -156,11 +156,7 @@ class Snapshot:
                     f"document map key {key!r} != record key {doc.document_key!r}"
                 )
             if (doc.venue_key is None) != (doc.venue_name is None):
-                # A key alone cannot be written; a name alone would be lost.
-                raise IntegrityError(
-                    f"document {key}: venue key {doc.venue_key!r} and venue name "
-                    f"{doc.venue_name!r}: both or neither must be set"
-                )
+                raise IntegrityError(_unpaired_venue(doc))
             _check_writable(
                 key, doc.title, doc.venue_key or "", doc.venue_name or "",
                 *doc.authors, *doc.editors, doc.external_link or "",
@@ -179,6 +175,16 @@ class Snapshot:
                 _check_writable(m.document_key, m.surface)
             build.profile(prof, sorted(prof.mentions, key=Signature.sort_key))
         build.snapshot()
+
+
+def _unpaired_venue(doc: DocumentRecord) -> str:
+    """The refusal of a document whose venue key and venue name are not
+    both set: a key alone cannot be written, and a name alone would be
+    lost."""
+    return (
+        f"document {doc.document_key}: venue key {doc.venue_key!r} and venue name "
+        f"{doc.venue_name!r}: both or neither must be set"
+    )
 
 
 def _check_writable(*values: str) -> None:

@@ -42,7 +42,8 @@ from xml.parsers import expat
 from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
 from .model import (
-    DocumentRecord, History, MentionKey, Profile, Role, Signature, Snapshot, validate_date,
+    DocumentRecord, History, MentionKey, Profile, Role, Signature, Snapshot, _unpaired_venue,
+    validate_date,
 )
 
 FORMAT_VERSION = "1"
@@ -1054,7 +1055,9 @@ def _root(date: str) -> str:
 
 
 def _document_line(d: DocumentRecord) -> str:
-    """A document's record line, newline included."""
+    """A document's record line, newline included.  A venue key without a
+    name, or a name without a key, raises FormatError, since the line
+    could not carry it."""
     parts = [f'<document pkey="{escape_attr(d.document_key)}"']
     if d.year:
         parts.append(f' year="{d.year}"')
@@ -1063,11 +1066,12 @@ def _document_line(d: DocumentRecord) -> str:
     parts.append(">")
     if d.title:
         parts.append(f"<title>{escape_text(d.title)}</title>")
-    if d.venue_key is not None:
+    if d.venue_key is not None and d.venue_name is not None:
         parts.append(
-            f'<venue key="{escape_attr(d.venue_key)}">'
-            f"{escape_text(d.venue_name)}</venue>"  # type: ignore[arg-type]
+            f'<venue key="{escape_attr(d.venue_key)}">{escape_text(d.venue_name)}</venue>'
         )
+    elif d.venue_key is not None or d.venue_name is not None:
+        raise FormatError(_unpaired_venue(d))
     for a in d.authors:
         parts.append(f"<author>{escape_text(a)}</author>")
     for e in d.editors:

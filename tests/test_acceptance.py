@@ -39,17 +39,13 @@ from corrhist.embedded import (
     parse_annotation,
     serialize_annotation,
 )
-from corrhist.extract import (
-    CorrectionKind,
-    detect_merge_groups,
-    detect_split_groups,
-    extract_corrections,
-)
+from corrhist.extract import CorrectionKind, extract_corrections
 from corrhist.snapshot_io import parse_snapshot, write_snapshot
 from corrhist.synth import GeneratorConfig, default_dates, generate
 
 from conftest import hist, snap
 from test_casegraph import recount_side
+from test_extract import groups_of
 
 
 @pytest.fixture
@@ -194,18 +190,22 @@ def test_merge_split_duality_under_time_reversal(tick):
             backward = hist(snap(t1, second), snap(t2, first))
 
             merges = {
-                (g.sources, g.targets) for g in detect_merge_groups(forward, t1, t2)
+                (g.sources, g.targets)
+                for g in groups_of(CorrectionKind.MERGE, forward, t1, t2)
             }
             splits = {
-                (g.sources, g.targets) for g in detect_split_groups(backward, t1, t2)
+                (g.sources, g.targets)
+                for g in groups_of(CorrectionKind.SPLIT, backward, t1, t2)
             }
             assert {(tgt, src) for src, tgt in merges} == splits
 
             splits_fwd = {
-                (g.sources, g.targets) for g in detect_split_groups(forward, t1, t2)
+                (g.sources, g.targets)
+                for g in groups_of(CorrectionKind.SPLIT, forward, t1, t2)
             }
             merges_bwd = {
-                (g.sources, g.targets) for g in detect_merge_groups(backward, t1, t2)
+                (g.sources, g.targets)
+                for g in groups_of(CorrectionKind.MERGE, backward, t1, t2)
             }
             assert {(tgt, src) for src, tgt in splits_fwd} == merges_bwd
             detections += len(merges) + len(splits_fwd)
@@ -237,7 +237,7 @@ def test_chaining_across_an_intermediate_observation(tick):
         assert set(case.target_profiles) == {"p1"}
         assert len(case.chained_from) == 2
 
-        groups = detect_merge_groups(hist(s0, s2), t0, t2)
+        groups = groups_of(CorrectionKind.MERGE, hist(s0, s2), t0, t2)
         assert len(groups) == 1
         assert groups[0].sources == frozenset({"p1", "p2", "p3"})
         assert groups[0].targets == frozenset({"p1"})

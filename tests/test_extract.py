@@ -1,5 +1,7 @@
+import tempfile
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrhist.errors import UnknownTimeError
@@ -7,20 +9,24 @@ from corrhist.extract import (
     CorrectionKind,
     assign_case_ids,
     case_summary_lines,
-    detect_distributes,
-    detect_merge_groups,
-    detect_split_groups,
     extract_corrections,
     is_consistent_predecessor,
     raw_groups_between,
     reference_predecessors,
     reference_successors,
 )
-from corrhist.model import History, Role
+from corrhist.model import DocumentRecord, History, Role, Snapshot
+from corrhist.snapshot_io import load_history, write_history
 
 from conftest import hist, snap
 
 T0, T1, T2, T3 = "2020-01-01", "2020-02-01", "2020-03-01", "2020-04-01"
+
+
+def groups_of(kind, history, t1, t2):
+    """The raw groups of one kind between the observations at t1 and t2."""
+    groups = raw_groups_between(history.at(t1), history.at(t2))
+    return [g for g in groups if g.kind is kind]
 
 
 def groups_as_sets(groups):
@@ -61,7 +67,7 @@ class TestReferenceRelations:
         with pytest.raises(UnknownTimeError):
             reference_predecessors(h, "A", T0, "1999-01-01")
         with pytest.raises(UnknownTimeError):
-            detect_merge_groups(h, "1999-01-01", T1)
+            groups_of(CorrectionKind.MERGE, h, "1999-01-01", T1)
 
 
 class TestMergeGroups:
@@ -70,7 +76,7 @@ class TestMergeGroups:
             snap(T0, {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y")]}),
             snap(T1, {"A": [("d1", 0, "X"), ("d2", 0, "Y")]}),
         )
-        groups = detect_merge_groups(h, T0, T1)
+        groups = groups_of(CorrectionKind.MERGE, h, T0, T1)
         assert groups_as_sets(groups) == {
             (CorrectionKind.MERGE, frozenset({"A", "B"}), frozenset({"A"}))
         }
@@ -80,21 +86,21 @@ class TestMergeGroups:
             snap(T0, {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y"), ("d3", 0, "Z")]}),
             snap(T1, {"A": [("d1", 0, "X"), ("d2", 0, "Y")], "B": [("d3", 0, "Z")]}),
         )
-        assert detect_merge_groups(h, T0, T1) == []
+        assert groups_of(CorrectionKind.MERGE, h, T0, T1) == []
 
     def test_identical_snapshots_no_groups(self):
         state = {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y")]}
         h = hist(snap(T0, state), snap(T1, state))
-        assert detect_merge_groups(h, T0, T1) == []
-        assert detect_split_groups(h, T0, T1) == []
-        assert detect_distributes(h, T0, T1) == []
+        assert groups_of(CorrectionKind.MERGE, h, T0, T1) == []
+        assert groups_of(CorrectionKind.SPLIT, h, T0, T1) == []
+        assert groups_of(CorrectionKind.DISTRIBUTE, h, T0, T1) == []
 
     def test_merge_into_fresh_profile(self):
         h = hist(
             snap(T0, {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y")]}),
             snap(T1, {"C": [("d1", 0, "X"), ("d2", 0, "Y")]}),
         )
-        groups = detect_merge_groups(h, T0, T1)
+        groups = groups_of(CorrectionKind.MERGE, h, T0, T1)
         assert groups_as_sets(groups) == {
             (CorrectionKind.MERGE, frozenset({"A", "B"}), frozenset({"C"}))
         }
@@ -111,7 +117,7 @@ class TestMergeGroups:
             ),
             snap(T1, {"A": [("d1", 0, "X"), ("d2", 0, "Y"), ("d3", 0, "Z")]}),
         )
-        groups = detect_merge_groups(h, T0, T1)
+        groups = groups_of(CorrectionKind.MERGE, h, T0, T1)
         assert groups_as_sets(groups) == {
             (CorrectionKind.MERGE, frozenset({"A", "B", "C"}), frozenset({"A"}))
         }
@@ -123,7 +129,7 @@ class TestSplitGroups:
             snap(T0, {"A": [("d1", 0, "X"), ("d2", 0, "Y")]}),
             snap(T1, {"A": [("d1", 0, "X")], "C": [("d2", 0, "Y")]}),
         )
-        groups = detect_split_groups(h, T0, T1)
+        groups = groups_of(CorrectionKind.SPLIT, h, T0, T1)
         assert groups_as_sets(groups) == {
             (CorrectionKind.SPLIT, frozenset({"A"}), frozenset({"A", "C"}))
         }
@@ -133,7 +139,7 @@ class TestSplitGroups:
             snap(T0, {"A": [("d1", 0, "X"), ("d2", 0, "Y")]}),
             snap(T1, {"B": [("d1", 0, "X")], "C": [("d2", 0, "Y")]}),
         )
-        groups = detect_split_groups(h, T0, T1)
+        groups = groups_of(CorrectionKind.SPLIT, h, T0, T1)
         assert groups_as_sets(groups) == {
             (CorrectionKind.SPLIT, frozenset({"A"}), frozenset({"B", "C"}))
         }
@@ -146,7 +152,7 @@ class TestSplitGroups:
                 {"A": [("d1", 0, "X")], "C": [("d2", 0, "Y"), ("d3", 0, "Z")]},
             ),
         )
-        assert detect_split_groups(h, T0, T1) == []
+        assert groups_of(CorrectionKind.SPLIT, h, T0, T1) == []
 
 
 class TestDistributes:
@@ -155,7 +161,7 @@ class TestDistributes:
             snap(T0, {"A": [("d1", 0, "X"), ("d1", 1, "Y")], "B": [("d2", 0, "Z")]}),
             snap(T1, {"A": [("d1", 0, "X")], "B": [("d1", 1, "Y"), ("d2", 0, "Z")]}),
         )
-        groups = detect_distributes(h, T0, T1)
+        groups = groups_of(CorrectionKind.DISTRIBUTE, h, T0, T1)
         assert groups_as_sets(groups) == {
             (CorrectionKind.DISTRIBUTE, frozenset({"A", "B"}), frozenset({"A", "B"}))
         }
@@ -165,7 +171,7 @@ class TestDistributes:
             snap(T0, {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y")]}),
             snap(T1, {"A": [("d1", 0, "X"), ("d2", 0, "Y")]}),
         )
-        assert detect_distributes(h, T0, T1) == []
+        assert groups_of(CorrectionKind.DISTRIBUTE, h, T0, T1) == []
 
     def test_profile_id_handover_is_not_a_correction(self):
         h = hist(
@@ -403,11 +409,15 @@ def test_duality_on_random_reassignments(data):
     a1, a2, k = data
     forward = _partition_history(a1, a2, k)
     backward = _partition_history(a2, a1, k)
-    merges = groups_as_sets(detect_merge_groups(forward, T0, T1))
-    splits = groups_as_sets(detect_split_groups(backward, T0, T1))
+    merges = groups_as_sets(groups_of(CorrectionKind.MERGE, forward, T0, T1))
+    splits = groups_as_sets(groups_of(CorrectionKind.SPLIT, backward, T0, T1))
     assert {
         (CorrectionKind.SPLIT, t, s) for (_k, s, t) in merges
     } == splits
+    for pid in (f"p{i}" for i in range(k)):
+        assert reference_successors(forward, pid, T0, T1) == reference_predecessors(
+            backward, pid, T0, T1
+        )
 
 
 @given(reassignments())
@@ -415,9 +425,9 @@ def test_duality_on_random_reassignments(data):
 def test_detectors_are_disjoint_and_deterministic(data):
     a1, a2, k = data
     h = _partition_history(a1, a2, k)
-    merges = detect_merge_groups(h, T0, T1)
-    splits = detect_split_groups(h, T0, T1)
-    distributes = detect_distributes(h, T0, T1)
+    merges = groups_of(CorrectionKind.MERGE, h, T0, T1)
+    splits = groups_of(CorrectionKind.SPLIT, h, T0, T1)
+    distributes = groups_of(CorrectionKind.DISTRIBUTE, h, T0, T1)
     sets = [groups_as_sets(merges), groups_as_sets(splits), groups_as_sets(distributes)]
     profile_sets = [
         {frozenset(s | t) for (_k, s, t) in one} for one in sets
@@ -432,3 +442,106 @@ def test_detectors_are_disjoint_and_deterministic(data):
     assert cases == extract_corrections(h, max_workers=3)
     for case in cases:
         case.check()
+
+
+@st.composite
+def open_slot_histories(draw):
+    """Author slot counts of a few documents, and two to four observations
+    in which each slot is held by one of a few profiles or by nobody.  The
+    holders are drawn afresh each time, so unclaimed slots get taken and
+    held ones are freed."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    slots = [(f"d{i}", pos) for i, n in enumerate(sizes) for pos in range(n)]
+    holders = st.lists(
+        st.sampled_from([None, "A", "B", "C", "Z"]), min_size=len(slots), max_size=len(slots)
+    )
+    states = []
+    for _ in range(draw(st.integers(2, 4))):
+        state = {}
+        for (doc, pos), pid in zip(slots, draw(holders)):
+            if pid is not None:
+                state.setdefault(pid, []).append((doc, pos, f"S{pos}"))
+        states.append(state)
+    return sizes, states
+
+
+def _full_scan_new_mentions(history, case):
+    """The target mention keys that no profile held at ``t_before``."""
+    held = {
+        m.key
+        for prof in history.at(case.t_before).profiles.values()
+        for m in prof.mentions
+    }
+    targets = {m.key for sigs in case.target_profiles.values() for m in sigs}
+    return targets - held
+
+
+# d9 is held at the first date by Z, outside the A-B-C case, and moves to C
+# in the second interval.
+_OUTSIDE_HOLDER = (
+    [1] * 10,
+    [
+        {"A": [("d1", 0, "S0"), ("d3", 0, "S0")], "B": [("d2", 0, "S0")],
+         "Z": [("d8", 0, "S0"), ("d9", 0, "S0")]},
+        {"A": [("d1", 0, "S0"), ("d2", 0, "S0"), ("d3", 0, "S0")],
+         "Z": [("d8", 0, "S0"), ("d9", 0, "S0")]},
+        {"A": [("d1", 0, "S0"), ("d2", 0, "S0")], "C": [("d3", 0, "S0"), ("d9", 0, "S0")],
+         "Z": [("d8", 0, "S0")]},
+    ],
+)
+
+
+def _open_slot_history(sizes, states):
+    docs = {
+        f"d{i}": DocumentRecord(f"d{i}", title="T", year=2001,
+                                authors=tuple(f"S{pos}" for pos in range(n)))
+        for i, n in enumerate(sizes)
+    }
+    return hist(*(snap(t, state, docs) for t, state in zip((T0, T1, T2, T3), states)))
+
+
+@given(open_slot_histories())
+@example(_OUTSIDE_HOLDER)
+@settings(max_examples=200, deadline=None)
+def test_new_mentions_are_the_target_mentions_nobody_held_before(data):
+    # Once as built in memory, where the change sets come from comparing
+    # profile maps, and once loaded, where the reader records them.
+    built = _open_slot_history(*data)
+    with tempfile.TemporaryDirectory() as directory:
+        write_history(built, directory)
+        loaded = load_history(directory)
+    assert loaded.profile_changes is not None
+    for history in (built, loaded):
+        for case in extract_corrections(history):
+            assert case.new_mentions == _full_scan_new_mentions(history, case)
+
+
+def test_a_mention_held_outside_the_case_is_not_new():
+    cases = extract_corrections(_open_slot_history(*_OUTSIDE_HOLDER))
+    assert [(c.kind, c.profiles, c.t_before, c.t_after, c.new_mentions) for c in cases] == [
+        (CorrectionKind.DISTRIBUTE, frozenset("ABC"), T0, T2, frozenset()),
+        (CorrectionKind.SPLIT, frozenset("CZ"), T1, T2, frozenset()),
+    ]
+
+
+class _Unlistable(dict):
+    """A profile map that answers lookups and refuses to be listed."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a whole profile map was scanned")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_extraction_never_scans_a_whole_profile_map():
+    # d9 is a slot of an existing document that nobody held at T0.
+    d9 = DocumentRecord("d9", title="T", year=2001, authors=("Q",))
+    s0 = snap(T0, {"A": [("d1", 0, "X")], "B": [("d2", 0, "Y")]}, {"d9": d9})
+    s1 = snap(T1, {"A": [("d1", 0, "X"), ("d2", 0, "Y"), ("d9", 0, "Q")]})
+    h = History(
+        tuple(Snapshot(s.time, _Unlistable(s.profiles), s.documents) for s in (s0, s1)),
+        profile_changes=(frozenset({"A", "B"}),),
+    )
+    (case,) = extract_corrections(h)
+    assert case.kind is CorrectionKind.MERGE
+    assert case.new_mentions == frozenset({("d9", 0, Role.AUTHOR)})

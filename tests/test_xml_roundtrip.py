@@ -353,6 +353,28 @@ def test_writer_refusal_names_the_value(tmp_path):
         assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize(
+    "record",
+    [DocumentRecord("d", venue_key="v1"), DocumentRecord("d", venue_name="Venue")],
+    ids=["key-without-name", "name-without-key"],
+)
+def test_writer_refuses_a_venue_key_and_name_apart(tmp_path, record):
+    # The words of ``Snapshot.validate``'s refusal of the same value.
+    message = (
+        rf"^document d: venue key {re.escape(repr(record.venue_key))} and venue name "
+        rf"{re.escape(repr(record.venue_name))}: both or neither must be set$"
+    )
+    s = Snapshot("2017-01-01", {}, {"d": record})
+    with pytest.raises(IntegrityError, match=message):
+        s.validate()
+    with pytest.raises(FormatError, match=message):
+        write_snapshot(s)
+    for name in ("s.xml", "s.xml.gz"):
+        with pytest.raises(FormatError, match=message):
+            write_snapshot_to(s, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("name", ["s.xml", "s.xml.gz"])
 def test_failed_write_leaves_no_file(tmp_path, name):
     # The last document's title cannot be written, so rendering fails after
