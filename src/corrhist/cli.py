@@ -179,7 +179,8 @@ def _add_parallel_arg(sub: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="accepted for compatibility; has no effect (detection runs serially,"
-        " case-collection builds graphs on up to two usable CPUs)",
+        " case-collection builds graphs on up to two usable CPUs, one process"
+        " on each)",
     )
 
 

@@ -37,7 +37,7 @@ from .model import (
     Snapshot,
     validate_date,
 )
-from .snapshot_io import write_history
+from .snapshot_io import _collection_paused, write_history
 
 # The share of surfaces that abbreviate the first name, and of persons who
 # have a middle initial.
@@ -644,8 +644,13 @@ class _Generator:
 
 
 def generate(config: GeneratorConfig) -> tuple[History, GroundTruthLog]:
-    """Generate a history realizing the config's edit plan, plus its log."""
-    return _Generator(config).build()
+    """Generate a history realizing the config's edit plan, plus its log.
+
+    Like a read, generation makes many records and no reference cycle, so
+    automatic cyclic collection is paused while it runs.
+    """
+    with _collection_paused():
+        return _Generator(config).build()
 
 
 def write_generated(
@@ -661,12 +666,13 @@ def write_generated(
 
     Consecutive generated snapshots share every record an edit left alone,
     so each later file renders only the records the edits of its interval
-    touched.
+    touched.  Automatic cyclic collection is paused while it writes.
     """
     out = Path(out_dir)
-    write_history(history, out, compress=compress)
-    log_path = out / "ground-truth.tsv"
-    with open(log_path, "w", encoding="utf-8") as f:
-        for line in ground_truth_lines(log):
-            f.write(line + "\n")
+    with _collection_paused():
+        write_history(history, out, compress=compress)
+        log_path = out / "ground-truth.tsv"
+        with open(log_path, "w", encoding="utf-8") as f:
+            for line in ground_truth_lines(log):
+                f.write(line + "\n")
     return log_path

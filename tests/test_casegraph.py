@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import hashlib
+import json
 import os
 import signal
 import threading
@@ -513,9 +515,54 @@ class TestCollection:
         use_cpus(monkeypatch, cpus, cap)
         forked = counted_forks(monkeypatch)
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        mask = cpu_mask()
         build_case_collection(extract_corrections(history), history, tmp_path)
         assert len(forked) == forks
         assert collection_digests(tmp_path) == PINNED_COLLECTION_SHA256
+        assert cpu_mask() == mask
+
+    def test_each_worker_runs_on_a_cpu_of_its_own(self, tmp_path, monkeypatch):
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("placing two workers needs two usable CPUs")
+        placements = tmp_path / "placements.jsonl"
+        build = casegraph._case_graphs
+
+        def noted(*args):
+            # Forked workers inherit this patch and append to the same file.
+            with open(placements, "a") as f:
+                f.write(json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))]) + "\n")
+            return build(*args)
+
+        monkeypatch.setattr(casegraph, "_case_graphs", noted)
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        out = tmp_path / "collection"
+        build_case_collection(extract_corrections(history), history, out)
+        cpus_of = {}
+        for line in placements.read_text().splitlines():
+            pid, cpus = json.loads(line)
+            assert cpus_of.setdefault(pid, cpus) == cpus
+        assert len(cpus_of) == 2
+        (a,), (b,) = cpus_of.values()
+        assert a != b
+        assert collection_digests(out) == PINNED_COLLECTION_SHA256
+
+    def test_a_refused_placement_changes_nothing(self, tmp_path, monkeypatch):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("this platform places no process on a CPU")
+        use_cpus(monkeypatch, 2)
+        cpus = sorted(os.sched_getaffinity(0))
+        asked = []
+
+        def refuse(pid, mask):
+            asked.append(sorted(mask))
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        build_case_collection(extract_corrections(history), history, tmp_path)
+        assert collection_digests(tmp_path) == PINNED_COLLECTION_SHA256
+        # This process asked for its worker's CPU, then for its mask back.
+        assert asked == [cpus[:1], cpus]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_cases_give_a_header_only_manifest(self, workers, tmp_path, monkeypatch):
@@ -532,10 +579,11 @@ class TestCollection:
     def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 3, cap=3)
 
-        def refuse():
-            raise AssertionError("forked while another thread runs")
+        def refuse(*args):
+            raise AssertionError("forked or placed while another thread runs")
 
         monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
         release = threading.Event()
         other = threading.Thread(target=release.wait)
@@ -568,8 +616,10 @@ class TestCollection:
             )
         first = min(tampered)
         use_cpus(monkeypatch, workers, cap=workers)
+        mask = cpu_mask()
         with pytest.raises(IntegrityError) as raised:
             build_case_collection(ordered, history, tmp_path)
+        assert cpu_mask() == mask
         pid = min(ordered[first].source_profiles)
         assert str(raised.value) == (
             f"case lists profile {pid} with a different mention set than "
@@ -591,9 +641,11 @@ class TestCollection:
 
         monkeypatch.setattr(casegraph, "_case_graphs", die_in_a_child)
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        mask = cpu_mask()
         with pytest.raises(ChildProcessError, match=r"killed by signal 9$"):
             build_case_collection(extract_corrections(history), history, tmp_path)
         assert not (tmp_path / "cases.tsv").exists()
+        assert cpu_mask() == mask
 
     def test_brute_force_weight_recount(self):
         history, _log = generate(GeneratorConfig(seed=13, n_persons=150, n_documents=700))
@@ -611,6 +663,11 @@ def use_cpus(monkeypatch, cpus, cap=None):
     monkeypatch.setattr(casegraph, "_usable_cpus", lambda: cpus)
     if cap is not None:
         monkeypatch.setattr(casegraph, "_MAX_WORKERS", cap)
+
+
+def cpu_mask():
+    """The CPUs this process may run on, where the platform says."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
 
 def counted_forks(monkeypatch):

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import re
 
 import pytest
 
+from corrhist import synth
 from corrhist.errors import PlanError
 from corrhist.extract import extract_corrections
 from corrhist.model import DocumentRecord, Role
@@ -353,6 +355,35 @@ class TestGroundTruthFile:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
         }
         assert digests == PINNED_GENERATED_SHA256
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_generation_pauses_the_collector_and_leaves_it_as_it_found_it(
+        self, tmp_path, monkeypatch, enabled
+    ):
+        while_running = []
+        build, write_history = synth._Generator.build, synth.write_history
+
+        def building(self):
+            while_running.append(gc.isenabled())
+            return build(self)
+
+        def writing(*args, **kwargs):
+            while_running.append(gc.isenabled())
+            return write_history(*args, **kwargs)
+
+        monkeypatch.setattr(synth._Generator, "build", building)
+        monkeypatch.setattr(synth, "write_history", writing)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            history, log = generate(small_config())
+            after_generate = gc.isenabled()
+            write_generated(history, log, tmp_path)
+            after_write = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (after_generate, after_write) == (enabled, enabled)
+        assert while_running == [False, False]
 
     def test_write_generated_compressed(self, tmp_path):
         history, log = generate(small_config(observation_dates=default_dates(2)))
