@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 from xml.etree import ElementTree as ET
 
+from ._cpus import _cpu_mask, _run_on, _usable_cpus
 from ._xml import escape_attr, parse_int
 from .blocking import representative_surface
 from .errors import FormatError, IntegrityError
@@ -501,23 +502,6 @@ def parse_case_graph(data: bytes) -> CaseGraph:
 _MAX_WORKERS = 2
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_on(cpus: Sequence[int]) -> None:
-    """Run this process on ``cpus`` only.  Where the kernel refuses, it
-    keeps placing the process as before: placement changes no output."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
 def build_case_collection(
     cases: Sequence[CorrectionCase],
     history: History,
@@ -571,9 +555,7 @@ def build_case_collection(
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     # The caller's mask, which places the workers; empty where nothing is placed.
-    cpus: list[int] = []
-    if workers > 1 and hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
+    cpus = _cpu_mask() if workers > 1 else []
     pids: list[int] = []
     failed = False
     try:

@@ -24,6 +24,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from . import __version__
@@ -121,15 +122,20 @@ def _cmd_case_collection(args: argparse.Namespace) -> int:
 
 def _cmd_embedded(args: argparse.Namespace) -> int:
     from .embedded import build_embedded_collection
+    from .snapshot_io import _early_gzip
 
-    history = _load(args)
-    counts = build_embedded_collection(
-        history,
-        args.t1,
-        args.t2,
-        args.out,
-        compress=args.compress,
-    )
+    # With --compress, the t1 file may be gzipped on a second CPU while the
+    # series loads.
+    with _early_gzip(args.snapshots, args.t1) if args.compress else nullcontext() as early:
+        history = _load(args)
+        counts = build_embedded_collection(
+            history,
+            args.t1,
+            args.t2,
+            args.out,
+            compress=args.compress,
+            early=early,
+        )
     summary = ", ".join(f"{k}={counts[k]}" for k in ("merge", "split", "distribute", "all"))
     _say(args, f"embedded collection at {args.out} ({summary})")
     return 0
@@ -178,9 +184,10 @@ def _add_parallel_arg(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="accepted for compatibility; has no effect (detection runs serially,"
+        help="accepted for compatibility; has no effect (detection runs serially;"
         " case-collection builds graphs on up to two usable CPUs, one process"
-        " on each)",
+        " on each; embedded --compress gzips the t1 file on a second usable"
+        " CPU while the series loads)",
     )
 
 

@@ -27,7 +27,7 @@ from .extract import (
     extract_corrections,
 )
 from .model import History, MentionKey, Role, Signature, Snapshot
-from .snapshot_io import snapshot_filename, write_snapshot_to
+from .snapshot_io import _EarlyGzip, _refuse_strays, snapshot_filename, write_snapshot_to
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,7 @@ def build_embedded_collection(
     out_dir: str | Path,
     *,
     compress: bool = False,
+    early: _EarlyGzip | None = None,
 ) -> dict[str, int]:
     """Write the embedded collection for the observation pair (t1, t2).
 
@@ -295,9 +296,20 @@ def build_embedded_collection(
     two observations directly (intermediate observations are deliberately
     not consulted), and writes one annotation per correction case.  Returns
     correction counts by kind plus their total under ``"all"``.
+
+    A snapshot file already in ``out_dir`` that the export would not
+    overwrite (another date, or the other compression of ``t1``) raises
+    FileExistsError naming it before anything is written, since loading the
+    directory would mix two series.  ``early``, the t1 file's bytes and
+    their gzip member deflated ahead (``snapshot_io._early_gzip``), goes to
+    ``write_snapshot_to``: with ``compress`` the export is that member if
+    the snapshot renders to those very bytes.  The files are the same with
+    or without it.
     """
     s1, s2 = _ordered_pair(history, t1, t2)
     out = Path(out_dir)
+    snapshot_name = snapshot_filename(t1, compress=compress)
+    _refuse_strays(out, [snapshot_name])
     out.mkdir(parents=True, exist_ok=True)
 
     pair_history = History((s1, s2))
@@ -307,8 +319,7 @@ def build_embedded_collection(
         annotation_from_case(case, case_id) for case, case_id in zip(cases, ids)
     ]
 
-    snapshot_name = snapshot_filename(t1, compress=compress)
-    write_snapshot_to(s1, out / snapshot_name)
+    write_snapshot_to(s1, out / snapshot_name, early=early)
     annotations_name = "annotations.xml"
     write_annotations_file(annotations, t1, t2, out / annotations_name)
 

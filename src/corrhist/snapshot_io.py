@@ -33,18 +33,22 @@ import re
 import sys
 import zlib
 from bisect import bisect_right
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
 from xml.parsers import expat
 
+from ._cpus import _cpu_mask, _run_on, _usable_cpus
 from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
 from .model import (
     DocumentRecord, History, MentionKey, Profile, Role, Signature, Snapshot, _unpaired_venue,
     validate_date,
 )
+
+if TYPE_CHECKING:
+    import threading
 
 FORMAT_VERSION = "1"
 
@@ -1155,13 +1159,15 @@ def write_snapshot_to(
     path: str | Path,
     *,
     series: _Series | None = None,
+    early: _EarlyGzip | None = None,
 ) -> Path:
     """Write a snapshot file, gzipped when its name ends in ``.gz``.
 
-    Gzip output pins mtime and leaves the name field empty, so identical
-    snapshots give identical files whatever they are called.
-    If writing fails (a value the format cannot carry raises FormatError),
-    the error propagates and no file is left.
+    Gzip output is the member ``gzip.GzipFile(filename="", mtime=0)``
+    writes at level 9 (``_gzip_member``): mtime pinned and the name field
+    empty, so identical snapshots give identical files whatever they are
+    called.  If writing fails (a value the format cannot carry raises
+    FormatError), the error propagates and no file is left.
 
     The lines come from ``_Series.lines``.  ``series`` is the state
     ``write_history`` keeps between the files of one series: the snapshot
@@ -1169,21 +1175,140 @@ def write_snapshot_to(
     object of that snapshot's record reuses its line, and only the others
     are rendered.  Without it, a fresh ``_Series`` has no earlier lines to
     reuse.  The bytes are those of ``write_snapshot`` either way.
+
+    ``early``, from ``_early_gzip``, holds the bytes of a file read before
+    and their gzip member, deflated meanwhile on a thread of its own.  Once
+    the lines are rendered, the write waits for that thread.  A gzipped
+    file is that member only if the lines equal those bytes, compared a
+    chunk at a time; otherwise the lines are gzipped as without ``early``.
+    Neither the bytes nor the member is kept once the write returns.
     """
     path = Path(path)
     raw = open(path, "wb")
     try:
-        with raw, (
-            gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
-            if path.suffix == ".gz" else nullcontext(raw)
-        ) as sink:
+        with raw:
             lines = (series or _Series()).lines(snapshot)
-            for i in range(0, len(lines), 4096):
-                sink.write(b"".join(lines[i:i + 4096]))
+            data, member = early.take() if early is not None else (None, None)
+            pieces: Iterable[bytes]
+            if path.suffix != ".gz":
+                pieces = _chunks(lines)
+            elif member is not None and _renders_as(lines, data):
+                pieces = [member]
+            else:
+                pieces = _gzip_member(_chunks(lines))
+            for piece in pieces:
+                raw.write(piece)
     except BaseException:
         path.unlink()
         raise
     return path
+
+
+def _chunks(lines: list[bytes]) -> Iterator[bytes]:
+    """``lines`` joined 4096 at a time, as the writer writes them."""
+    for i in range(0, len(lines), 4096):
+        yield b"".join(lines[i:i + 4096])
+
+
+def _renders_as(lines: list[bytes], data: bytes) -> bool:
+    """Whether ``lines``, joined, are ``data``; no copy of ``data`` is made."""
+    at = 0
+    for chunk in _chunks(lines):
+        if not data.startswith(chunk, at):
+            return False
+        at += len(chunk)
+    return at == len(data)
+
+
+# What ``gzip.GzipFile(filename="", mtime=0)`` writes first at level 9:
+# magic, deflate, no flags, mtime 0, "slowest compression", OS unknown.
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+
+
+def _gzip_member(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The gzip member of ``chunks`` joined, in pieces: the bytes
+    ``gzip.GzipFile(filename="", mode="wb", mtime=0)`` writes for them, at
+    level 9, however they are split.  This is the one gzip encoder of the
+    writers."""
+    yield _GZIP_HEADER
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL, 0)
+    crc = size = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        size += len(chunk)
+        yield deflate.compress(chunk)
+    yield (deflate.flush() + crc.to_bytes(4, "little")
+           + (size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+class _EarlyGzip:
+    """The bytes of a snapshot file, read ahead, and their gzip member,
+    which a thread of its own deflates (``_early_gzip``)."""
+
+    __slots__ = ("data", "member", "thread")
+
+    def __init__(self, data: bytes) -> None:
+        self.data: bytes | None = data
+        self.member: bytes | None = None
+        self.thread: threading.Thread | None = None
+
+    def deflate(self, cpus: list[int]) -> None:
+        """The thread's work, on the second CPU of ``cpus`` if any: the
+        member in one compress call."""
+        if cpus:
+            _run_on([cpus[1 % len(cpus)]])
+        try:
+            self.member = b"".join(_gzip_member((self.data,)))  # type: ignore[arg-type]
+        except MemoryError:
+            pass  # the write gzips the render instead
+
+    def take(self) -> tuple[bytes | None, bytes | None]:
+        """Wait for the thread; the bytes and their member, None if
+        deflating failed.  This object keeps neither."""
+        self.thread.join()  # type: ignore[union-attr]
+        taken = self.data, self.member
+        self.data = self.member = None
+        return taken
+
+
+@contextmanager
+def _early_gzip(directory: str | Path, date: str) -> Iterator[_EarlyGzip | None]:
+    """Gzip the snapshot file of ``date`` in ``directory`` on a second CPU
+    while the block runs, for ``write_snapshot_to(early=...)``.
+
+    The file is the one ``discover_snapshot_files`` lists for ``date``.
+    Unless it is the only one, uncompressed and readable, and this process
+    may use two CPUs or more, this yields None and starts nothing.
+    Otherwise its bytes are read now and one thread deflates them.  Where
+    the platform can place threads, that thread runs on the second CPU of
+    the caller's mask and the caller on the first, since a host that does
+    not balance load would leave both on one.  However the block ends, the
+    thread is joined and the caller gets its mask back.  A refused
+    placement changes nothing.
+    """
+    files = [f for f in discover_snapshot_files(directory) if f.date == date]
+    early = None
+    if len(files) == 1 and files[0].path.suffix == ".xml" and _usable_cpus() >= 2:
+        try:
+            early = _EarlyGzip(files[0].path.read_bytes())
+        except OSError:
+            pass  # the load reports it
+    if early is None:
+        yield None
+        return
+    import threading
+
+    cpus = _cpu_mask()
+    early.thread = threading.Thread(target=early.deflate, args=(cpus,), name="corrhist-gzip")
+    early.thread.start()
+    try:
+        if cpus:
+            _run_on(cpus[:1])
+        yield early
+    finally:
+        early.thread.join()
+        if cpus:
+            _run_on(cpus)
 
 
 @dataclass(frozen=True)
@@ -1278,20 +1403,29 @@ def write_history(history: History, directory: str | Path, *, compress: bool = F
     """
     directory = Path(directory)
     names = [snapshot_filename(s.time, compress=compress) for s in history.snapshots]
-    if directory.is_dir():
-        planned = set(names)
-        stray = sorted(
-            p.name for p in directory.iterdir()
-            if _FILENAME_RE.fullmatch(p.name) and p.name not in planned
-        )
-        if stray:
-            raise FileExistsError(
-                f"{directory / stray[0]} belongs to no snapshot of this series; "
-                f"writing here would mix two series"
-            )
+    _refuse_strays(directory, names)
     directory.mkdir(parents=True, exist_ok=True)
     series = _Series()
     return [
         write_snapshot_to(snap, directory / name, series=series)
         for snap, name in zip(history.snapshots, names)
     ]
+
+
+def _refuse_strays(directory: Path, names: Iterable[str]) -> None:
+    """Raise FileExistsError naming a snapshot file in ``directory`` that
+    writing the files ``names`` there would not overwrite (another date, or
+    the other compression of one of their dates): loaded with them, it
+    would mix two series."""
+    if not directory.is_dir():
+        return
+    planned = set(names)
+    stray = sorted(
+        p.name for p in directory.iterdir()
+        if _FILENAME_RE.fullmatch(p.name) and p.name not in planned
+    )
+    if stray:
+        raise FileExistsError(
+            f"{directory / stray[0]} belongs to no snapshot of this series; "
+            f"writing here would mix two series"
+        )

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -247,6 +248,28 @@ class TestCollections:
             "annotations.xml", "manifest.tsv", "snapshot-2015-01-01.xml",
         ]
         assert "embedded collection" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "compress"])
+    def test_embedded_refuses_an_out_directory_holding_another_series(
+        self, corpus, tmp_path, capsys, compress
+    ):
+        # Written into its own --snapshots directory, the export would sit
+        # beside the other snapshots, and the next command would load them
+        # all as one history.
+        series = shutil.copytree(corpus, tmp_path / "series")
+        before = tree_bytes(series)
+        argv = ["embedded", "--snapshots", str(series), "--t1", "2015-01-01",
+                "--t2", "2015-02-01", "--quiet"] + ["--compress"] * compress
+        assert main(argv + ["--out", str(series)]) == 1
+        stray = series / ("snapshot-2015-01-01.xml" if compress else "snapshot-2015-02-01.xml")
+        assert capsys.readouterr().err == (
+            f"corrhist: error: {stray} belongs to no snapshot of this series; "
+            "writing here would mix two series\n"
+        )
+        assert tree_bytes(series) == before
+        # A directory holding only this export's files is written again.
+        for _ in range(2):
+            assert main(argv + ["--out", str(tmp_path / "emb")]) == 0
 
 
 @pytest.mark.parametrize("damage", ["truncated", "corrupt-deflate"])

@@ -1,0 +1,238 @@
+"""``embedded --compress`` may gzip its t1 file on a second CPU while the
+series loads (``snapshot_io._early_gzip``), and it keeps that member only
+if the rendered file is those very bytes.  Neither the files, nor the
+errors, nor the caller's threads and CPU mask may show whether it did."""
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
+
+import pytest
+
+from corrhist import _cpus, casegraph, snapshot_io
+from corrhist.cli import main
+from corrhist.errors import FormatError
+from corrhist.snapshot_io import write_history
+from corrhist.synth import GeneratorConfig, default_dates, generate
+
+from test_acceptance import launcher, tree_bytes
+
+T1, T2 = "2015-01-01", "2015-03-01"
+CONFIG = GeneratorConfig(seed=27, n_persons=800, n_documents=4000, observation_dates=default_dates(3))
+
+# Every file ``embedded --compress`` writes for CONFIG's series, as the
+# writer wrote them when each gzip went through ``gzip.GzipFile``.
+PINNED_EMBEDDED_SHA256 = {
+    "annotations.xml": "6c6e903d94f50522210fece40d437c9fdb048f22d5d3f9e9fc363be9dedee61f",
+    "manifest.tsv": "57aeb464138fb11468d64c31623054fbbe8058b743953062f798ea37d4e83e71",
+    "snapshot-2015-01-01.xml.gz": "2c8ee8084e7f6047b0ea870b4968ed01bbf126a10b8b4f0a62bfe62ae50db345",
+}
+
+
+@pytest.fixture(scope="module")
+def series(tmp_path_factory):
+    """CONFIG's series, canonical and uncompressed.  Its t1 file holds more
+    than 4096 lines, so a render is gzipped in two chunks and the early
+    member in one."""
+    directory = tmp_path_factory.mktemp("series")
+    history, _log = generate(CONFIG)
+    write_history(history, directory)
+    return directory
+
+
+@pytest.fixture
+def copy(series, tmp_path):
+    """A copy of the series that a test may damage."""
+    return shutil.copytree(series, tmp_path / "series")
+
+
+def embedded(snapshots, out, t1=T1):
+    return ["embedded", "--snapshots", str(snapshots), "--t1", t1, "--t2", T2,
+            "--compress", "--quiet", "--out", str(out)]
+
+
+def digests(directory):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(directory).items()}
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """Let the early gzip start its thread whatever CPUs this host has.
+    Each gzip encoding notes in the returned list the thread that ran it,
+    ``"thread"`` or ``"main"``, and that thread's CPU mask."""
+    monkeypatch.setattr(snapshot_io, "_usable_cpus", lambda: 2)
+    calls = []
+    encode = snapshot_io._gzip_member
+
+    def noted(chunks):
+        main_thread = threading.current_thread() is threading.main_thread()
+        calls.append(("main" if main_thread else "thread", cpu_mask()))
+        return encode(chunks)
+
+    monkeypatch.setattr(snapshot_io, "_gzip_member", noted)
+    return calls
+
+
+def cpu_mask():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def threads(calls):
+    return [thread for thread, _mask in calls]
+
+
+def test_placement_has_one_home():
+    for name in ("_usable_cpus", "_cpu_mask", "_run_on"):
+        assert getattr(casegraph, name) is getattr(_cpus, name) is getattr(snapshot_io, name)
+
+
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["every-cpu", "one-cpu"])
+def test_the_program_writes_the_pinned_files(series, tmp_path, one_cpu):
+    proc = subprocess.run([sys.executable, *launcher(one_cpu), *embedded(series, tmp_path)],
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+
+
+def test_the_early_member_is_the_file(series, tmp_path, encoded, monkeypatch):
+    taken = []
+    take = snapshot_io._EarlyGzip.take
+
+    def noted(self):
+        taken.append(self)
+        return take(self)
+
+    monkeypatch.setattr(snapshot_io._EarlyGzip, "take", noted)
+    assert main(embedded(series, tmp_path)) == 0
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+    # Only the thread encoded: the render was those bytes.
+    assert threads(encoded) == ["thread"]
+    # Neither the bytes nor the member outlived the write.
+    [early] = taken
+    assert (early.data, early.member) == (None, None)
+
+
+@pytest.mark.parametrize("edit", ["out-of-order", "indented"])
+def test_a_t1_file_unlike_its_render_gets_the_gzip_of_the_render(copy, tmp_path, encoded, edit):
+    path = copy / "snapshot-2015-01-01.xml"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[2].startswith(b"<document") and lines[3].startswith(b"<document")
+    if edit == "out-of-order":
+        # Canonical records, but not in the order the writer writes them.
+        lines[2], lines[3] = lines[3], lines[2]
+    else:
+        # One indented line sends the file to expat.
+        lines[2] = b"  " + lines[2]
+    path.write_bytes(b"".join(lines))
+    assert main(embedded(copy, tmp_path / "out")) == 0
+    # The snapshot is the same, so the files are those of the series itself.
+    assert digests(tmp_path / "out") == PINNED_EMBEDDED_SHA256
+    assert threads(encoded) == ["thread", "main"]
+
+
+def test_a_refused_placement_changes_nothing(series, tmp_path, encoded, monkeypatch):
+    asked = []
+
+    def refuse(pid, cpus):
+        asked.append(sorted(cpus))
+        raise OSError("placement refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    mask = cpu_mask()
+    assert main(embedded(series, tmp_path)) == 0
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+    assert threads(encoded) == ["thread"]
+    assert cpu_mask() == mask
+    if mask is not None and hasattr(os, "sched_getaffinity"):
+        cpus = sorted(mask)
+        # The thread, this thread, and this thread's whole mask again.
+        assert sorted(asked) == sorted([[cpus[1 % len(cpus)]], cpus[:1], cpus])
+
+
+def test_the_thread_and_its_caller_each_run_on_a_cpu_of_their_own(series, tmp_path, encoded,
+                                                                  monkeypatch):
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    cpus = sorted(os.sched_getaffinity(0))
+    loading = []
+    load = snapshot_io.load_history
+
+    def noted(directory):
+        loading.append(cpu_mask())
+        return load(directory)
+
+    monkeypatch.setattr(snapshot_io, "load_history", noted)
+    assert main(embedded(series, tmp_path)) == 0
+    assert encoded == [("thread", {cpus[1]})]
+    assert loading == [{cpus[0]}]
+    assert cpu_mask() == set(cpus)
+
+
+def _corrupt_later_file(snapshots, monkeypatch):
+    path = snapshots / "snapshot-2015-02-01.xml"
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+def _fail_the_render(snapshots, monkeypatch):
+    def fail(self, snapshot):
+        raise FormatError("cannot render")
+
+    monkeypatch.setattr(snapshot_io._Series, "lines", fail)
+
+
+@pytest.mark.parametrize(
+    "damage, started",
+    [(None, True), (_corrupt_later_file, True), (_fail_the_render, True), ("unknown-t1", False)],
+    ids=["success", "load-error", "render-error", "unknown-t1"],
+)
+def test_main_leaves_no_thread_and_gives_the_mask_back(copy, tmp_path, encoded, monkeypatch,
+                                                       damage, started):
+    t1 = T1
+    if damage == "unknown-t1":
+        t1 = "1999-01-01"
+    elif damage is not None:
+        damage(copy, monkeypatch)
+    before = (threading.active_count(), cpu_mask())
+    code = main(embedded(copy, tmp_path / "out", t1))
+    assert (threading.active_count(), cpu_mask()) == before
+    assert code == (0 if damage is None else 1)
+    assert ("thread" in threads(encoded)) == started
+    if damage is not None:
+        assert not (tmp_path / "out" / "snapshot-2015-01-01.xml.gz").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, compress, one_cpu",
+    [("gz", True, False), ("plain", False, False), ("plain", True, True), ("plain", True, False)],
+    ids=["gz-series", "no-compress", "one-cpu", "two-cpus"],
+)
+def test_threading_is_imported_only_when_a_thread_starts(series, tmp_path, kind, compress,
+                                                          one_cpu):
+    snapshots = series
+    if kind == "gz":
+        snapshots = tmp_path / "gz"
+        history, _log = generate(GeneratorConfig(seed=3, n_persons=60, n_documents=260,
+                                                 observation_dates=default_dates(3)))
+        write_history(history, snapshots, compress=True)
+    argv = embedded(snapshots, tmp_path / "out")
+    if not compress:
+        argv.remove("--compress")
+    # Without site, this interpreter imports threading only if the program does.
+    code = (
+        "import json, os, sys\n"
+        "if sys.argv[1] == 'True' and hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "assert 'threading' not in sys.modules\n"
+        "from corrhist.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "print(json.dumps([code, 'threading' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(one_cpu), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threaded = kind == "plain" and compress and not one_cpu and _cpus._usable_cpus() >= 2
+    assert json.loads(proc.stdout) == [0, threaded]

@@ -7,6 +7,7 @@ exactly the bytes of its snapshot written alone, plain and gzip.
 """
 
 import gzip
+import io
 import tempfile
 from pathlib import Path
 
@@ -108,6 +109,21 @@ def test_each_file_is_its_snapshot_written_alone(snapshots, compress):
                 assert data == write_snapshot(snapshot)
                 alone = write_snapshot_to(snapshot, Path(tmp) / "alone.xml")
                 assert alone.read_bytes() == write_snapshot(snapshot)
+
+
+@given(snapshots=_series(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_gzip_encoder_writes_what_gzipfile_writes(snapshots, data):
+    # One encoder gzips a render in chunks and an early member in one call;
+    # either must be the member GzipFile writes, however the lines split.
+    snapshot = data.draw(st.sampled_from(snapshots))
+    lines = write_snapshot(snapshot).splitlines(keepends=True)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=len(lines) + 1)))
+    chunks = [b"".join(lines[a:b]) for a, b in zip([0, *cuts], [*cuts, len(lines)])]
+    buffer = io.BytesIO()
+    with gzip.GzipFile(filename="", fileobj=buffer, mode="wb", mtime=0) as f:
+        f.write(write_snapshot(snapshot))
+    assert b"".join(snapshot_io._gzip_member(chunks)) == buffer.getvalue()
 
 
 def test_a_later_file_renders_only_what_changed(tmp_path, monkeypatch):
