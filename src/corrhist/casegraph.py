@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 from xml.etree import ElementTree as ET
 
-from ._cpus import _cpu_mask, _run_on, _usable_cpus
+from ._cpus import _beside, _cpu_mask
 from ._xml import escape_attr, parse_int
 from .blocking import representative_surface
 from .errors import FormatError, IntegrityError
@@ -496,12 +496,6 @@ def parse_case_graph(data: bytes) -> CaseGraph:
     return graph
 
 
-# Case graph workers, this process included, each on a CPU of its own.  Only
-# two are measured: each forked one holds about 130 MiB of private pages on
-# the acceptance-7 corpus.
-_MAX_WORKERS = 2
-
-
 def build_case_collection(
     cases: Sequence[CorrectionCase],
     history: History,
@@ -515,16 +509,15 @@ def build_case_collection(
     bounding observations, so the cost scales with the profiles of one
     observation plus the changes, not with intervals times profiles.
 
-    One process per usable CPU, at most ``_MAX_WORKERS``, builds and writes
-    the graphs of every W-th case: this one and W-1 forked children sharing
-    the owner index, so the bytes are the same for any W.  With W >= 2,
-    worker k (this process is worker 0) runs on CPU k of this process's
-    mask, in ascending order and modulo its size, since a host that does
-    not balance load would leave a forked worker on its parent's CPU; this
-    process gets its mask back once every worker has ended.  If a worker
-    fails, this process redoes every case once all workers have ended and
-    raises the error of the earliest failing case; no manifest is written,
-    and graph files of later cases may exist.
+    Where this process may use two CPUs or more, there are two cases or
+    more, and no other thread runs, one forked child sharing the owner
+    index builds and writes cases 1, 3, 5, ... on the second CPU of the
+    mask, while this process builds 0, 2, 4, ... on the first
+    (``_cpus._beside``); otherwise this process builds them all.  The
+    bytes are the same either way.  This process gets its mask back once
+    the child has ended.  If either fails, this process then redoes every
+    case and raises the error of the earliest failing case; no manifest
+    is written, and graph files of later cases may exist.
 
     Returns the manifest path.
     """
@@ -550,43 +543,33 @@ def build_case_collection(
             (out / f"{case_id}-after.xml").write_bytes(serialize_case_graph(g_after))
 
     jobs = list(zip(ids, ordered))
-    workers = min(_usable_cpus(), _MAX_WORKERS, len(jobs))
+    cpus = _cpu_mask()
     # Forking a threaded process can deadlock the child on another thread's lock.
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    # The caller's mask, which places the workers; empty where nothing is placed.
-    cpus = _cpu_mask() if workers > 1 else []
-    pids: list[int] = []
-    failed = False
-    try:
-        for k in range(1, workers):
+    if len(cpus) < 2 or len(jobs) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        write_graphs(jobs)
+    else:
+        failed = False
+        with _beside(cpus) as move:
             if (pid := os.fork()) == 0:
                 status = 1
                 try:
-                    if cpus:
-                        _run_on([cpus[k % len(cpus)]])
-                    write_graphs(jobs[k::workers])
+                    move()
+                    write_graphs(jobs[1::2])
                     status = 0
                 finally:
                     os._exit(status)
-            pids.append(pid)
-        if cpus:
-            _run_on(cpus[:1])
-        write_graphs(jobs[::workers])
-    except Exception:
-        if not pids:
-            raise
-        failed = True
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        if cpus:
-            _run_on(cpus)
-    if signals := [-code for code in codes if code < 0]:
-        raise ChildProcessError(f"a case graph worker was killed by signal {signals[0]}")
-    if failed or any(codes):
-        # Redo every case here, so that the error is the one loop's own, for
-        # the earliest failing case; cases before it get the same bytes again.
-        write_graphs(jobs)
+            try:
+                write_graphs(jobs[::2])
+            except Exception:
+                failed = True
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code < 0:
+            raise ChildProcessError(f"a case graph worker was killed by signal {-code}")
+        if failed or code:
+            # Redo every case here, so that the error is the one loop's own, for
+            # the earliest failing case; cases before it get the same bytes again.
+            write_graphs(jobs)
 
     manifest = out / "cases.tsv"
     with open(manifest, "w", encoding="utf-8") as f:

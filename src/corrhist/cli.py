@@ -185,9 +185,9 @@ def _add_parallel_arg(sub: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="accepted for compatibility; has no effect (detection runs serially;"
-        " case-collection builds graphs on up to two usable CPUs, one process"
-        " on each; embedded --compress gzips the t1 file on a second usable"
-        " CPU while the series loads)",
+        " where two CPUs are usable, case-collection forks one graph worker and"
+        " embedded --compress gzips the t1 file in one thread while the series"
+        " loads, each beside the command on a CPU of its own)",
     )
 
 

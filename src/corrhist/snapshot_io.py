@@ -36,10 +36,10 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 from xml.parsers import expat
 
-from ._cpus import _cpu_mask, _run_on, _usable_cpus
+from ._cpus import _beside, _cpu_mask
 from ._xml import escape_attr, escape_text, parse_int, parse_position
 from .errors import FormatError, IntegrityError
 from .model import (
@@ -1252,11 +1252,10 @@ class _EarlyGzip:
         self.member: bytes | None = None
         self.thread: threading.Thread | None = None
 
-    def deflate(self, cpus: list[int]) -> None:
-        """The thread's work, on the second CPU of ``cpus`` if any: the
-        member in one compress call."""
-        if cpus:
-            _run_on([cpus[1 % len(cpus)]])
+    def deflate(self, move: Callable[[], None]) -> None:
+        """The thread's work: ``move`` it beside its caller, then deflate
+        the member in one compress call."""
+        move()
         try:
             self.member = b"".join(_gzip_member((self.data,)))  # type: ignore[arg-type]
         except MemoryError:
@@ -1279,16 +1278,15 @@ def _early_gzip(directory: str | Path, date: str) -> Iterator[_EarlyGzip | None]
     The file is the one ``discover_snapshot_files`` lists for ``date``.
     Unless it is the only one, uncompressed and readable, and this process
     may use two CPUs or more, this yields None and starts nothing.
-    Otherwise its bytes are read now and one thread deflates them.  Where
-    the platform can place threads, that thread runs on the second CPU of
-    the caller's mask and the caller on the first, since a host that does
-    not balance load would leave both on one.  However the block ends, the
-    thread is joined and the caller gets its mask back.  A refused
-    placement changes nothing.
+    Otherwise its bytes are read now and one thread deflates them on the
+    second CPU of the caller's mask, while the caller runs on the first
+    (``_cpus._beside``).  However the block ends, the thread is joined and
+    the caller gets its mask back.
     """
     files = [f for f in discover_snapshot_files(directory) if f.date == date]
+    cpus = _cpu_mask()
     early = None
-    if len(files) == 1 and files[0].path.suffix == ".xml" and _usable_cpus() >= 2:
+    if len(files) == 1 and files[0].path.suffix == ".xml" and len(cpus) >= 2:
         try:
             early = _EarlyGzip(files[0].path.read_bytes())
         except OSError:
@@ -1298,17 +1296,13 @@ def _early_gzip(directory: str | Path, date: str) -> Iterator[_EarlyGzip | None]
         return
     import threading
 
-    cpus = _cpu_mask()
-    early.thread = threading.Thread(target=early.deflate, args=(cpus,), name="corrhist-gzip")
-    early.thread.start()
-    try:
-        if cpus:
-            _run_on(cpus[:1])
-        yield early
-    finally:
-        early.thread.join()
-        if cpus:
-            _run_on(cpus)
+    with _beside(cpus) as move:
+        early.thread = threading.Thread(target=early.deflate, args=(move,), name="corrhist-gzip")
+        early.thread.start()
+        try:
+            yield early
+        finally:
+            early.thread.join()
 
 
 @dataclass(frozen=True)

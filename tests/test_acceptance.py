@@ -14,12 +14,13 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from corrhist import casegraph
+from corrhist import _cpus
 from corrhist.blocking import (
     ALL_VARIANTS,
     BlockingVariant,
@@ -40,7 +41,7 @@ from corrhist.embedded import (
     serialize_annotation,
 )
 from corrhist.extract import CorrectionKind, extract_corrections
-from corrhist.snapshot_io import parse_snapshot, write_snapshot
+from corrhist.snapshot_io import discover_snapshot_files, parse_snapshot, write_snapshot
 from corrhist.synth import GeneratorConfig, default_dates, generate
 
 from conftest import hist, snap
@@ -486,6 +487,28 @@ def run_measured(args, stdout=None, hash_seed="0", one_cpu=False, worker_log=Non
     return report
 
 
+def coarse_cases(path):
+    """The cases an ``extract`` output lists, as a multiset of (kind,
+    t_before, t_after, number of profiles)."""
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    return Counter((kind, t0, t1, int(n)) for kind, t0, t1, n, _mentions in rows)
+
+
+def coarse_corrections(corpus):
+    """The merges, splits and distributes of a generated corpus's
+    ``ground-truth.tsv``, as ``coarse_cases`` counts cases: an edit of
+    interval i runs from observation i to observation i + 1."""
+    dates = [f.date for f in discover_snapshot_files(corpus)]
+    kinds = {kind.value for kind in CorrectionKind}
+    found = Counter()
+    for line in (corpus / "ground-truth.tsv").read_text().splitlines()[1:]:
+        interval, kind, profiles, _mentions = line.split("\t")
+        if kind in kinds:
+            i = int(interval)
+            found[kind, dates[i], dates[i + 1], len(profiles.split(","))] += 1
+    return found
+
+
 @pytest.mark.stress
 def test_scale_budget_and_worker_invariance(tick, tmp_path):
     # 100k persons, 500k documents, 20 observations: extraction plus
@@ -518,10 +541,7 @@ def test_scale_budget_and_worker_invariance(tick, tmp_path):
         # command's peak; the budget covers them all.
         workers_kib = [int(kib) for kib in worker_log.read_text().split()] \
             if worker_log.exists() else []
-        if hasattr(os, "sched_getaffinity"):
-            assert len(workers_kib) == min(
-                len(os.sched_getaffinity(0)), casegraph._MAX_WORKERS
-            ) - 1
+        assert len(workers_kib) == (len(_cpus._cpu_mask()) >= 2)
         assert extract["seconds"] + collection["seconds"] < 300.0
         assert extract["maxrss_kib"] < 4 * 1024 * 1024
         assert collection["maxrss_kib"] + sum(workers_kib) < 4 * 1024 * 1024
@@ -532,6 +552,8 @@ def test_scale_budget_and_worker_invariance(tick, tmp_path):
             "--quiet", "--out", cases_pooled,
         ], hash_seed="42")
         assert cases_single.read_bytes() == cases_pooled.read_bytes()
+        # The cases are the corpus's logged corrections, at coarse grain.
+        assert coarse_cases(cases_single) == coarse_corrections(corpus)
         run_measured([
             "case-collection", "--snapshots", corpus,
             "--quiet", "--out", tmp_path / "collection-one-cpu",

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from corrhist import casegraph
+from corrhist import _cpus, casegraph
 from corrhist.casegraph import (
     CaseGraph,
     Edge,
@@ -507,12 +507,10 @@ class TestCollection:
                 graph = parse_case_graph((tmp_path / name).read_bytes())
                 graph.validate()
 
-    # Usable CPUs, the worker cap (None for the package's own), and forks.
-    @pytest.mark.parametrize("cpus, cap, forks", [
-        (1, None, 0), (2, None, 1), (8, None, 1), (3, 3, 2),
-    ])
-    def test_collection_bytes_are_pinned(self, cpus, cap, forks, tmp_path, monkeypatch):
-        use_cpus(monkeypatch, cpus, cap)
+    # Usable CPUs, and forks.
+    @pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1), (8, 1)])
+    def test_collection_bytes_are_pinned(self, cpus, forks, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, cpus)
         forked = counted_forks(monkeypatch)
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
         mask = cpu_mask()
@@ -554,14 +552,15 @@ class TestCollection:
         asked = []
 
         def refuse(pid, mask):
-            asked.append(sorted(mask))
+            asked.append(sorted(set(mask)))
             raise OSError(errno.EINVAL, "Invalid argument")
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
         build_case_collection(extract_corrections(history), history, tmp_path)
         assert collection_digests(tmp_path) == PINNED_COLLECTION_SHA256
-        # This process asked for its worker's CPU, then for its mask back.
+        # This process asked for its own CPU, then for its mask back; the
+        # worker asked for its CPU in a process of its own.
         assert asked == [cpus[:1], cpus]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -576,8 +575,20 @@ class TestCollection:
         assert [p.name for p in tmp_path.iterdir()] == ["cases.tsv"]
         assert not forks
 
+    def test_one_case_forks_nothing(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
+        first = min(extract_corrections(history), key=CorrectionCase.sort_key)
+        manifest = build_case_collection([first], history, tmp_path)
+        assert len(manifest.read_text().splitlines()) == 2
+        graphs = collection_digests(tmp_path)
+        del graphs["cases.tsv"]
+        assert len(graphs) == 2 and graphs.items() <= PINNED_COLLECTION_SHA256.items()
+        assert not forks
+
     def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
-        use_cpus(monkeypatch, 3, cap=3)
+        use_cpus(monkeypatch, 2)
 
         def refuse(*args):
             raise AssertionError("forked or placed while another thread runs")
@@ -596,16 +607,16 @@ class TestCollection:
         assert not other.is_alive()
         assert collection_digests(tmp_path) == PINNED_COLLECTION_SHA256
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("tampered", [(1, 2), (0, 1), (0,), (1,)])
     def test_the_earliest_failing_case_decides_the_error(
         self, tampered, workers, tmp_path, monkeypatch
     ):
         # Some cases of the ordered list list a mention set their observation
-        # does not hold.  Worker k takes cases k, k + W, ..., and this
-        # process is worker 0: with cases 1 and 2 and two workers, the
-        # earlier fails in the child and the later here; with cases 0 and 1,
-        # the other way round; a single case fails here or in a child alone.
+        # does not hold.  With two workers the child takes cases 1, 3, ...
+        # and this process 0, 2, ...: with cases 1 and 2, the earlier fails
+        # in the child and the later here; with cases 0 and 1, the other way
+        # round; a single case fails here or in the child alone.
         history, _log = generate(GeneratorConfig(seed=21, n_persons=60, n_documents=300))
         ordered = sorted(extract_corrections(history), key=CorrectionCase.sort_key)
         for i in tampered:
@@ -615,7 +626,7 @@ class TestCollection:
                 source_profiles={**ordered[i].source_profiles, pid: sigs - {min(sigs)}},
             )
         first = min(tampered)
-        use_cpus(monkeypatch, workers, cap=workers)
+        use_cpus(monkeypatch, workers)
         mask = cpu_mask()
         with pytest.raises(IntegrityError) as raised:
             build_case_collection(ordered, history, tmp_path)
@@ -657,12 +668,14 @@ class TestCollection:
                 recount_side(graph, case, history, primaries)
 
 
-def use_cpus(monkeypatch, cpus, cap=None):
-    """Let the case collection see ``cpus`` usable CPUs, and use up to
-    ``cap`` workers instead of its own limit."""
-    monkeypatch.setattr(casegraph, "_usable_cpus", lambda: cpus)
-    if cap is not None:
-        monkeypatch.setattr(casegraph, "_MAX_WORKERS", cap)
+def use_cpus(monkeypatch, cpus, module=casegraph):
+    """Let ``module`` see a mask of one CPU if ``cpus`` is 1, and of at
+    least ``cpus`` CPUs otherwise.  The mask is this process's own, cut to
+    its first CPU or repeated, so that placing on it, or giving it back,
+    never leaves this process's CPUs."""
+    mask = _cpus._cpu_mask()
+    fake = mask[:1] if cpus < 2 else mask * cpus
+    monkeypatch.setattr(module, "_cpu_mask", lambda: fake)
 
 
 def cpu_mask():

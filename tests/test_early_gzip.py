@@ -20,6 +20,7 @@ from corrhist.snapshot_io import write_history
 from corrhist.synth import GeneratorConfig, default_dates, generate
 
 from test_acceptance import launcher, tree_bytes
+from test_casegraph import use_cpus
 
 T1, T2 = "2015-01-01", "2015-03-01"
 CONFIG = GeneratorConfig(seed=27, n_persons=800, n_documents=4000, observation_dates=default_dates(3))
@@ -61,10 +62,15 @@ def digests(directory):
 
 @pytest.fixture
 def encoded(monkeypatch):
-    """Let the early gzip start its thread whatever CPUs this host has.
-    Each gzip encoding notes in the returned list the thread that ran it,
+    """Let the early gzip start its thread whatever CPUs this host has,
+    and note each gzip encoding (``noted_encodings``)."""
+    use_cpus(monkeypatch, 2, snapshot_io)
+    return noted_encodings(monkeypatch)
+
+
+def noted_encodings(monkeypatch):
+    """Each gzip encoding notes in the returned list the thread that ran it,
     ``"thread"`` or ``"main"``, and that thread's CPU mask."""
-    monkeypatch.setattr(snapshot_io, "_usable_cpus", lambda: 2)
     calls = []
     encode = snapshot_io._gzip_member
 
@@ -86,8 +92,11 @@ def threads(calls):
 
 
 def test_placement_has_one_home():
-    for name in ("_usable_cpus", "_cpu_mask", "_run_on"):
+    # Both helpers read the mask, and are placed, through ``_cpus`` alone.
+    for name in ("_cpu_mask", "_beside"):
         assert getattr(casegraph, name) is getattr(_cpus, name) is getattr(snapshot_io, name)
+    for module in (casegraph, snapshot_io):
+        assert not hasattr(module, "_run_on")
 
 
 @pytest.mark.parametrize("one_cpu", [False, True], ids=["every-cpu", "one-cpu"])
@@ -138,7 +147,7 @@ def test_a_refused_placement_changes_nothing(series, tmp_path, encoded, monkeypa
     asked = []
 
     def refuse(pid, cpus):
-        asked.append(sorted(cpus))
+        asked.append(sorted(set(cpus)))
         raise OSError("placement refused")
 
     monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
@@ -147,10 +156,9 @@ def test_a_refused_placement_changes_nothing(series, tmp_path, encoded, monkeypa
     assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
     assert threads(encoded) == ["thread"]
     assert cpu_mask() == mask
-    if mask is not None and hasattr(os, "sched_getaffinity"):
-        cpus = sorted(mask)
-        # The thread, this thread, and this thread's whole mask again.
-        assert sorted(asked) == sorted([[cpus[1 % len(cpus)]], cpus[:1], cpus])
+    cpus = snapshot_io._cpu_mask()
+    # The thread, this thread, and this thread's whole mask again.
+    assert sorted(asked) == sorted([cpus[1:2], cpus[:1], sorted(set(cpus))])
 
 
 def test_the_thread_and_its_caller_each_run_on_a_cpu_of_their_own(series, tmp_path, encoded,
@@ -234,5 +242,5 @@ def test_threading_is_imported_only_when_a_thread_starts(series, tmp_path, kind,
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(one_cpu), *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    threaded = kind == "plain" and compress and not one_cpu and _cpus._usable_cpus() >= 2
+    threaded = kind == "plain" and compress and not one_cpu and len(_cpus._cpu_mask()) >= 2
     assert json.loads(proc.stdout) == [0, threaded]

@@ -1,4 +1,5 @@
-"""Every top-level import in the package is used, and every module is.
+"""Every top-level import in the package is used, and every module is;
+only ``_cpus`` asks the platform about CPUs.
 
 A name counts as used if the module reads it anywhere: in code, in an
 annotation, or inside a string annotation such as ``-> "SnapshotFile"`` or
@@ -104,3 +105,43 @@ def test_the_check_finds_unused_imports():
         "_Parsed = tuple[bool, 'Profile']\n"
     )
     assert unused_imports(source) == ["collector (line 3)", "Sequence (line 4)"]
+
+
+# What the platform says about CPUs, and placement on them: ``_cpus`` alone
+# calls these, so the rule for placing a helper has one home.
+_CPU_CALLS = {"sched_getaffinity", "sched_setaffinity", "cpu_count"}
+
+
+def cpu_calls(source: str) -> list[str]:
+    """Where ``source`` names one of ``os``'s CPU calls, as ``os.NAME`` or
+    by importing it from ``os``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in _CPU_CALLS
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        ):
+            found.append(f"os.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name} (line {node.lineno})" for a in node.names if a.name in _CPU_CALLS]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_cpus.py"), ids=lambda p: p.name
+)
+def test_only_cpus_asks_about_cpus(path):
+    assert cpu_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_cpu_calls():
+    source = (
+        "import os\n"
+        "from os import cpu_count, getpid\n"
+        "def f():\n"
+        "    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0)))\n"
+        "    return os.getpid(), cpu_count\n"
+    )
+    assert sorted(cpu_calls(source)) == [
+        "os.cpu_count (line 2)", "os.sched_getaffinity (line 4)", "os.sched_setaffinity (line 4)",
+    ]
