@@ -34,6 +34,7 @@ import sys
 import zlib
 from bisect import bisect_right
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NamedTuple
@@ -1176,26 +1177,35 @@ def write_snapshot_to(
     are rendered.  Without it, a fresh ``_Series`` has no earlier lines to
     reuse.  The bytes are those of ``write_snapshot`` either way.
 
-    ``early``, from ``_early_gzip``, holds the bytes of a file read before
-    and their gzip member, deflated meanwhile on a thread of its own.  Once
-    the lines are rendered, the write waits for that thread.  A gzipped
-    file is that member only if the lines equal those bytes, compared a
-    chunk at a time; otherwise the lines are gzipped as without ``early``.
-    Neither the bytes nor the member is kept once the write returns.
+    ``early``, from ``_early_gzip``, holds a gzip member deflated meanwhile
+    on a thread of its own, and what it was deflated from: the bytes of a
+    file read ahead, or the render of a loaded snapshot.  A gzipped file of
+    the very snapshot object rendered (``is``) is that member, and is not
+    rendered again.  Otherwise the lines are rendered, the write waits for
+    the thread, and a gzipped file is the member only if the lines equal
+    the bytes read ahead, compared a chunk at a time; else the lines are
+    gzipped as without ``early``.  Neither the bytes, the snapshot nor the
+    member is kept once the write returns.
     """
     path = Path(path)
+    gz = path.suffix == ".gz"
+    render = (series or _Series()).lines
     raw = open(path, "wb")
     try:
         with raw:
-            lines = (series or _Series()).lines(snapshot)
+            # The member of this very snapshot's render needs no render here.
+            own = gz and early is not None and early.snapshot is snapshot
+            lines = None if own else render(snapshot)
             data, member = early.take() if early is not None else (None, None)
             pieces: Iterable[bytes]
-            if path.suffix != ".gz":
-                pieces = _chunks(lines)
-            elif member is not None and _renders_as(lines, data):
+            if not gz:
+                pieces = _chunks(lines)  # type: ignore[arg-type]
+            elif member is not None and (
+                own or data is not None and _renders_as(lines, data)  # type: ignore[arg-type]
+            ):
                 pieces = [member]
             else:
-                pieces = _gzip_member(_chunks(lines))
+                pieces = _gzip_member(_chunks(lines or render(snapshot)))
             for piece in pieces:
                 raw.write(piece)
     except BaseException:
@@ -1242,32 +1252,75 @@ def _gzip_member(chunks: Iterable[bytes]) -> Iterator[bytes]:
 
 
 class _EarlyGzip:
-    """The bytes of a snapshot file, read ahead, and their gzip member,
-    which a thread of its own deflates (``_early_gzip``)."""
+    """The gzip member of one snapshot file, which a thread of its own
+    deflates beside the loader (``_early_gzip``), and what it deflated.
 
-    __slots__ = ("data", "member", "thread")
+    ``path`` is the file.  For a ``.xml`` file, ``data`` holds its bytes,
+    read ahead and deflated at once, and the loader reads the file from
+    them.  A ``.xml.gz`` file has nothing to read ahead: once the loader
+    has read it, ``loaded`` renders its snapshot once and deflates that
+    render, and ``snapshot`` is that very object.  The thread lets go of
+    the render as it finishes deflating it, so only the member stays.
+    """
 
-    def __init__(self, data: bytes) -> None:
-        self.data: bytes | None = data
+    __slots__ = ("path", "data", "move", "snapshot", "member", "thread")
+
+    def __init__(self, path: Path, data: bytes | None) -> None:
+        self.path = path
+        self.data = data
+        # The call that moves the thread beside its caller (``_cpus._beside``).
+        self.move: Callable[[], None] | None = None
+        self.snapshot: Snapshot | None = None
         self.member: bytes | None = None
         self.thread: threading.Thread | None = None
 
-    def deflate(self, move: Callable[[], None]) -> None:
-        """The thread's work: ``move`` it beside its caller, then deflate
-        the member in one compress call."""
-        move()
+    def start(self, chunks: Iterable[bytes]) -> None:
+        """Deflate ``chunks`` on a thread of its own."""
+        import threading
+
+        self.thread = threading.Thread(target=self.deflate, args=(chunks,), name="corrhist-gzip")
+        self.thread.start()
+
+    def deflate(self, chunks: Iterable[bytes]) -> None:
+        """The thread's work: move it beside its caller, then deflate the
+        member."""
+        self.move()  # type: ignore[misc]
         try:
-            self.member = b"".join(_gzip_member((self.data,)))  # type: ignore[arg-type]
+            self.member = b"".join(_gzip_member(chunks))
         except MemoryError:
             pass  # the write gzips the render instead
 
+    def loaded(self, snapshot: Snapshot) -> None:
+        """The loader read ``snapshot`` from ``path``.  Unless a thread
+        deflates the bytes read ahead, render it and deflate the render.  A
+        render that raises starts nothing: the write renders again and
+        raises there."""
+        if self.thread is not None:
+            return
+        try:
+            lines = _Series().lines(snapshot)
+        except FormatError:
+            return
+        self.snapshot = snapshot
+        self.start(_chunks(lines))
+
+    def join(self) -> None:
+        if self.thread is not None:
+            self.thread.join()
+
     def take(self) -> tuple[bytes | None, bytes | None]:
-        """Wait for the thread; the bytes and their member, None if
-        deflating failed.  This object keeps neither."""
-        self.thread.join()  # type: ignore[union-attr]
+        """Wait for the thread; the bytes read ahead, if any, and the
+        member, None if deflating failed.  This object keeps neither, nor
+        the snapshot rendered."""
+        self.join()
         taken = self.data, self.member
-        self.data = self.member = None
+        self.data = self.snapshot = self.member = None
         return taken
+
+
+# The early gzip of the ``_early_gzip`` block this context runs, which
+# ``load_history`` hands the file it is for.
+_EARLY: ContextVar[_EarlyGzip | None] = ContextVar("_EARLY", default=None)
 
 
 @contextmanager
@@ -1276,33 +1329,43 @@ def _early_gzip(directory: str | Path, date: str) -> Iterator[_EarlyGzip | None]
     while the block runs, for ``write_snapshot_to(early=...)``.
 
     The file is the one ``discover_snapshot_files`` lists for ``date``.
-    Unless it is the only one, uncompressed and readable, and this process
-    may use two CPUs or more, this yields None and starts nothing.
-    Otherwise its bytes are read now and one thread deflates them on the
-    second CPU of the caller's mask, while the caller runs on the first
-    (``_cpus._beside``).  However the block ends, the thread is joined and
-    the caller gets its mask back.
+    Unless it is the only one, and this process may use two CPUs or more,
+    this yields None and starts nothing.  Otherwise the caller runs on the
+    first CPU of its mask (``_cpus._beside``) and one thread deflates on
+    the second:
+
+    - a ``.xml`` file is read now, unless it cannot be (the load reports
+      that), and its bytes are deflated at once; ``load_history`` then
+      reads the file from those bytes, so it is read once;
+    - a ``.xml.gz`` file has nothing to read ahead.  Once
+      ``load_history``, called in the block, has read it, its snapshot is
+      rendered once and the thread deflates that render while the later
+      files load.
+
+    However the block ends, the thread is joined and the caller gets its
+    mask back.
     """
     files = [f for f in discover_snapshot_files(directory) if f.date == date]
     cpus = _cpu_mask()
     early = None
-    if len(files) == 1 and files[0].path.suffix == ".xml" and len(cpus) >= 2:
+    if len(files) == 1 and len(cpus) >= 2:
+        path = files[0].path
         try:
-            early = _EarlyGzip(files[0].path.read_bytes())
+            early = _EarlyGzip(path, path.read_bytes() if path.suffix == ".xml" else None)
         except OSError:
             pass  # the load reports it
     if early is None:
         yield None
         return
-    import threading
-
-    with _beside(cpus) as move:
-        early.thread = threading.Thread(target=early.deflate, args=(move,), name="corrhist-gzip")
-        early.thread.start()
+    with _beside(cpus) as early.move:
+        if early.data is not None:
+            early.start((early.data,))
+        token = _EARLY.set(early)
         try:
             yield early
         finally:
-            early.thread.join()
+            _EARLY.reset(token)
+            early.join()
 
 
 @dataclass(frozen=True)
@@ -1355,6 +1418,9 @@ def load_history(directory: str | Path) -> History:
     and checked.  The ids of the profiles each file changed against the one
     before, which the reader knows from that work, go into the history's
     ``profile_changes``.
+
+    Called in an ``_early_gzip`` block, it reads the block's file from the
+    bytes read ahead, if any, and hands it the snapshot read from it.
     """
     files = discover_snapshot_files(directory)
     if not files:
@@ -1365,17 +1431,22 @@ def load_history(directory: str | Path) -> History:
                 f"snapshot dates must strictly increase: {before.path.name} "
                 f"then {after.path.name}"
             )
+    early = _EARLY.get()
     reader = _Reader()
     snapshots: list[Snapshot] = []
     changes: list[frozenset[str]] = []
     with _collection_paused():
         for file in files:
-            snap = reader.read(file.path, str(file.path))
+            t1 = early if early is not None and early.path == file.path else None
+            source = file.path if t1 is None or t1.data is None else t1.data
+            snap = reader.read(source, str(file.path))
             if snap.time != file.date:
                 raise FormatError(
                     f"{file.path.name} declares date {file.date} but its header "
                     f"says {snap.time}"
                 )
+            if t1 is not None:
+                t1.loaded(snap)
             if snapshots:
                 changes.append(reader.build.changed)  # type: ignore[union-attr]
             snapshots.append(snap)

@@ -1,8 +1,12 @@
 """``embedded --compress`` may gzip its t1 file on a second CPU while the
-series loads (``snapshot_io._early_gzip``), and it keeps that member only
-if the rendered file is those very bytes.  Neither the files, nor the
-errors, nor the caller's threads and CPU mask may show whether it did."""
+series loads (``snapshot_io._early_gzip``).  A plain t1 file is read ahead
+and deflated at once, and that member is kept only if the rendered file is
+those very bytes.  A gzipped t1 file is rendered once it is loaded, and the
+member of that render is the export of that very snapshot.  Neither the
+files, nor the errors, nor the caller's threads and CPU mask may show
+whether it did."""
 
+import gzip
 import hashlib
 import json
 import os
@@ -45,14 +49,44 @@ def series(tmp_path_factory):
     return directory
 
 
+@pytest.fixture(scope="module")
+def gz_series(tmp_path_factory):
+    """CONFIG's series as ``write_history(compress=True)`` writes it."""
+    directory = tmp_path_factory.mktemp("gz-series")
+    history, _log = generate(CONFIG)
+    write_history(history, directory, compress=True)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def indented_series(series, tmp_path_factory):
+    """CONFIG's series with every record line indented by two spaces and
+    each file gzipped, as perfbench's ``_foreignize`` makes one: expat
+    reads every file."""
+    directory = tmp_path_factory.mktemp("indented-series")
+    for path in sorted(series.iterdir()):
+        lines = path.read_bytes().split(b"\n")
+        body = [b"  " + line if line.startswith((b"<document", b"<profile")) else line
+                for line in lines]
+        data = gzip.compress(b"\n".join(body), compresslevel=6, mtime=0)
+        (directory / (path.name + ".gz")).write_bytes(data)
+    return directory
+
+
 @pytest.fixture
 def copy(series, tmp_path):
     """A copy of the series that a test may damage."""
     return shutil.copytree(series, tmp_path / "series")
 
 
-def embedded(snapshots, out, t1=T1):
-    return ["embedded", "--snapshots", str(snapshots), "--t1", t1, "--t2", T2,
+@pytest.fixture
+def gz_copy(gz_series, tmp_path):
+    """A copy of the gzipped series that a test may damage."""
+    return shutil.copytree(gz_series, tmp_path / "gz-series")
+
+
+def embedded(snapshots, out, t1=T1, t2=T2):
+    return ["embedded", "--snapshots", str(snapshots), "--t1", t1, "--t2", t2,
             "--compress", "--quiet", "--out", str(out)]
 
 
@@ -125,6 +159,26 @@ def test_the_early_member_is_the_file(series, tmp_path, encoded, monkeypatch):
     assert (early.data, early.member) == (None, None)
 
 
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["thread", "one-cpu"])
+def test_the_loader_reads_a_plain_t1_from_the_bytes_read_ahead(series, tmp_path, monkeypatch,
+                                                               one_cpu):
+    use_cpus(monkeypatch, 1 if one_cpu else 2, snapshot_io)
+    sources = []
+    read = snapshot_io._Reader.read
+
+    def noted(self, source, source_name):
+        sources.append(source)
+        return read(self, source, source_name)
+
+    monkeypatch.setattr(snapshot_io._Reader, "read", noted)
+    assert main(embedded(series, tmp_path)) == 0
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+    paths = sorted(series.iterdir())
+    # The t1 file is read once: ahead, where a thread deflates it.
+    t1 = (series / "snapshot-2015-01-01.xml").read_bytes() if not one_cpu else paths[0]
+    assert sources == [t1, *paths[1:]]
+
+
 @pytest.mark.parametrize("edit", ["out-of-order", "indented"])
 def test_a_t1_file_unlike_its_render_gets_the_gzip_of_the_render(copy, tmp_path, encoded, edit):
     path = copy / "snapshot-2015-01-01.xml"
@@ -180,8 +234,104 @@ def test_the_thread_and_its_caller_each_run_on_a_cpu_of_their_own(series, tmp_pa
     assert cpu_mask() == set(cpus)
 
 
+GZIPPED = pytest.mark.parametrize("kind", ["gz_series", "indented_series"],
+                                  ids=["gz", "indented"])
+
+
+@GZIPPED
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["every-cpu", "one-cpu"])
+def test_the_program_writes_the_pinned_files_from_a_gzipped_series(request, tmp_path, kind,
+                                                                    one_cpu):
+    snapshots = request.getfixturevalue(kind)
+    proc = subprocess.run([sys.executable, *launcher(one_cpu), *embedded(snapshots, tmp_path)],
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+
+
+@GZIPPED
+@pytest.mark.parametrize("one_cpu", [False, True], ids=["thread", "one-cpu"])
+def test_a_gzipped_t1_is_deflated_once_where_it_runs(request, tmp_path, monkeypatch, kind,
+                                                     one_cpu):
+    snapshots = request.getfixturevalue(kind)
+    use_cpus(monkeypatch, 1 if one_cpu else 2, snapshot_io)
+    encoded = noted_encodings(monkeypatch)
+    assert main(embedded(snapshots, tmp_path)) == 0
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+    assert threads(encoded) == (["main"] if one_cpu else ["thread"])
+
+
+@GZIPPED
+def test_the_member_of_a_gzipped_t1_is_the_render_of_that_very_snapshot(request, tmp_path,
+                                                                         encoded, monkeypatch,
+                                                                         kind):
+    snapshots = request.getfixturevalue(kind)
+    loaded, rendered, taken = [], [], []
+    load, lines, take = snapshot_io.load_history, snapshot_io._Series.lines, snapshot_io._EarlyGzip.take
+
+    def noted_load(directory):
+        loaded.append(load(directory))
+        return loaded[-1]
+
+    def noted_lines(self, snapshot):
+        rendered.append(snapshot)
+        return lines(self, snapshot)
+
+    def noted_take(self):
+        taken.append(self)
+        return take(self)
+
+    monkeypatch.setattr(snapshot_io, "load_history", noted_load)
+    monkeypatch.setattr(snapshot_io._Series, "lines", noted_lines)
+    monkeypatch.setattr(snapshot_io._EarlyGzip, "take", noted_take)
+    assert main(embedded(snapshots, tmp_path)) == 0
+    assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
+    assert threads(encoded) == ["thread"]
+    # Rendered once, while loading, and the write took that member as it was.
+    [history] = loaded
+    [snapshot] = rendered
+    assert snapshot is history.at(T1)
+    [early] = taken
+    assert (early.data, early.snapshot, early.member) == (None, None, None)
+
+
+@GZIPPED
+def test_a_gzipped_t1_is_deflated_beside_the_loader(request, tmp_path, encoded, monkeypatch,
+                                                    kind):
+    if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    snapshots = request.getfixturevalue(kind)
+    cpus = sorted(os.sched_getaffinity(0))
+    loading = []
+    load = snapshot_io.load_history
+
+    def noted(directory):
+        loading.append(cpu_mask())
+        return load(directory)
+
+    monkeypatch.setattr(snapshot_io, "load_history", noted)
+    assert main(embedded(snapshots, tmp_path)) == 0
+    assert encoded == [("thread", {cpus[1]})]
+    assert loading == [{cpus[0]}]
+    assert cpu_mask() == set(cpus)
+
+
+@pytest.mark.parametrize("kind", ["series", "gz_series"], ids=["plain", "gz"])
+def test_a_t1_between_other_dates_gets_the_thread_too(request, tmp_path, encoded, kind):
+    snapshots = request.getfixturevalue(kind)
+    t1 = "2015-02-01"
+    alone = subprocess.run(
+        [sys.executable, *launcher(True), *embedded(snapshots, tmp_path / "alone", t1)],
+        capture_output=True, timeout=120,
+    )
+    assert (alone.returncode, alone.stderr) == (0, b"")
+    assert main(embedded(snapshots, tmp_path / "out", t1)) == 0
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "alone")
+    assert threads(encoded) == ["thread"]
+
+
 def _corrupt_later_file(snapshots, monkeypatch):
-    path = snapshots / "snapshot-2015-02-01.xml"
+    [path] = snapshots.glob("snapshot-2015-02-01.xml*")
     path.write_bytes(path.read_bytes()[:-100])
 
 
@@ -193,24 +343,54 @@ def _fail_the_render(snapshots, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "damage, started",
-    [(None, True), (_corrupt_later_file, True), (_fail_the_render, True), ("unknown-t1", False)],
-    ids=["success", "load-error", "render-error", "unknown-t1"],
+    "kind, damage, started",
+    [
+        ("copy", None, True),
+        ("copy", _corrupt_later_file, True),
+        ("copy", _fail_the_render, True),
+        ("copy", "unknown-t1", False),
+        ("gz_copy", None, True),
+        ("gz_copy", _corrupt_later_file, True),
+        # A gzipped t1 is rendered once it is loaded, and a render that
+        # fails there starts nothing.
+        ("gz_copy", _fail_the_render, False),
+        ("gz_copy", "unknown-t1", False),
+        ("gz_copy", "t1-after-t2", True),
+    ],
+    ids=["success", "load-error", "render-error", "unknown-t1", "gz-success", "gz-load-error",
+         "gz-render-error", "gz-unknown-t1", "gz-t1-after-t2"],
 )
-def test_main_leaves_no_thread_and_gives_the_mask_back(copy, tmp_path, encoded, monkeypatch,
-                                                       damage, started):
-    t1 = T1
+def test_main_leaves_no_thread_and_gives_the_mask_back(request, tmp_path, encoded, monkeypatch,
+                                                       capsys, kind, damage, started):
+    snapshots = request.getfixturevalue(kind)
+    t1, t2 = T1, T2
     if damage == "unknown-t1":
         t1 = "1999-01-01"
+    elif damage == "t1-after-t2":
+        t1, t2 = "2015-02-01", T1
     elif damage is not None:
-        damage(copy, monkeypatch)
+        damage(snapshots, monkeypatch)
+    out = tmp_path / "out"
+
+    def run():
+        code = main(embedded(snapshots, out, t1, t2))
+        return code, capsys.readouterr().err, sorted(p.name for p in out.glob("snapshot-*"))
+
+    # The same command on one CPU, which starts no thread.
+    use_cpus(monkeypatch, 1, snapshot_io)
+    alone = run()
+    shutil.rmtree(out, ignore_errors=True)
+    use_cpus(monkeypatch, 2, snapshot_io)
+    encoded.clear()
     before = (threading.active_count(), cpu_mask())
-    code = main(embedded(copy, tmp_path / "out", t1))
+    code, message, written = run()
     assert (threading.active_count(), cpu_mask()) == before
     assert code == (0 if damage is None else 1)
     assert ("thread" in threads(encoded)) == started
+    # The same exit status, the same error message, the same export.
+    assert (code, message, written) == alone
     if damage is not None:
-        assert not (tmp_path / "out" / "snapshot-2015-01-01.xml.gz").exists()
+        assert written == []
 
 
 @pytest.mark.parametrize(
@@ -242,5 +422,6 @@ def test_threading_is_imported_only_when_a_thread_starts(series, tmp_path, kind,
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(one_cpu), *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    threaded = kind == "plain" and compress and not one_cpu and len(_cpus._cpu_mask()) >= 2
+    # A gzipped t1 is deflated on the thread too, once it is loaded.
+    threaded = compress and not one_cpu and len(_cpus._cpu_mask()) >= 2
     assert json.loads(proc.stdout) == [0, threaded]
