@@ -126,7 +126,7 @@ def _cmd_embedded(args: argparse.Namespace) -> int:
 
     # With --compress, the t1 file may be gzipped on a second CPU while the
     # series loads.
-    with _early_gzip(args.snapshots, args.t1) if args.compress else nullcontext() as early:
+    with _early_gzip(args.t1) if args.compress else nullcontext() as early:
         history = _load(args)
         counts = build_embedded_collection(
             history,

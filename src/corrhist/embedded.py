@@ -300,12 +300,10 @@ def build_embedded_collection(
     A snapshot file already in ``out_dir`` that the export would not
     overwrite (another date, or the other compression of ``t1``) raises
     FileExistsError naming it before anything is written, since loading the
-    directory would mix two series.  ``early``, a gzip member of the t1
-    file deflated ahead (``snapshot_io._early_gzip``), goes to
-    ``write_snapshot_to``: with ``compress`` the export is that member if
-    it is the render of this very t1 snapshot, or if the snapshot renders
-    to the very bytes read ahead.  The files are the same with or without
-    it.
+    directory would mix two series.  ``early``, from
+    ``snapshot_io._early_gzip``, goes to ``write_snapshot_to``: with
+    ``compress`` the export is its member if that is the gzip of this very
+    t1 snapshot.  The files are the same with or without it.
     """
     s1, s2 = _ordered_pair(history, t1, t2)
     out = Path(out_dir)

@@ -1177,37 +1177,25 @@ def write_snapshot_to(
     are rendered.  Without it, a fresh ``_Series`` has no earlier lines to
     reuse.  The bytes are those of ``write_snapshot`` either way.
 
-    ``early``, from ``_early_gzip``, holds a gzip member deflated meanwhile
-    on a thread of its own, and what it was deflated from: the bytes of a
-    file read ahead, or the render of a loaded snapshot.  A gzipped file of
-    the very snapshot object rendered (``is``) is that member, and is not
-    rendered again.  Otherwise the lines are rendered, the write waits for
-    the thread, and a gzipped file is the member only if the lines equal
-    the bytes read ahead, compared a chunk at a time; else the lines are
-    gzipped as without ``early``.  Neither the bytes, the snapshot nor the
-    member is kept once the write returns.
+    ``early``, from ``_early_gzip``, may hold the gzip member of the render
+    of one snapshot, deflated meanwhile on a thread of its own.  A gzipped
+    file of that very snapshot object (``is``) is that member, taken once
+    the thread is done, and is not rendered here; any other file is
+    rendered, and gzipped, as without ``early``.
     """
     path = Path(path)
     gz = path.suffix == ".gz"
-    render = (series or _Series()).lines
+    own = gz and early is not None and early.snapshot is snapshot
+    member = early.take() if own else None  # type: ignore[union-attr]
     raw = open(path, "wb")
     try:
         with raw:
-            # The member of this very snapshot's render needs no render here.
-            own = gz and early is not None and early.snapshot is snapshot
-            lines = None if own else render(snapshot)
-            data, member = early.take() if early is not None else (None, None)
-            pieces: Iterable[bytes]
-            if not gz:
-                pieces = _chunks(lines)  # type: ignore[arg-type]
-            elif member is not None and (
-                own or data is not None and _renders_as(lines, data)  # type: ignore[arg-type]
-            ):
-                pieces = [member]
+            if member is not None:
+                raw.write(member)
             else:
-                pieces = _gzip_member(_chunks(lines or render(snapshot)))
-            for piece in pieces:
-                raw.write(piece)
+                chunks = _chunks((series or _Series()).lines(snapshot))
+                for piece in _gzip_member(chunks) if gz else chunks:
+                    raw.write(piece)
     except BaseException:
         path.unlink()
         raise
@@ -1218,16 +1206,6 @@ def _chunks(lines: list[bytes]) -> Iterator[bytes]:
     """``lines`` joined 4096 at a time, as the writer writes them."""
     for i in range(0, len(lines), 4096):
         yield b"".join(lines[i:i + 4096])
-
-
-def _renders_as(lines: list[bytes], data: bytes) -> bool:
-    """Whether ``lines``, joined, are ``data``; no copy of ``data`` is made."""
-    at = 0
-    for chunk in _chunks(lines):
-        if not data.startswith(chunk, at):
-            return False
-        at += len(chunk)
-    return at == len(data)
 
 
 # What ``gzip.GzipFile(filename="", mtime=0)`` writes first at level 9:
@@ -1252,27 +1230,37 @@ def _gzip_member(chunks: Iterable[bytes]) -> Iterator[bytes]:
 
 
 class _EarlyGzip:
-    """The gzip member of one snapshot file, which a thread of its own
-    deflates beside the loader (``_early_gzip``), and what it deflated.
+    """The gzip member of the snapshot file of ``date``, which a thread of
+    its own deflates beside the loader (``_early_gzip``).
 
-    ``path`` is the file.  For a ``.xml`` file, ``data`` holds its bytes,
-    read ahead and deflated at once, and the loader reads the file from
-    them.  A ``.xml.gz`` file has nothing to read ahead: once the loader
-    has read it, ``loaded`` renders its snapshot once and deflates that
-    render, and ``snapshot`` is that very object.  The thread lets go of
-    the render as it finishes deflating it, so only the member stays.
+    ``load_history`` hands it that file's bytes (``read``), then the
+    snapshot it read from them (``loaded``).  Bytes that are not gzipped
+    are deflated at once, since they may be that snapshot's very render.
+    ``loaded`` alone settles what the export is: it renders the snapshot
+    once and keeps the member of the bytes if the render is exactly those
+    bytes; otherwise, always for a gzipped file, the thread deflates the
+    render.  Either way it lets go of the bytes, and ``snapshot`` is then
+    that very object, whose gzipped file is the member.  The thread lets
+    go of what it deflates as it finishes, so only the member stays.
     """
 
-    __slots__ = ("path", "data", "move", "snapshot", "member", "thread")
+    __slots__ = ("date", "move", "data", "snapshot", "member", "thread")
 
-    def __init__(self, path: Path, data: bytes | None) -> None:
-        self.path = path
-        self.data = data
+    def __init__(self, date: str, move: Callable[[], None]) -> None:
+        self.date = date
         # The call that moves the thread beside its caller (``_cpus._beside``).
-        self.move: Callable[[], None] | None = None
+        self.move = move
+        self.data: bytes | None = None
         self.snapshot: Snapshot | None = None
         self.member: bytes | None = None
         self.thread: threading.Thread | None = None
+
+    def read(self, data: bytes) -> None:
+        """The loader read ``data`` from the file.  Unless they are
+        gzipped, deflate them at once."""
+        if data[:2] != GZIP_MAGIC:
+            self.data = data
+            self.start((data,))
 
     def start(self, chunks: Iterable[bytes]) -> None:
         """Deflate ``chunks`` on a thread of its own."""
@@ -1284,82 +1272,74 @@ class _EarlyGzip:
     def deflate(self, chunks: Iterable[bytes]) -> None:
         """The thread's work: move it beside its caller, then deflate the
         member."""
-        self.move()  # type: ignore[misc]
+        self.move()
         try:
             self.member = b"".join(_gzip_member(chunks))
         except MemoryError:
             pass  # the write gzips the render instead
 
     def loaded(self, snapshot: Snapshot) -> None:
-        """The loader read ``snapshot`` from ``path``.  Unless a thread
-        deflates the bytes read ahead, render it and deflate the render.  A
+        """The loader read ``snapshot`` from the bytes.  Render it once and
+        keep the member if the render is those very bytes; else wait for
+        the thread, if one runs, and deflate the render on a new one.  A
         render that raises starts nothing: the write renders again and
         raises there."""
-        if self.thread is not None:
-            return
+        data, self.data = self.data, None
         try:
             lines = _Series().lines(snapshot)
         except FormatError:
             return
+        if data is None or not _renders_as(lines, data):
+            self.join()
+            self.member = None  # not the export's, even if this deflate fails
+            self.start(_chunks(lines))
         self.snapshot = snapshot
-        self.start(_chunks(lines))
 
     def join(self) -> None:
         if self.thread is not None:
             self.thread.join()
 
-    def take(self) -> tuple[bytes | None, bytes | None]:
-        """Wait for the thread; the bytes read ahead, if any, and the
-        member, None if deflating failed.  This object keeps neither, nor
-        the snapshot rendered."""
+    def take(self) -> bytes | None:
+        """Wait for the thread; the member, None if deflating failed.  This
+        object keeps neither it nor the snapshot rendered."""
         self.join()
-        taken = self.data, self.member
-        self.data = self.snapshot = self.member = None
-        return taken
+        member, self.snapshot, self.member = self.member, None, None
+        return member
+
+
+def _renders_as(lines: list[bytes], data: bytes) -> bool:
+    """Whether ``lines``, joined, are ``data``; no copy of ``data`` is made."""
+    at = 0
+    for chunk in _chunks(lines):
+        if not data.startswith(chunk, at):
+            return False
+        at += len(chunk)
+    return at == len(data)
 
 
 # The early gzip of the ``_early_gzip`` block this context runs, which
-# ``load_history`` hands the file it is for.
+# ``load_history`` hands the file of its date.
 _EARLY: ContextVar[_EarlyGzip | None] = ContextVar("_EARLY", default=None)
 
 
 @contextmanager
-def _early_gzip(directory: str | Path, date: str) -> Iterator[_EarlyGzip | None]:
-    """Gzip the snapshot file of ``date`` in ``directory`` on a second CPU
-    while the block runs, for ``write_snapshot_to(early=...)``.
+def _early_gzip(date: str) -> Iterator[_EarlyGzip | None]:
+    """Gzip the snapshot file of ``date`` on a second CPU while the block
+    runs, for ``write_snapshot_to(early=...)``.
 
-    The file is the one ``discover_snapshot_files`` lists for ``date``.
-    Unless it is the only one, and this process may use two CPUs or more,
-    this yields None and starts nothing.  Otherwise the caller runs on the
-    first CPU of its mask (``_cpus._beside``) and one thread deflates on
-    the second:
-
-    - a ``.xml`` file is read now, unless it cannot be (the load reports
-      that), and its bytes are deflated at once; ``load_history`` then
-      reads the file from those bytes, so it is read once;
-    - a ``.xml.gz`` file has nothing to read ahead.  Once
-      ``load_history``, called in the block, has read it, its snapshot is
-      rendered once and the thread deflates that render while the later
-      files load.
-
-    However the block ends, the thread is joined and the caller gets its
-    mask back.
+    Unless this process may use two CPUs or more, this yields None and
+    starts nothing.  Otherwise the caller runs on the first CPU of its
+    mask (``_cpus._beside``), and ``load_history``, called in the block,
+    hands the yielded ``_EarlyGzip`` the file of ``date``, whose thread
+    deflates on the second CPU.  However the block ends, the thread is
+    joined and the caller gets its mask back.
     """
-    files = [f for f in discover_snapshot_files(directory) if f.date == date]
     cpus = _cpu_mask()
-    early = None
-    if len(files) == 1 and len(cpus) >= 2:
-        path = files[0].path
-        try:
-            early = _EarlyGzip(path, path.read_bytes() if path.suffix == ".xml" else None)
-        except OSError:
-            pass  # the load reports it
-    if early is None:
+    if len(cpus) < 2:
         yield None
         return
-    with _beside(cpus) as early.move:
-        if early.data is not None:
-            early.start((early.data,))
+    with _beside(cpus) as move:
+        early = _EarlyGzip(date, move)
         token = _EARLY.set(early)
         try:
             yield early
@@ -1419,8 +1399,9 @@ def load_history(directory: str | Path) -> History:
     before, which the reader knows from that work, go into the history's
     ``profile_changes``.
 
-    Called in an ``_early_gzip`` block, it reads the block's file from the
-    bytes read ahead, if any, and hands it the snapshot read from it.
+    Called in an ``_early_gzip`` block, it hands the block's
+    ``_EarlyGzip`` the bytes of the file of its date, then the snapshot
+    read from them.
     """
     files = discover_snapshot_files(directory)
     if not files:
@@ -1437,9 +1418,11 @@ def load_history(directory: str | Path) -> History:
     changes: list[frozenset[str]] = []
     with _collection_paused():
         for file in files:
-            t1 = early if early is not None and early.path == file.path else None
-            source = file.path if t1 is None or t1.data is None else t1.data
-            snap = reader.read(source, str(file.path))
+            data = file.path.read_bytes()
+            t1 = early if early is not None and early.date == file.date else None
+            if t1 is not None:
+                t1.read(data)
+            snap = reader.read(data, str(file.path))
             if snap.time != file.date:
                 raise FormatError(
                     f"{file.path.name} declares date {file.date} but its header "

@@ -1,10 +1,11 @@
 """``embedded --compress`` may gzip its t1 file on a second CPU while the
-series loads (``snapshot_io._early_gzip``).  A plain t1 file is read ahead
-and deflated at once, and that member is kept only if the rendered file is
-those very bytes.  A gzipped t1 file is rendered once it is loaded, and the
-member of that render is the export of that very snapshot.  Neither the
-files, nor the errors, nor the caller's threads and CPU mask may show
-whether it did."""
+series loads (``snapshot_io._early_gzip``).  The loader hands the t1 file's
+bytes over, and plain ones are deflated at once.  Once t1 is loaded, its
+snapshot is rendered once: the member of the bytes is kept if the render is
+those very bytes, and otherwise, always for a gzipped file, the thread
+deflates the render.  Either way the export is the member of that very
+snapshot.  Neither the files, nor the errors, nor the caller's threads and
+CPU mask may show whether it did."""
 
 import gzip
 import hashlib
@@ -14,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -163,20 +165,26 @@ def test_the_early_member_is_the_file(series, tmp_path, encoded, monkeypatch):
 def test_the_loader_reads_a_plain_t1_from_the_bytes_read_ahead(series, tmp_path, monkeypatch,
                                                                one_cpu):
     use_cpus(monkeypatch, 1 if one_cpu else 2, snapshot_io)
-    sources = []
-    read = snapshot_io._Reader.read
+    reads, sources = [], []
+    read_bytes, read = Path.read_bytes, snapshot_io._Reader.read
+
+    def noted_read_bytes(self):
+        reads.append((self, read_bytes(self)))
+        return reads[-1][1]
 
     def noted(self, source, source_name):
         sources.append(source)
         return read(self, source, source_name)
 
+    monkeypatch.setattr(Path, "read_bytes", noted_read_bytes)
     monkeypatch.setattr(snapshot_io._Reader, "read", noted)
     assert main(embedded(series, tmp_path)) == 0
+    # Each file, t1 too, is read from disk once, and the reader reads it from
+    # those very bytes, which a thread deflates where there is one.
+    assert [path for path, _data in reads] == sorted(series.iterdir())
+    assert len(sources) == len(reads)
+    assert all(source is data for source, (_path, data) in zip(sources, reads))
     assert digests(tmp_path) == PINNED_EMBEDDED_SHA256
-    paths = sorted(series.iterdir())
-    # The t1 file is read once: ahead, where a thread deflates it.
-    t1 = (series / "snapshot-2015-01-01.xml").read_bytes() if not one_cpu else paths[0]
-    assert sources == [t1, *paths[1:]]
 
 
 @pytest.mark.parametrize("edit", ["out-of-order", "indented"])
@@ -194,7 +202,10 @@ def test_a_t1_file_unlike_its_render_gets_the_gzip_of_the_render(copy, tmp_path,
     assert main(embedded(copy, tmp_path / "out")) == 0
     # The snapshot is the same, so the files are those of the series itself.
     assert digests(tmp_path / "out") == PINNED_EMBEDDED_SHA256
-    assert threads(encoded) == ["thread", "main"]
+    # The bytes, then the render, both on the helper's CPU: this thread
+    # never deflates while a thread runs.
+    helper = {snapshot_io._cpu_mask()[1]} if hasattr(os, "sched_setaffinity") else None
+    assert encoded == [("thread", helper)] * 2
 
 
 def test_a_refused_placement_changes_nothing(series, tmp_path, encoded, monkeypatch):
@@ -261,20 +272,24 @@ def test_a_gzipped_t1_is_deflated_once_where_it_runs(request, tmp_path, monkeypa
     assert threads(encoded) == (["main"] if one_cpu else ["thread"])
 
 
-@GZIPPED
+@pytest.mark.parametrize("kind", ["series", "gz_series", "indented_series"],
+                         ids=["plain", "gz", "indented"])
 def test_the_member_of_a_gzipped_t1_is_the_render_of_that_very_snapshot(request, tmp_path,
                                                                          encoded, monkeypatch,
                                                                          kind):
     snapshots = request.getfixturevalue(kind)
-    loaded, rendered, taken = [], [], []
+    loading, loaded, held, rendered, taken = [], [], [], [], []
     load, lines, take = snapshot_io.load_history, snapshot_io._Series.lines, snapshot_io._EarlyGzip.take
 
     def noted_load(directory):
+        loading.append(True)
         loaded.append(load(directory))
+        loading.clear()
+        held.append(snapshot_io._EARLY.get().data)
         return loaded[-1]
 
     def noted_lines(self, snapshot):
-        rendered.append(snapshot)
+        rendered.append((snapshot, bool(loading)))
         return lines(self, snapshot)
 
     def noted_take(self):
@@ -289,8 +304,10 @@ def test_the_member_of_a_gzipped_t1_is_the_render_of_that_very_snapshot(request,
     assert threads(encoded) == ["thread"]
     # Rendered once, while loading, and the write took that member as it was.
     [history] = loaded
-    [snapshot] = rendered
-    assert snapshot is history.at(T1)
+    [(snapshot, while_loading)] = rendered
+    assert snapshot is history.at(T1) and while_loading
+    # The load let go of the bytes it handed over.
+    assert held == [None]
     [early] = taken
     assert (early.data, early.snapshot, early.member) == (None, None, None)
 
@@ -314,6 +331,20 @@ def test_a_gzipped_t1_is_deflated_beside_the_loader(request, tmp_path, encoded, 
     assert encoded == [("thread", {cpus[1]})]
     assert loading == [{cpus[0]}]
     assert cpu_mask() == set(cpus)
+
+
+def test_the_snapshot_directory_is_listed_once(series, tmp_path, encoded, monkeypatch):
+    listed = []
+    discover = snapshot_io.discover_snapshot_files
+
+    def noted(directory):
+        listed.append(directory)
+        return discover(directory)
+
+    monkeypatch.setattr(snapshot_io, "discover_snapshot_files", noted)
+    assert main(embedded(series, tmp_path)) == 0
+    assert threads(encoded) == ["thread"]
+    assert listed == [str(series)]
 
 
 @pytest.mark.parametrize("kind", ["series", "gz_series"], ids=["plain", "gz"])
