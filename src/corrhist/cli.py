@@ -8,7 +8,8 @@ hit rates over the mined name pairs, and ``stats`` summarizes snapshots.
 
 Each command imports only the layers it runs.  Data goes to files or
 stdout; diagnostics go to stderr.  Exit status is 0 on success, 1 on
-input or processing errors, 2 on usage errors.
+input or processing errors, 2 on usage errors, and 120 when the reader
+of an output pipe has gone (no error line is written then).
 
 A command makes many objects and no reference cycle, so no automatic
 cyclic collection runs while it does.  The program, ``run``, the entry of
@@ -126,16 +127,10 @@ def _cmd_embedded(args: argparse.Namespace) -> int:
 
     # With --compress, the t1 file may be gzipped on a second CPU while the
     # series loads.
-    with _early_gzip(args.t1) if args.compress else nullcontext() as early:
+    with _early_gzip(args.t1) if args.compress else nullcontext():
         history = _load(args)
-        counts = build_embedded_collection(
-            history,
-            args.t1,
-            args.t2,
-            args.out,
-            compress=args.compress,
-            early=early,
-        )
+        counts = build_embedded_collection(history, args.t1, args.t2, args.out,
+                                           compress=args.compress)
     summary = ", ".join(f"{k}={counts[k]}" for k in ("merge", "split", "distribute", "all"))
     _say(args, f"embedded collection at {args.out} ({summary})")
     return 0
@@ -184,10 +179,7 @@ def _add_parallel_arg(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="accepted for compatibility; has no effect (detection runs serially;"
-        " where two CPUs are usable, case-collection forks one graph worker and"
-        " embedded --compress gzips the t1 file in one thread while the series"
-        " loads, each beside the command on a CPU of its own)",
+        help="accepted for compatibility; has no effect",
     )
 
 
@@ -325,6 +317,8 @@ def _main(argv: Sequence[str] | None, held: list[History]) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
+    except BrokenPipeError:
+        return 120  # the reader has gone, as when ``_exit``'s flush fails
     except (CorrhistError, ValueError, OSError) as exc:
         print(f"corrhist: error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from .extract import (
     extract_corrections,
 )
 from .model import History, MentionKey, Role, Signature, Snapshot
-from .snapshot_io import _EarlyGzip, _refuse_strays, snapshot_filename, write_snapshot_to
+from .snapshot_io import _refuse_strays, snapshot_filename, write_snapshot_to
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,6 @@ def build_embedded_collection(
     out_dir: str | Path,
     *,
     compress: bool = False,
-    early: _EarlyGzip | None = None,
 ) -> dict[str, int]:
     """Write the embedded collection for the observation pair (t1, t2).
 
@@ -300,10 +299,9 @@ def build_embedded_collection(
     A snapshot file already in ``out_dir`` that the export would not
     overwrite (another date, or the other compression of ``t1``) raises
     FileExistsError naming it before anything is written, since loading the
-    directory would mix two series.  ``early``, from
-    ``snapshot_io._early_gzip``, goes to ``write_snapshot_to``: with
-    ``compress`` the export is its member if that is the gzip of this very
-    t1 snapshot.  The files are the same with or without it.
+    directory would mix two series.  In a ``snapshot_io._early_gzip`` block,
+    the gzipped export may be the member the block deflated
+    (``write_snapshot_to``); the files are the same in or out of it.
     """
     s1, s2 = _ordered_pair(history, t1, t2)
     out = Path(out_dir)
@@ -318,7 +316,7 @@ def build_embedded_collection(
         annotation_from_case(case, case_id) for case, case_id in zip(cases, ids)
     ]
 
-    write_snapshot_to(s1, out / snapshot_name, early=early)
+    write_snapshot_to(s1, out / snapshot_name)
     annotations_name = "annotations.xml"
     write_annotations_file(annotations, t1, t2, out / annotations_name)
 

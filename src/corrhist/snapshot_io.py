@@ -1160,7 +1160,6 @@ def write_snapshot_to(
     path: str | Path,
     *,
     series: _Series | None = None,
-    early: _EarlyGzip | None = None,
 ) -> Path:
     """Write a snapshot file, gzipped when its name ends in ``.gz``.
 
@@ -1177,16 +1176,15 @@ def write_snapshot_to(
     are rendered.  Without it, a fresh ``_Series`` has no earlier lines to
     reuse.  The bytes are those of ``write_snapshot`` either way.
 
-    ``early``, from ``_early_gzip``, may hold the gzip member of the render
-    of one snapshot, deflated meanwhile on a thread of its own.  A gzipped
-    file of that very snapshot object (``is``) is that member, taken once
-    the thread is done, and is not rendered here; any other file is
-    rendered, and gzipped, as without ``early``.
+    In an ``_early_gzip`` block, the gzipped file of the very snapshot
+    object (``is``) whose render the block's thread deflated is that
+    member, taken once the thread is done, and is not rendered here.  Any
+    other file is rendered, and gzipped, as outside the block.
     """
     path = Path(path)
     gz = path.suffix == ".gz"
-    own = gz and early is not None and early.snapshot is snapshot
-    member = early.take() if own else None  # type: ignore[union-attr]
+    early = _EARLY.get() if gz else None
+    member = early.take() if early is not None and early.snapshot is snapshot else None
     raw = open(path, "wb")
     try:
         with raw:
@@ -1290,20 +1288,17 @@ class _EarlyGzip:
         except FormatError:
             return
         if data is None or not _renders_as(lines, data):
-            self.join()
-            self.member = None  # not the export's, even if this deflate fails
+            if self.thread is not None:
+                self.take()  # the member of the bytes is not the export's
             self.start(_chunks(lines))
         self.snapshot = snapshot
 
-    def join(self) -> None:
+    def take(self) -> bytes | None:
+        """Wait for the thread, if one runs; the member, None if deflating
+        failed.  The thread, the member and the snapshot are let go."""
         if self.thread is not None:
             self.thread.join()
-
-    def take(self) -> bytes | None:
-        """Wait for the thread; the member, None if deflating failed.  This
-        object keeps neither it nor the snapshot rendered."""
-        self.join()
-        member, self.snapshot, self.member = self.member, None, None
+        member, self.snapshot, self.member, self.thread = self.member, None, None, None
         return member
 
 
@@ -1317,35 +1312,37 @@ def _renders_as(lines: list[bytes], data: bytes) -> bool:
     return at == len(data)
 
 
-# The early gzip of the ``_early_gzip`` block this context runs, which
-# ``load_history`` hands the file of its date.
+# The early gzip of the ``_early_gzip`` block this context runs: the one
+# channel through which ``load_history`` and ``write_snapshot_to`` find it.
 _EARLY: ContextVar[_EarlyGzip | None] = ContextVar("_EARLY", default=None)
 
 
 @contextmanager
-def _early_gzip(date: str) -> Iterator[_EarlyGzip | None]:
+def _early_gzip(date: str) -> Iterator[None]:
     """Gzip the snapshot file of ``date`` on a second CPU while the block
-    runs, for ``write_snapshot_to(early=...)``.
+    runs.
 
-    Unless this process may use two CPUs or more, this yields None and
-    starts nothing.  Otherwise the caller runs on the first CPU of its
-    mask (``_cpus._beside``), and ``load_history``, called in the block,
-    hands the yielded ``_EarlyGzip`` the file of ``date``, whose thread
-    deflates on the second CPU.  However the block ends, the thread is
-    joined and the caller gets its mask back.
+    Unless this process may use two CPUs or more, this starts nothing.
+    Otherwise the caller runs on the first CPU of its mask
+    (``_cpus._beside``), and the block's ``_EarlyGzip`` is ``_EARLY``:
+    ``load_history`` hands it the file of ``date``, whose thread deflates
+    on the second CPU, and ``write_snapshot_to`` writes the member for the
+    gzipped file of the snapshot read from it.  However the block ends,
+    the thread is joined and the caller gets its mask back.
     """
     cpus = _cpu_mask()
     if len(cpus) < 2:
-        yield None
+        yield
         return
     with _beside(cpus) as move:
         early = _EarlyGzip(date, move)
         token = _EARLY.set(early)
         try:
-            yield early
+            yield
         finally:
             _EARLY.reset(token)
-            early.join()
+            if early.thread is not None:
+                early.take()  # a thread the write did not take
 
 
 @dataclass(frozen=True)
@@ -1400,8 +1397,8 @@ def load_history(directory: str | Path) -> History:
     ``profile_changes``.
 
     Called in an ``_early_gzip`` block, it hands the block's
-    ``_EarlyGzip`` the bytes of the file of its date, then the snapshot
-    read from them.
+    ``_EarlyGzip`` (``_EARLY``) the bytes of the file of its date, then
+    the snapshot read from them.
     """
     files = discover_snapshot_files(directory)
     if not files:

@@ -399,12 +399,12 @@ def run_cli(request):
     """Runs the program with ``args`` through one launcher; stdout and
     stderr as bytes, unless ``kwargs`` send them elsewhere.  Its stdout is
     block-buffered, as it is by default, so what it writes is flushed at its
-    exit."""
+    exit, unless ``env`` sets ``PYTHONUNBUFFERED``."""
 
-    def run(*args, **kwargs):
+    def run(*args, env=(), **kwargs):
         kwargs.setdefault("stdout", subprocess.PIPE)
         kwargs.setdefault("stderr", subprocess.PIPE)
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
         return subprocess.run(
             [sys.executable, *request.param, *map(str, args)], env=env, timeout=120, **kwargs
         )
@@ -454,6 +454,23 @@ class TestProcessExit:
             os.close(write)
         assert proc.returncode != 0
 
+    @pytest.mark.parametrize("stderr", ["apart", "same-pipe"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_ends_with_120_and_no_error_line(self, corpus, run_cli, unbuffered,
+                                                             stderr):
+        # Buffered, the write fails in the flush at exit; unbuffered, in the
+        # command itself.  Either way the status is 120 and stderr is quiet,
+        # even where stderr is that same closed pipe.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli("extract", "--snapshots", corpus, "--quiet", stdout=write,
+                           stderr=write if stderr == "same-pipe" else subprocess.PIPE,
+                           env={"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr or b"") == (120, b"")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -471,6 +488,16 @@ class TestProcessExit:
         for name, data in written.items():
             if name.endswith(".gz"):
                 snapshot_io.parse_snapshot(gzip.decompress(data))
+
+
+def test_main_returns_120_when_the_reader_of_stdout_has_gone(corpus, monkeypatch, capsys):
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    assert main(["extract", "--snapshots", str(corpus), "--quiet"]) == 120
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("state", ["on", "off", "frozen"])

@@ -456,3 +456,39 @@ def test_threading_is_imported_only_when_a_thread_starts(series, tmp_path, kind,
     # A gzipped t1 is deflated on the thread too, once it is loaded.
     threaded = compress and not one_cpu and len(_cpus._cpu_mask()) >= 2
     assert json.loads(proc.stdout) == [0, threaded]
+
+
+@pytest.mark.parametrize("kind", ["series", "gz_series"], ids=["plain", "gz"])
+def test_other_writes_in_the_block_give_the_bytes_they_give_outside_it(request, tmp_path,
+                                                                      encoded, monkeypatch,
+                                                                      kind):
+    snapshots = request.getfixturevalue(kind)
+    encoded.clear()  # the fixture's own writes
+    taken = []
+    take = snapshot_io._EarlyGzip.take
+
+    def noted(self):
+        taken.append(self)
+        return take(self)
+
+    monkeypatch.setattr(snapshot_io._EarlyGzip, "take", noted)
+
+    def write(history, out):
+        # t1 plain, another date gzipped, the whole series gzipped (t1
+        # first), then t1 gzipped once more.
+        out.mkdir()
+        snapshot_io.write_snapshot_to(history.at(T1), out / "t1.xml")
+        snapshot_io.write_snapshot_to(history.at(T2), out / "t2.xml.gz")
+        write_history(history, out / "series", compress=True)
+        snapshot_io.write_snapshot_to(history.at(T1), out / "t1-again.xml.gz")
+
+    with snapshot_io._early_gzip(T1):
+        history = snapshot_io.load_history(snapshots)
+        write(history, tmp_path / "inside")
+    assert sorted(threads(encoded)) == ["main"] * 4 + ["thread"]
+    write(history, tmp_path / "outside")
+    assert tree_bytes(tmp_path / "inside") == tree_bytes(tmp_path / "outside")
+    # Only the series' t1 file took the member, and the block took nothing
+    # more.
+    [early] = taken
+    assert (early.data, early.snapshot, early.member, early.thread) == (None,) * 4

@@ -1,5 +1,6 @@
 """Every top-level import in the package is used, and every module is;
-only ``_cpus`` asks the platform about CPUs.
+only ``_cpus`` asks the platform about CPUs, and only ``snapshot_io`` names
+the early gzip of ``embedded --compress``.
 
 A name counts as used if the module reads it anywhere: in code, in an
 annotation, or inside a string annotation such as ``-> "SnapshotFile"`` or
@@ -26,18 +27,25 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    read = set()
+    read = {name for name, _line in names_read(tree)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def names_read(tree: ast.AST) -> list[tuple[str, int]]:
+    """Each name ``tree`` reads, with its line: in code, in an annotation,
+    or inside a string annotation."""
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            read.add(node.id)
+            found.append((node.id, node.lineno))
         for annotation in _annotations(node):
             for inner in ast.walk(annotation):
                 if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
-                    read |= {
-                        n.id for n in ast.walk(ast.parse(inner.value, mode="eval"))
+                    found += [
+                        (n.id, inner.lineno) for n in ast.walk(ast.parse(inner.value, mode="eval"))
                         if isinstance(n, ast.Name)
-                    }
-    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+                    ]
+    return found
 
 
 def _annotations(node: ast.AST) -> list[ast.expr]:
@@ -144,4 +152,43 @@ def test_the_check_finds_cpu_calls():
     )
     assert sorted(cpu_calls(source)) == [
         "os.cpu_count (line 2)", "os.sched_getaffinity (line 4)", "os.sched_setaffinity (line 4)",
+    ]
+
+
+# The early gzip and the context variable that carries it through an
+# ``_early_gzip`` block: the block is their one channel, so no other module
+# names them.
+_EARLY_NAMES = {"_EarlyGzip", "_EARLY"}
+
+
+def early_names(source: str) -> list[str]:
+    """Where ``source`` names ``_EarlyGzip`` or ``_EARLY``: as a name read
+    (``names_read``), as an attribute, or by importing it."""
+    tree = ast.parse(source)
+    found = [f"{name} (line {line})" for name, line in names_read(tree) if name in _EARLY_NAMES]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _EARLY_NAMES:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in _EARLY_NAMES]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "snapshot_io.py"),
+    ids=lambda p: p.name,
+)
+def test_only_snapshot_io_names_the_early_gzip(path):
+    assert early_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_early_names():
+    source = (
+        "from . import snapshot_io\n"
+        "from .snapshot_io import _EarlyGzip, _early_gzip\n"
+        "def f(early: '_EarlyGzip'):\n"
+        "    return snapshot_io._EARLY.get(), _early_gzip\n"
+    )
+    assert sorted(early_names(source)) == [
+        "_EARLY (line 4)", "_EarlyGzip (line 2)", "_EarlyGzip (line 3)",
     ]
